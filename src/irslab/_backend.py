@@ -1,8 +1,7 @@
 """Kernel backend selection.
 
 The compiled extension is preferred when present; the pure-Python twin is
-the fallback.  ``IRSLAB_BACKEND=pure`` (or ``compiled``) forces a choice,
-and ``IRSLAB_THREADS`` caps the worker count used by the batch drivers.
+the fallback.  ``IRSLAB_BACKEND=pure`` (or ``compiled``) forces a choice.
 """
 
 import os
@@ -44,11 +43,3 @@ def get_backend(name):
         return _kernels
     raise ValueError("unknown backend %r" % (name,))
 
-
-def thread_count():
-    raw = os.environ.get("IRSLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -41,6 +42,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_WIDTH = 3
+
+# faithful at this length already checks 2 * (3^14 - 1) words
+MAX_WORD_LEN = 14
 
 
 class CliError(Exception):
@@ -74,6 +78,12 @@ def _parse_words(raw_words) -> list:
         return [Word.parse(t) for t in raw_words]
     except ValueError as exc:
         raise CliError(str(exc)) from None
+
+
+def _check_range(flag: str, value, low: int, high=math.inf):
+    """Reject a numeric flag outside [low, high]; None means unset."""
+    if value is not None and not low <= value <= high:
+        raise CliError("%s must lie in [%s, %s], got %r" % (flag, low, high, value))
 
 
 def _load_config(path):
@@ -110,6 +120,7 @@ def cmd_eval(args) -> int:
         words = _parse_words(args.word)
     except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from None
+    _check_range("--factor-cap", args.factor_cap, 1)
     events = [tuple(words)] if args.joint else [(w,) for w in words]
     results = []
     not_reached = False
@@ -161,6 +172,8 @@ def cmd_verify(args) -> int:
 
 
 def _suite_kwargs(args) -> dict:
+    _check_range("--n", args.n, 1)
+    _check_range("--max-len", args.max_len, 1, MAX_WORD_LEN)
     kwargs = {}
     if args.suite == "faithful":
         kwargs["max_len"] = args.max_len if args.max_len is not None else 8
@@ -193,6 +206,8 @@ def cmd_sample(args) -> int:
         raise CliError(str(exc)) from None
     if not isinstance(measure, CoinducedProduct):
         raise CliError("sampling requires a co-induced measure")
+    _check_range("--n", args.n, 1)
+    _check_range("--tolerance-exp", args.tolerance_exp, 1)
     n = args.n if args.n is not None else 10000
     base_seed = args.seed if args.seed is not None else DEFAULT_SEED
     tol = args.tolerance_exp if args.tolerance_exp is not None else DEFAULT_TOLERANCE_EXP
@@ -302,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact envelope probabilities, verification suites and "
         "samplers for co-induced invariant random subgroups of F2. "
         "Words are strings over a, b, A, B (A = a^-1); the empty string is "
-        "the identity. Set IRSLAB_THREADS to cap worker threads and "
-        "IRSLAB_BACKEND=pure|compiled to pin the kernel backend.",
+        "the identity. Set IRSLAB_BACKEND=pure|compiled to pin the kernel "
+        "backend.",
     )
     parser.add_argument("--config", help="JSON config file; flags override its entries")
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -151,8 +151,11 @@ class InducedFinite:
     """Average of pushforwards over a finite transversal.
 
     The representative count must be a power of two (so the average stays
-    dyadic) and every representative must lie in the commutator subgroup,
-    which keeps conjugate depths unchanged and the product tails certified.
+    dyadic) and every representative must lie in the commutator subgroup.
+    Each chain subgroup is normal in the commutator subgroup, so every
+    pushforward in the average equals the inner measure: the descriptor is
+    evaluated and sampled as its inner measure (see drop_commutator_average)
+    and is kept for the reports that echo it.
     """
 
     reps: Tuple[Word, ...]
@@ -259,12 +262,6 @@ def chain_env_weight(mu, K) -> Dyadic:
         if K == FAMILY_STEP:
             return FAMILY_HEAD_MASS
         return one_minus_pow2(K)
-    raise TypeError("chain_env_weight expects GeomGamma or ParamFamily")
-
-
-def _chain_cdf(mu, K) -> Dyadic:
-    if isinstance(mu, (GeomGamma, ParamFamily)):
-        return chain_env_weight(mu, K)
     if isinstance(mu, DiracGamma):
         return ONE if (K is math.inf or mu.k <= K) else ZERO
     if isinstance(mu, DiracTrivial):
@@ -272,21 +269,27 @@ def _chain_cdf(mu, K) -> Dyadic:
     raise TypeError("not a chain measure: %r" % (mu,))
 
 
-def _event_words(words) -> tuple:
-    if isinstance(words, EnvEvent):
-        return words.words
-    return EnvEvent(words).words
+def _outside_commutator(words) -> bool:
+    """Whether some word leaves the commutator subgroup.  Every descriptor
+    is supported in that subgroup (chain atoms lie in it, and it is normal,
+    so pushforwards, mixtures, powers and co-induction stay in it), so such
+    an event has probability zero under every measure."""
+    return any(w.abelianization() != (0, 0) for w in words)
+
+
+def drop_commutator_average(mu: Measure) -> Measure:
+    """The measure an InducedFinite average evaluates to: its inner measure.
+
+    Every representative lies in the commutator subgroup, in which each
+    chain subgroup is normal, so conjugating by a representative fixes each
+    chain atom and each pushforward in the average equals the inner measure.
+    """
+    return mu.inner if isinstance(mu, InducedFinite) else mu
 
 
 def _event_depth(words):
-    """Minimal depth over the event; None when some word leaves the
-    commutator subgroup (envelope then has probability zero on chain atoms)."""
-    K = math.inf
-    for w in words:
-        if w.abelianization() != (0, 0):
-            return None
-        K = min(K, depth(w))
-    return K
+    """Minimal depth over an event inside the commutator subgroup."""
+    return min(depth(w) for w in words)
 
 
 def _support_radius(words) -> int:
@@ -323,35 +326,15 @@ def _grid_tail(count_done: int, radius: int) -> Dyadic:
     return total
 
 
-def _coordinate_factor(inner, words, p, q) -> Dyadic:
-    """Envelope probability of the event conjugated back through the
-    transversal element a^p b^q, under a chain or induced-average inner."""
-    if isinstance(inner, InducedFinite):
-        m = len(inner.reps)
-        total = ZERO
-        for rep in inner.reps:
-            inv_rep = kernels.inv_word(rep.letters)
-            K = math.inf
-            for w in words:
-                t = kernels.transversal_letters(p, q)
-                c = kernels.mul_words(kernels.mul_words(kernels.inv_word(t), w.letters), t)
-                c = kernels.mul_words(kernels.mul_words(inv_rep, c), rep.letters)
-                d = kernels.depth_syllables(kernels.rewrite_syllables(c)) if c else 0
-                K = min(K, d if d else math.inf)
-            total = total + _chain_cdf(inner.inner, K)
-        return total * pow2(m.bit_length() - 1)
-    K = math.inf
-    for w in words:
-        d = kernels.shifted_depth(w.letters, p, q)
-        K = min(K, d if d else math.inf)
-    return _chain_cdf(inner, K)
-
-
 def _coinduced_value(inner, words, target_width, factor_cap) -> ProbabilityValue:
+    """Certified product of the per-coordinate factors of a co-induced
+    measure.  An InducedFinite inner is evaluated as its chain inner: its
+    representatives lie in the commutator subgroup, where conjugation fixes
+    every chain atom, so the average changes no factor."""
+    inner = drop_commutator_average(inner)
     radius = _support_radius(words)
-    core = inner.inner if isinstance(inner, InducedFinite) else inner
 
-    if isinstance(core, (GeomGamma, ParamFamily)):
+    if isinstance(inner, (GeomGamma, ParamFamily)):
         # beyond the support rings every conjugate depth is >= 2, where the
         # per-coordinate defect obeys 1 - cdf(K) <= 2^-K
         def tail_bound(done):
@@ -359,7 +342,7 @@ def _coinduced_value(inner, words, target_width, factor_cap) -> ProbabilityValue
     else:
         # point masses: factors are exactly one once the ring lower bound
         # clears the atom level (and exactly zero inside if violated)
-        level = core.k if isinstance(core, DiracGamma) else None
+        level = inner.k if isinstance(inner, DiracGamma) else None
 
         def tail_bound(done, _level=level):
             p, q = kernels.spiral_point(done + 1)
@@ -369,10 +352,15 @@ def _coinduced_value(inner, words, target_width, factor_cap) -> ProbabilityValue
             return ONE
 
     def factors():
+        # the event conjugated back through the transversal element a^p b^q
         i = 1
         while True:
             p, q = kernels.spiral_point(i)
-            yield _coordinate_factor(inner, words, p, q)
+            K = math.inf
+            for w in words:
+                d = kernels.shifted_depth(w.letters, p, q)
+                K = min(K, d if d else math.inf)
+            yield chain_env_weight(inner, K)
             i += 1
 
     return certified_product(factors(), tail_bound, target_width, factor_cap)
@@ -404,13 +392,15 @@ def env_prob(
     (finite) event."""
     if target_width is None:
         target_width = DEFAULT_TARGET_WIDTH
-    event = _event_words(words)
+    event = (words if isinstance(words, EnvEvent) else EnvEvent(words)).words
     if not event:
         return Exact(ONE)
+    if _outside_commutator(event):
+        return Exact(ZERO)
+    mu = drop_commutator_average(mu)
 
     if isinstance(mu, CHAIN_TYPES):
-        K = _event_depth(event)
-        return Exact(ZERO) if K is None else Exact(_chain_cdf(mu, K))
+        return Exact(chain_env_weight(mu, _event_depth(event)))
 
     if isinstance(mu, Pushforward):
         g_inv = mu.g.inverse()
@@ -424,94 +414,23 @@ def env_prob(
         ]
         return _combine_affine(parts)
 
-    if isinstance(mu, InducedFinite):
-        m = len(mu.reps)
-        weight = pow2(m.bit_length() - 1)
-        parts = []
-        for rep in mu.reps:
-            rep_inv = rep.inverse()
-            moved = tuple(conjugate(rep_inv, w) for w in event)
-            parts.append((weight, env_prob(mu.inner, moved, target_width, factor_cap)))
-        return _combine_affine(parts)
-
     if isinstance(mu, IntersectPower):
-        K = _event_depth(event)
-        if K is None:
-            return Exact(ZERO)
-        cdf = _chain_cdf(mu.inner, K)
+        cdf = chain_env_weight(mu.inner, _event_depth(event))
         out = ONE
         for _ in range(mu.n):
             out = out * cdf
         return Exact(out)
 
     if isinstance(mu, GeneratePower):
-        K = _event_depth(event)
-        if K is None:
-            return Exact(ZERO)
-        miss = ONE - _chain_cdf(mu.inner, K)
+        miss = ONE - chain_env_weight(mu.inner, _event_depth(event))
         out = ONE
         for _ in range(mu.n):
             out = out * miss
         return Exact(ONE - out)
 
     if isinstance(mu, CoinducedProduct):
-        K = _event_depth(event)
-        if K is None:
-            return Exact(ZERO)
         return _coinduced_value(mu.inner, event, target_width, factor_cap)
 
-    raise TypeError("unknown measure descriptor %r" % (mu,))
-
-
-def _env_prob_upper(mu: Measure, event: tuple, probe_factors: int = 4) -> Dyadic:
-    """Cheap certified upper bound on env_prob (used to refute kernel
-    membership without running a full enclosure)."""
-    if not event:
-        return ONE
-    if isinstance(mu, CHAIN_TYPES):
-        K = _event_depth(event)
-        return ZERO if K is None else _chain_cdf(mu, K)
-    if isinstance(mu, Pushforward):
-        g_inv = mu.g.inverse()
-        return _env_prob_upper(
-            mu.inner, tuple(conjugate(g_inv, w) for w in event), probe_factors
-        )
-    if isinstance(mu, Convex):
-        total = ZERO
-        for w, inner in mu.parts:
-            total = total + w * _env_prob_upper(inner, event, probe_factors)
-        return total
-    if isinstance(mu, InducedFinite):
-        m = len(mu.reps)
-        total = ZERO
-        for rep in mu.reps:
-            rep_inv = rep.inverse()
-            moved = tuple(conjugate(rep_inv, w) for w in event)
-            total = total + _env_prob_upper(mu.inner, moved, probe_factors)
-        return total * pow2(m.bit_length() - 1)
-    if isinstance(mu, (IntersectPower, GeneratePower, CoinducedProduct)):
-        K = _event_depth(event)
-        if K is None:
-            return ZERO
-        if isinstance(mu, IntersectPower):
-            cdf = _chain_cdf(mu.inner, K)
-            out = ONE
-            for _ in range(mu.n):
-                out = out * cdf
-            return out
-        if isinstance(mu, GeneratePower):
-            miss = ONE - _chain_cdf(mu.inner, K)
-            out = ONE
-            for _ in range(mu.n):
-                out = out * miss
-            return ONE - out
-        prod = ONE
-        for i in range(1, probe_factors + 1):
-            p, q = kernels.spiral_point(i)
-            prod = prod * _coordinate_factor(mu.inner, event, p, q)
-            if prod < ONE:
-                break
-        return prod
     raise TypeError("unknown measure descriptor %r" % (mu,))
 
 
@@ -532,11 +451,15 @@ def kernel_contains(mu: Measure, w: Word, target_width: Dyadic = None) -> Certif
     """Whether w lies in the kernel of mu, i.e. mu(Env w) = 1."""
     if w.is_identity():
         return CertifiedBool.TRUE
-    event = _event_words((w,))
-    ub = _env_prob_upper(mu, event)
-    if ub < ONE:
+    if _outside_commutator((w,)):
         return CertifiedBool.FALSE
-    v = env_prob(mu, event, target_width)
+    # one co-induced factor already refutes membership for most words
+    event = EnvEvent(w)
+    v = env_prob(mu, event, target_width, factor_cap=1)
+    if v.hi < ONE:
+        return CertifiedBool.FALSE
+    if not isinstance(v, Exact):
+        v = env_prob(mu, event, target_width)
     if isinstance(v, Exact):
         return CertifiedBool.TRUE if v.value == ONE else CertifiedBool.FALSE
     if v.hi < ONE:

@@ -22,11 +22,11 @@ from irslab.measures import (
     MU_G,
     CoinducedProduct,
     GeomGamma,
-    InducedFinite,
     Measure,
     ParamFamily,
-    _chain_cdf,
     _grid_tail,
+    chain_env_weight,
+    drop_commutator_average,
     env_prob,
 )
 from irslab.words import Word
@@ -54,17 +54,10 @@ _CHI2_Q9973 = [
 
 
 def _unwrap_inner(mu: Measure):
-    """Chain inner of a co-induced descriptor.
-
-    Averages over commutator-subgroup representatives are transparent for
-    sampling: each chain subgroup is normal in the commutator subgroup, so
-    conjugating by a representative fixes it pointwise.
-    """
+    """Chain inner of a co-induced descriptor."""
     if not isinstance(mu, CoinducedProduct):
         raise ValueError("sampling is defined for co-induced descriptors only")
-    inner = mu.inner
-    if isinstance(inner, InducedFinite):
-        inner = inner.inner
+    inner = drop_commutator_average(mu.inner)
     if not isinstance(inner, (GeomGamma, ParamFamily)):
         raise ValueError(
             "sampling supports GeomGamma or ParamFamily coordinates, got %r"
@@ -308,7 +301,7 @@ def coordinate_chi_square(
     prev_cdf = ZERO
     for k in range(1, max_bin + 2):
         if k <= max_bin:
-            cdf = _chain_cdf(inner, k)
+            cdf = chain_env_weight(inner, k)
             p = cdf - prev_cdf
             prev_cdf = cdf
         else:

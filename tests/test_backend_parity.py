@@ -102,6 +102,7 @@ def test_member_scan_parity(backends):
 
 
 def test_forced_backend_env():
+    import os
     import subprocess
     import sys
 
@@ -110,7 +111,11 @@ def test_forced_backend_env():
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"IRSLAB_BACKEND": "pure", "PATH": "/usr/bin:/bin"},
+        env={
+            "IRSLAB_BACKEND": "pure",
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+        },
         capture_output=True,
         text=True,
     )

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from irslab.cli import EXIT_FAIL, EXIT_OK, EXIT_PARSE, EXIT_WIDTH, main
 
 
@@ -123,6 +125,29 @@ def test_sample_csv(tmp_path):
     assert lines[0] == "seed,abAB"
     assert len(lines) == 121
     assert all(line.split(",")[1] in ("0", "1") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sample", "--word", "abAB", "--n", "200", "--tolerance-exp", "0"],
+        ["sample", "--word", "abAB", "--n", "0"],
+        ["verify", "chain-limits", "--n", "0"],
+        ["verify", "invariance", "--n", "-1"],
+        ["verify", "combination", "--n", "0"],
+        ["verify", "faithful", "--max-len", "-1"],
+        ["verify", "faithful", "--max-len", "0"],
+        ["verify", "faithful", "--max-len", "15"],
+        ["verify", "invariance", "--max-len", "0"],
+        ["eval", "--word", "abAB", "--factor-cap", "-1"],
+        ["eval", "--word", "abAB", "--factor-cap", "0"],
+    ],
+)
+def test_out_of_range_numbers_are_parse_errors(args, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(args + ["--out", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: --")
 
 
 def test_sample_too_few_seeds_is_parse_error(tmp_path):

@@ -250,12 +250,36 @@ def test_convex_combination():
         Convex(((HALF, MU_F), (Dyadic(1, 2), MU_F), (HALF, MU_F)))
 
 
+def _kernel_verdict_by_definition(mu, w):
+    """mu(Env w) = 1, read off one full evaluation."""
+    v = env_prob(mu, (w,))
+    if isinstance(v, Exact):
+        return CertifiedBool.TRUE if v.value == ONE else CertifiedBool.FALSE
+    if v.hi < ONE:
+        return CertifiedBool.FALSE
+    return CertifiedBool.TRUE if v.lo == ONE else CertifiedBool.UNKNOWN
+
+
 def test_kernel_contains_examples():
     assert kernel_contains(MU_F, IDENTITY) is CertifiedBool.TRUE
     assert kernel_contains(MU_F, COMMUTATOR) is CertifiedBool.FALSE
     assert kernel_contains(MU_G, COMMUTATOR) is CertifiedBool.FALSE
     assert kernel_contains(MU_G, A) is CertifiedBool.FALSE
     assert kernel_contains(DiracGamma(3), expand(y(5))) is CertifiedBool.TRUE
+    # the cheap probe and the word-class exit agree with the definition
+    reps = (IDENTITY, expand(y(1)), expand(y(2)), expand(y(4, -1)))
+    descriptors = [
+        MU_G,
+        Pushforward(A, MU_G),
+        Convex(((HALF, MU_F), (HALF, DiracTrivial()))),
+        CoinducedProduct(InducedFinite(reps, MU_F)),
+        IntersectPower(3, MU_F),
+        DiracGamma(3),
+    ]
+    words = [IDENTITY] + list(iter_reduced(5)) + [expand(y(5)), expand(y(2, 3))]
+    for mu in descriptors:
+        for w in words:
+            assert kernel_contains(mu, w) is _kernel_verdict_by_definition(mu, w), (mu, str(w))
 
 
 def test_essential_examples():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from _helpers import naive_free_reduce, random_reduced_letters, random_word
+from _helpers import iter_reduced, naive_free_reduce, random_reduced_letters, random_word
 from irslab.words import (
     A,
     B,
@@ -130,3 +130,13 @@ def test_word_hash_eq():
     assert hash(Word.parse("ab")) == hash(Word.parse("ab"))
     assert Word.parse("ab") != Word.parse("ba")
     assert len({Word.parse("ab"), Word.parse("ab"), Word.parse("ba")}) == 2
+
+
+def test_iter_reduced_words_keeps_breadth_first_order():
+    # seeded suites draw from commutator_pool by position, so the order of
+    # the prefix-and-tail enumeration must match the plain level-by-level one
+    from irslab.verify import iter_reduced_words
+
+    for max_len in (0, 1, 6, 7, 9):
+        got = [w.letters for w in iter_reduced_words(max_len)]
+        assert got == [w.letters for w in iter_reduced(max_len)]
