@@ -1,8 +1,8 @@
 """Pure-Python kernel routines.
 
 This module is the reference implementation of the hot inner loops; the
-compiled extension ``irslab._kernels`` mirrors it function for function
-and must produce bit-identical results.  Everything here works on plain
+compiled extension ``irslab._kernels`` exposes the same public functions
+and must return the same values.  Everything here works on plain
 tuples of small ints so that both backends share one calling convention:
 
   letters    a = 1, a^-1 = -1, b = 2, b^-1 = -2
@@ -167,8 +167,14 @@ def rewrite_syllables(w):
     with x(p,j) the basis element at spiral index of (p, j).  Raises
     ValueError when the word is not in the commutator subgroup.
     """
+    return _rewrite_from(w, 0, 0)
+
+
+def _rewrite_from(w, p0, q0):
+    """Schreier rewrite of w read from the coset (p0, q0) instead of the
+    origin; w must return to its start coset."""
     stack = []
-    p = q = 0
+    p, q = p0, q0
     for x in w:
         if x == 1 or x == -1:
             pz = p if x == 1 else p - 1
@@ -191,10 +197,10 @@ def rewrite_syllables(w):
             q += 1
         else:
             q -= 1
-    if p != 0 or q != 0:
+    if p != p0 or q != q0:
         raise ValueError(
             "word has abelianization (%d, %d); not in the commutator subgroup"
-            % (p, q)
+            % (p - p0, q - q0)
         )
     return tuple((i, e) for i, e in stack)
 
@@ -217,22 +223,44 @@ def phi_syllables(sylls, k):
     return tuple((i, e) for i, e in stack)
 
 
+def _cancels_up_to(sylls, t):
+    """Whether the syllables with index <= t cancel to the identity.
+
+    _push_syllable is inlined here: this loop is most of depth_syllables.
+    """
+    stack = []
+    for s in sylls:
+        if s[0] <= t:
+            if stack and stack[-1][0] == s[0]:
+                e = stack[-1][1] + s[1]
+                if e:
+                    stack[-1] = (s[0], e)
+                else:
+                    stack.pop()
+            else:
+                stack.append(s)
+    return not stack
+
+
 def depth_syllables(sylls):
     """Depth of a nonempty normalized syllable word.
 
-    The set of k with the index-below-k restriction cancelling is downward
-    closed, so the depth is the first present index whose restriction does
-    not cancel.
+    Each restriction to the indices <= t is a homomorphism, so the set of
+    t whose restriction cancels is downward closed; the depth is the first
+    present index whose restriction does not cancel, found by binary
+    search over the sorted distinct indices.
     """
     idxs = sorted({i for i, _ in sylls})
-    for t in idxs:
-        stack = []
-        for i, e in sylls:
-            if i <= t:
-                _push_syllable(stack, i, e)
-        if stack:
-            return t
-    raise AssertionError("normalized nonempty syllable word cancelled")
+    lo, hi = 0, len(idxs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _cancels_up_to(sylls, idxs[mid]):
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo == len(idxs):
+        raise AssertionError("normalized nonempty syllable word cancelled")
+    return idxs[lo]
 
 
 def expand_syllables(sylls):
@@ -252,15 +280,20 @@ def shifted_depth(w, p, q):
 
     Returns 0 when the conjugate is the identity and -1 when w is not in
     the commutator subgroup.
+
+    Coset-start lemma: reading t^-1 from the origin ends at the coset
+    (-p, -q) and yields some syllable word P, so the rewrite of t^-1 w t is
+    P R P^-1 with R the rewrite of w started at (-p, -q).  Every phi_k is a
+    homomorphism, so phi_k kills P R P^-1 exactly when it kills R, and the
+    conjugate's depth is depth(R); neither t nor the conjugate is built.
     """
-    t = transversal_letters(p, q)
-    c = mul_words(mul_words(inv_word(t), w), t)
-    if not c:
-        return 0
-    a0, a1 = abelianize(c)
+    a0, a1 = abelianize(w)
     if a0 or a1:
         return -1
-    return depth_syllables(rewrite_syllables(c))
+    sylls = _rewrite_from(w, -p, -q)
+    if not sylls:
+        return 0
+    return depth_syllables(sylls)
 
 
 # ---------------------------------------------------------------------------

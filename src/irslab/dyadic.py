@@ -28,9 +28,11 @@ class Dyadic:
         if exp < 0:
             num <<= -exp
             exp = 0
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
+        if exp > 0 and not num & 1:
+            # strip the trailing zero bits in one shift, at most exp of them
+            shift = min((num & -num).bit_length() - 1, exp) if num else exp
+            num >>= shift
+            exp -= shift
         self.num = num
         self.exp = exp
 

@@ -56,6 +56,26 @@ def iter_reduced(max_len: int):
         frontier = nxt
 
 
+def linear_scan_depth(sylls) -> int:
+    """Reference depth of a nonempty normalized syllable word: try every
+    distinct index in increasing order and return the first whose
+    restriction to the indices <= it does not cancel."""
+    for t in sorted({i for i, _ in sylls}):
+        stack = []
+        for i, e in sylls:
+            if i > t:
+                continue
+            if stack and stack[-1][0] == i:
+                stack[-1][1] += e
+                if stack[-1][1] == 0:
+                    stack.pop()
+            else:
+                stack.append([i, e])
+        if stack:
+            return t
+    raise AssertionError("normalized nonempty syllable word cancelled")
+
+
 def naive_free_reduce(letters) -> tuple:
     """Quadratic reference reduction: rescan until no adjacent cancellation."""
     out = list(letters)

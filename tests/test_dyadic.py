@@ -43,6 +43,18 @@ def test_normalization_lowest_terms():
     assert (n.num, n.exp) == (-3, 3)
     e = Dyadic(5, -2)  # negative exponent folds into the numerator
     assert (e.num, e.exp) == (20, 0)
+    # more trailing zeros than the exponent: only exp of them are stripped
+    m = Dyadic(3 << 10, 4)
+    assert (m.num, m.exp) == (3 << 6, 0)
+    neg = Dyadic(-(5 << 7), 3)
+    assert (neg.num, neg.exp) == (-(5 << 4), 0)
+    # a 5000-bit numerator with 1200 trailing zeros
+    odd = (1 << 3799) + 1
+    big = Dyadic(odd << 1200, 2000)
+    assert (big.num, big.exp) == (odd, 800)
+    assert big.as_fraction() == Fraction(odd << 1200, 1 << 2000)
+    huge = Dyadic(odd << 1200, 700)
+    assert (huge.num, huge.exp) == (odd << 500, 0)
 
 
 @given(dyadic_st, dyadic_st)
