@@ -15,6 +15,7 @@ Depth values returned by the syllable routines are positive ints; the
 empty word (depth unbounded) is the caller's case to handle.
 """
 
+from functools import lru_cache
 from math import isqrt
 
 BACKEND_NAME = "pure"
@@ -307,19 +308,42 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
+@lru_cache(maxsize=16)
+def _seed_key(seed):
+    """First splitmix round of prf_block, which depends on the seed alone;
+    callers draw seed after seed, so a few entries serve every block."""
+    return _mix64((seed & MASK64) ^ 0xA0761D6478BD642F)
+
+
 def prf_block(seed, index, block):
-    """64-bit keyed PRF block for coordinate `index`, block counter `block`."""
-    z = _mix64((seed & MASK64) ^ 0xA0761D6478BD642F)
-    z = _mix64(z ^ (index & MASK64))
-    z = _mix64(z ^ (block & MASK64))
-    return z
+    """64-bit keyed PRF block for coordinate `index`, block counter `block`.
+
+    Three splitmix64 rounds, keyed by seed, then index, then block; the
+    last two rounds are _mix64 written out in place.  Each round's first
+    mask also reduces index and block mod 2^64, since xor acts bitwise.
+    """
+    z = ((_seed_key(seed) ^ index) + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = ((z ^ (z >> 31) ^ block) + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
 
 
+@lru_cache(maxsize=1024)
 def geometric_coordinate(seed, index):
     """Geometric draw with P(k = j) = 2^-j from the keyed bit stream.
 
     k is one plus the number of zero bits before the first one bit,
     reading blocks least-significant-bit first.
+
+    The draw is a pure function of (seed, index), so the memo in front of
+    it is exact: it changes how often prf_block runs, never a value.  It
+    keeps the last 1024 draws, which covers every membership window up to
+    radius 10 at 2^-60 (841 coordinates); a caller that checks all words
+    of one seed before the next therefore draws each coordinate once.  A
+    window longer than the bound loses that sharing, not its values.
     """
     k = 1
     block = 0

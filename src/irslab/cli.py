@@ -45,6 +45,10 @@ EXIT_WIDTH = 3
 
 # faithful at this length already checks 2 * (3^14 - 1) words
 MAX_WORD_LEN = 14
+# sample holds every seed's membership row before it writes anything
+MAX_SAMPLE_SEEDS = 10**6
+# membership windows grow about linearly in the tolerance exponent
+MAX_TOLERANCE_EXP = 1024
 
 
 class CliError(Exception):
@@ -206,8 +210,8 @@ def cmd_sample(args) -> int:
         raise CliError(str(exc)) from None
     if not isinstance(measure, CoinducedProduct):
         raise CliError("sampling requires a co-induced measure")
-    _check_range("--n", args.n, 1)
-    _check_range("--tolerance-exp", args.tolerance_exp, 1)
+    _check_range("--n", args.n, 1, MAX_SAMPLE_SEEDS)
+    _check_range("--tolerance-exp", args.tolerance_exp, 1, MAX_TOLERANCE_EXP)
     n = args.n if args.n is not None else 10000
     base_seed = args.seed if args.seed is not None else DEFAULT_SEED
     tol = args.tolerance_exp if args.tolerance_exp is not None else DEFAULT_TOLERANCE_EXP

@@ -69,11 +69,13 @@ def _unwrap_inner(mu: Measure):
 def _param_coordinate(seed: int, index: int, a: Dyadic) -> int:
     """Exact inverse-CDF draw of a chain level for the parametrized family.
 
-    Consumes PRF bits until the dyadic interval pinned by the consumed
-    prefix lies inside one CDF cell; every comparison is exact.
+    Consumes PRF bits until the dyadic interval [x, x+1] / 2^n pinned by
+    the consumed prefix x lies inside one CDF cell: [0, a), [a, 3/4), and
+    [1 - 2^-(k-1), 1 - 2^-k) for k >= 3.  Every comparison is exact and in
+    integers: x / 2^n against a = A / 2^e compares x * 2^e with A * 2^n.
     """
-    head2 = Dyadic(3, 2)
-    n_bits = 0
+    a_num, a_exp = a.num, a.exp
+    n = 0
     prefix = 0
     block = 0
     buf = 0
@@ -86,18 +88,20 @@ def _param_coordinate(seed: int, index: int, a: Dyadic) -> int:
         prefix = (prefix << 1) | (buf & 1)
         buf >>= 1
         avail -= 1
-        n_bits += 1
-        lo = Dyadic(prefix, n_bits)
-        hi = Dyadic(prefix + 1, n_bits)
-        if hi <= a:
+        n += 1
+        lo = prefix << a_exp
+        a_n = a_num << n
+        if lo + (1 << a_exp) <= a_n:
             return 1
-        if lo >= a and hi <= head2:
+        three_quarters = 3 << n  # 3/4 in units of 2^-(n+2)
+        if lo >= a_n and (prefix + 1) << 2 <= three_quarters:
             return 2
-        if lo >= head2:
-            k = 3
-            while not lo < Dyadic((1 << k) - 1, k):
-                k += 1
-            if hi <= Dyadic((1 << k) - 1, k):
+        if prefix << 2 >= three_quarters:
+            # gap r = 2^n - x; the smallest k with x / 2^n < 1 - 2^-k is
+            # the smallest k with r * 2^k > 2^n (k >= 3 since r <= 2^n / 4)
+            r = (1 << n) - prefix
+            k = n + 2 - r.bit_length() - (1 if r & (r - 1) else 0)
+            if (r - 1) << k >= 1 << n:
                 return k
 
 

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from irslab.dyadic import Dyadic
 from irslab.words import Word
 from irslab.ywords import YWord
 
@@ -103,3 +104,68 @@ def dst_constant_interval():
     """Fraction interval pinning prod_{j>=1} (1 - 2^-j) via 40 exact
     factors and the tail inequality."""
     return partial_product_interval(range(1, 41), Fraction(1, 2**40))
+
+
+MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(z: int) -> int:
+    z = (z + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_prf_block(seed: int, index: int, block: int) -> int:
+    """The keyed PRF as three separate splitmix64 rounds: seed, then
+    index, then block, each masked to 64 bits."""
+    z = _splitmix64((seed & MASK64) ^ 0xA0761D6478BD642F)
+    z = _splitmix64(z ^ (index & MASK64))
+    return _splitmix64(z ^ (block & MASK64))
+
+
+def reference_geometric_coordinate(prf_block, seed: int, index: int) -> int:
+    """One plus the number of zero bits before the first one bit of the
+    blocks prf_block(seed, index, 0), (.., 1), ..., each read from its
+    least significant bit."""
+    k = 1
+    block = 0
+    while True:
+        x = prf_block(seed, index, block)
+        for bit in range(64):
+            if x >> bit & 1:
+                return k + bit
+        k += 64
+        block += 1
+
+
+def dyadic_param_coordinate(prf_block, seed: int, index: int, a: Dyadic) -> int:
+    """Reference inverse-CDF draw of the parametrized family, comparing the
+    consumed prefix's interval with every CDF cell as Dyadic values."""
+    head2 = Dyadic(3, 2)
+    n_bits = 0
+    prefix = 0
+    block = 0
+    buf = 0
+    avail = 0
+    while True:
+        if avail == 0:
+            buf = prf_block(seed, index, block)
+            block += 1
+            avail = 64
+        prefix = (prefix << 1) | (buf & 1)
+        buf >>= 1
+        avail -= 1
+        n_bits += 1
+        lo = Dyadic(prefix, n_bits)
+        hi = Dyadic(prefix + 1, n_bits)
+        if hi <= a:
+            return 1
+        if lo >= a and hi <= head2:
+            return 2
+        if lo >= head2:
+            k = 3
+            while not lo < Dyadic((1 << k) - 1, k):
+                k += 1
+            if hi <= Dyadic((1 << k) - 1, k):
+                return k

@@ -141,6 +141,8 @@ def test_sample_csv(tmp_path):
         ["verify", "invariance", "--max-len", "0"],
         ["eval", "--word", "abAB", "--factor-cap", "-1"],
         ["eval", "--word", "abAB", "--factor-cap", "0"],
+        ["sample", "--word", "abAB", "--n", "1000001"],
+        ["sample", "--word", "abAB", "--n", "200", "--tolerance-exp", "1025"],
     ],
 )
 def test_out_of_range_numbers_are_parse_errors(args, tmp_path, capsys):

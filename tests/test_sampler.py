@@ -1,13 +1,23 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from _helpers import iter_reduced
-from irslab.dyadic import Dyadic, Enclosure, Exact
+from _helpers import (
+    MASK64,
+    dyadic_param_coordinate,
+    iter_reduced,
+    reference_geometric_coordinate,
+    reference_prf_block,
+)
+from irslab import _purekernels
+from irslab._backend import available_backends, get_backend, kernels
+from irslab.dyadic import Dyadic, Enclosure, Exact, pow2
 from irslab.measures import MU_G, GeomGamma, ParamFamily, family_measure
 from irslab.sampler import (
     SampledSubgroup,
+    _param_coordinate,
     chi_square_report,
     coordinate_chi_square,
     depth_profile,
@@ -17,7 +27,7 @@ from irslab.sampler import (
     z_score,
 )
 from irslab.words import A, COMMUTATOR, IDENTITY, Word, conjugate
-from irslab.ywords import expand, y
+from irslab.ywords import YWord, expand, y
 
 Y2_WORD = Word.parse("aabABA")
 
@@ -243,3 +253,109 @@ def test_family_sampling_frequency_matches_closed_form():
     p = 0.25 * 0.2887880951
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(freq - p) <= 3 * sigma, (freq, p)
+
+
+def _prf_triples():
+    rng = random.Random(2024)
+    seeds = [0, 1, 2**63, MASK64, 2**64, 2**64 + 5, 2**100 + 3, -1, -2**64 - 7]
+    seeds += [rng.getrandbits(64) for _ in range(15)]
+    indices = [1, 2, 841, 2**64 + 1, -3] + [rng.randint(1, 5000) for _ in range(5)]
+    for seed in seeds:
+        for index in indices:
+            yield seed, index, rng.choice((0, 0, 1, 7, 2**64 + 2, -1))
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_prf_matches_three_round_splitmix(backend):
+    mod = get_backend(backend)
+    triples = list(_prf_triples())
+    assert len(triples) >= 200
+    for seed, index, block in triples:
+        assert mod.prf_block(seed, index, block) == reference_prf_block(seed, index, block)
+        assert mod.geometric_coordinate(seed, index) == reference_geometric_coordinate(
+            reference_prf_block, seed, index
+        )
+
+
+def test_geometric_coordinate_reads_later_blocks(monkeypatch):
+    def first_block_zero(seed, index, block):
+        return 0 if block == 0 else reference_prf_block(seed, index, block)
+
+    _purekernels.geometric_coordinate.cache_clear()
+    monkeypatch.setattr(_purekernels, "prf_block", first_block_zero)
+    try:
+        for seed in (0, 9, 2**64 + 9, -9):
+            for index in range(1, 30):
+                k = _purekernels.geometric_coordinate(seed, index)
+                assert k > 64
+                assert k == reference_geometric_coordinate(first_block_zero, seed, index)
+    finally:
+        _purekernels.geometric_coordinate.cache_clear()
+
+
+FAMILY_PARAMS = [Dyadic(1, 2), Dyadic(1, 3), Dyadic(5, 4), Dyadic(1, 1), Dyadic(23, 5), Dyadic(1, 70)]
+
+
+def test_param_coordinate_matches_dyadic_oracle():
+    for a in FAMILY_PARAMS:
+        for seed in range(300):
+            for index in range(1, 61):
+                assert _param_coordinate(seed, index, a) == dyadic_param_coordinate(
+                    kernels.prf_block, seed, index, a
+                ), (a, seed, index)
+
+
+@pytest.mark.parametrize("first_block", [0, MASK64])
+def test_param_coordinate_reads_later_blocks(monkeypatch, first_block):
+    # a constant first block pins the first 64 bits; 2^-70 (zeros) and
+    # every parameter (ones, the k >= 3 tail) then need bits of block 1
+    blocks = set()
+
+    def prf(seed, index, block):
+        blocks.add(block)
+        return first_block if block == 0 else reference_prf_block(seed, index, block)
+
+    monkeypatch.setattr(kernels, "prf_block", prf)
+    for a in FAMILY_PARAMS:
+        for seed in range(10):
+            for index in range(1, 11):
+                assert _param_coordinate(seed, index, a) == dyadic_param_coordinate(
+                    prf, seed, index, a
+                ), (a, seed, index)
+    assert 1 in blocks
+
+
+@pytest.mark.skipif(kernels is not _purekernels, reason="counts the pure kernels' PRF calls")
+def test_membership_matrix_draws_each_coordinate_once(monkeypatch):
+    # the shape of a sample command: radius-2 words from spiral indices
+    # 16..25, seeds checked one after another
+    singles = [expand(y(i)) for i in (16, 18, 20, 22)]
+    products = [expand(YWord([(i, 1), (j, 1)])) for i, j in ((17, 21), (19, 24), (23, 25))]
+    words = [IDENTITY] + singles + products
+    seeds = list(range(200))
+    profiles = [depth_profile(w) for w in words[1:]]
+    expected = 0
+    for seed in seeds:
+        s = SampledSubgroup(GeomGamma(), seed)
+        longest = 0
+        for profile in profiles:
+            scanned = next(
+                (i for i, d in enumerate(profile, start=1) if s.coordinate(i) > d),
+                len(profile),
+            )
+            longest = max(longest, scanned)
+        expected += longest
+
+    calls = [0]
+
+    def counted(seed, index, block):
+        calls[0] += 1
+        return reference_prf_block(seed, index, block)
+
+    _purekernels.geometric_coordinate.cache_clear()
+    monkeypatch.setattr(_purekernels, "prf_block", counted)
+    try:
+        membership_matrix(seeds, words, target_width=pow2(24))
+    finally:
+        _purekernels.geometric_coordinate.cache_clear()
+    assert calls[0] == expected
