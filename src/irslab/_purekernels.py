@@ -331,19 +331,11 @@ def prf_block(seed, index, block):
     return z ^ (z >> 31)
 
 
-@lru_cache(maxsize=1024)
 def geometric_coordinate(seed, index):
     """Geometric draw with P(k = j) = 2^-j from the keyed bit stream.
 
     k is one plus the number of zero bits before the first one bit,
     reading blocks least-significant-bit first.
-
-    The draw is a pure function of (seed, index), so the memo in front of
-    it is exact: it changes how often prf_block runs, never a value.  It
-    keeps the last 1024 draws, which covers every membership window up to
-    radius 10 at 2^-60 (841 coordinates); a caller that checks all words
-    of one seed before the next therefore draws each coordinate once.  A
-    window longer than the bound loses that sharing, not its values.
     """
     k = 1
     block = 0
@@ -355,18 +347,102 @@ def geometric_coordinate(seed, index):
         block += 1
 
 
+# Packed block-0 lanes.  Lane i-1 of a packed int is its bits
+# 128(i-1) .. 128(i-1)+127 and holds a value for spiral coordinate i below
+# 2^64, so a 64 x 64-bit product stays inside its lane; one big-int
+# operation then acts on every coordinate of a window at once.
+
+_LANE_BITS = 128
+
+
+def _pack(values):
+    """Packed int with values[j] (0 <= value < 2^_LANE_BITS) in lane j."""
+    return int.from_bytes(
+        b"".join(v.to_bytes(_LANE_BITS // 8, "little") for v in values), "little"
+    )
+
+
+@lru_cache(maxsize=16)
+def _lane_constants(count):
+    """(ones, indices, low) for lanes 0..count-1: 1, i and 2^64 - 1 in
+    lane i-1."""
+    ones = _pack([1] * count)
+    return ones, _pack(range(1, count + 1)), ones * MASK64
+
+
+@lru_cache(maxsize=16)
+def _block0_lanes(seed, count):
+    """prf_block(seed, i, 0) for i = 1..count, packed with i in lane i-1.
+
+    The rounds of prf_block with every constant repeated in each lane;
+    each lane is masked back to 64 bits after each add and before each
+    multiply, so no lane carries into the next.  Callers pass
+    seed & MASK64, so every word scanned under one seed shares the draw.
+    """
+    ones, indices, m = _lane_constants(count)
+    add = 0x9E3779B97F4A7C15 * ones
+    z = (((_seed_key(seed) * ones) ^ indices) + add) & m
+    z = (((z ^ (z >> 30)) & m) * 0xBF58476D1CE4E5B9) & m
+    z = (((z ^ (z >> 27)) & m) * 0x94D049BB133111EB) & m
+    z = (((z ^ (z >> 31)) & m) + add) & m
+    z = (((z ^ (z >> 30)) & m) * 0xBF58476D1CE4E5B9) & m
+    z = (((z ^ (z >> 27)) & m) * 0x94D049BB133111EB) & m
+    return (z ^ (z >> 31)) & m
+
+
+@lru_cache(maxsize=1024)
+def _lane_masks(depths, min_bits):
+    """(mask, high) of the block-0 test of a depth profile.
+
+    Lane i-1 of mask keeps the low min(d, 64) bits of block 0 for a depth
+    d = depths[i-1] >= min_bits and no bit for a smaller nonzero d, which
+    makes that lane a candidate whatever block 0 holds; high has bit 64 of
+    each lane with d != 0, so a lane of unbounded depth never is one.
+    """
+    mask = _pack([(1 << min(d, 64)) - 1 if d >= min_bits else 0 for d in depths])
+    high = _pack([1 << 64 if d else 0 for d in depths])
+    return mask, high
+
+
+def _candidates(seed, depths, ones):
+    """Coordinates i, in increasing order, whose masked block-0 bits are
+    all zeros (all ones when `ones` is set), which is necessary for the
+    draw at i to exceed depths[i-1]; depths must be a tuple.
+
+    The geometric draw exceeds d >= 1 only if the low min(d, 64) bits of
+    block 0 are zeros.  The family draw (0 < a < 3/4) exceeds d >= 2 only
+    if they are ones, since the stream is read from bit 0 up and k > d
+    means x >= 1 - 2^-d; its depth-1 lanes are always candidates.  A zero
+    lane y sets bit 64 of ((y + low) & high) ^ high: adding 2^64 - 1
+    carries into bit 64 exactly when y is not zero.
+    """
+    count = len(depths)
+    low = _lane_constants(count)[2]
+    mask, high = _lane_masks(depths, 2 if ones else 1)
+    y = _block0_lanes(seed & MASK64, count) & mask
+    if ones:
+        y ^= mask
+    hits = ((y + low) & high) ^ high
+    while hits:
+        bit = hits & -hits
+        yield bit.bit_length() // _LANE_BITS + 1
+        hits ^= bit
+
+
 def member_scan(seed, depths):
     """Membership scan against a precomputed depth profile.
 
     depths[j] is the conjugate depth at spiral coordinate j+1; entry 0
     encodes unbounded depth (never violated).  Returns False at the first
     coordinate whose geometric draw exceeds its depth.
+
+    The geometric draw at i exceeds d only if the low min(d, 64) bits of
+    prf_block(seed, i, 0) are zero, so one packed draw of every block 0
+    of the window (lanes 128 bits apart) picks the candidate coordinates,
+    and geometric_coordinate decides each of them in order.
     """
-    index = 1
-    for d in depths:
-        if d:
-            k = geometric_coordinate(seed, index)
-            if k > d:
-                return False
-        index += 1
+    depths = tuple(depths)
+    for i in _candidates(seed, depths, False):
+        if geometric_coordinate(seed, i) > depths[i - 1]:
+            return False
     return True

@@ -1,7 +1,7 @@
 """Benchmark the kernel backends against each other.
 
 Exercises the hot loops (free reduction, rewriting plus depth, conjugate
-depth profiles, geometric coordinate draws and membership scans) on both
+depth profiles, and membership scans over the radius-2 band words) on both
 backends when the compiled extension is present.
 """
 
@@ -11,6 +11,8 @@ import random
 import time
 
 from irslab._backend import available_backends, get_backend
+from irslab.sampler import depth_profile
+from irslab.ywords import expand, y
 
 
 def _make_words(rng: random.Random, count: int, length: int):
@@ -47,6 +49,8 @@ def run_benchmarks(quick: bool = False) -> dict:
     scale = 1 if quick else 5
     rng = random.Random(7)
     raw = _make_words(rng, 200 * scale, 400)
+    # scans shaped like a sample command's: the radius-2 band words y_16..y_25
+    band_profiles = [depth_profile(expand(y(i))) for i in range(16, 26)]
     results = {}
     for name in available_backends():
         kernels = get_backend(name)
@@ -67,9 +71,9 @@ def run_benchmarks(quick: bool = False) -> dict:
                     kernels.shifted_depth(w, p, q)
 
         def bench_sampling():
-            depths = tuple(range(1, 82))
-            for seed in range(2000 * scale):
-                kernels.member_scan(seed, depths)
+            for seed in range(200 * scale):
+                for depths in band_profiles:
+                    kernels.member_scan(seed, depths)
 
         results[name] = {
             "free_reduce_s": _time(bench_reduce),

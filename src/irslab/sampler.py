@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from irslab._backend import kernels
+from irslab._purekernels import _candidates
 from irslab.dyadic import ZERO, ONE, Dyadic, ProbabilityValue, pow2
 from irslab.measures import (
     MU_G,
@@ -143,10 +144,23 @@ class SampledSubgroup:
             return False
         if profile is None:
             profile = depth_profile(w, self.tolerance_exp)
+        return self.scan(profile)
+
+    def scan(self, profile: Sequence[int]) -> bool:
+        """Whether no coordinate level exceeds its entry of the depth
+        profile of a nontrivial [F,F] word (entry 0: unbounded).
+
+        For the family, k > d >= 2 holds iff the first d bits of the stream,
+        the low d bits of block 0, are ones (k >= 3 iff x >= 3/4 needs
+        a < 3/4, which ParamFamily enforces).  One packed draw of the
+        seed's block 0s (lanes 128 bits apart) picks the coordinates where
+        that can hold, plus every depth-1 one, and only those are drawn.
+        """
         if self._is_geometric:
             return kernels.member_scan(self.seed, profile)
-        for i, d in enumerate(profile, start=1):
-            if d and self.coordinate(i) > d:
+        profile = tuple(profile)
+        for i in _candidates(self.seed, profile, True):
+            if self.coordinate(i) > profile[i - 1]:
                 return False
         return True
 
@@ -194,20 +208,18 @@ def membership_matrix(
     """Membership booleans for every (seed, word) pair plus per-word
     frequency summaries against the exact envelope probabilities."""
     inner = _unwrap_inner(mu)
-    profiles: List[Optional[tuple]] = []
+    cells: list = []  # per word: its fixed answer, or its profile to scan
     for w in words:
-        if w.is_identity() or w.abelianization() != (0, 0):
-            profiles.append(None)
+        if w.is_identity():
+            cells.append(True)
+        elif w.abelianization() != (0, 0):
+            cells.append(False)
         else:
-            profiles.append(depth_profile(w, tolerance_exp))
+            cells.append(depth_profile(w, tolerance_exp))
     matrix: List[List[bool]] = []
     for seed in seeds:
-        subgroup = SampledSubgroup(inner, seed, tolerance_exp)
-        row = [
-            subgroup.member(w, profile)
-            for w, profile in zip(words, profiles)
-        ]
-        matrix.append(row)
+        scan = SampledSubgroup(inner, seed, tolerance_exp).scan
+        matrix.append([c if isinstance(c, bool) else scan(c) for c in cells])
     n = len(seeds)
     summary = []
     for j, w in enumerate(words):

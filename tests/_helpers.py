@@ -169,3 +169,13 @@ def dyadic_param_coordinate(prf_block, seed: int, index: int, a: Dyadic) -> int:
                 k += 1
             if hi <= Dyadic((1 << k) - 1, k):
                 return k
+
+
+def scalar_member_scan(draw, depths) -> bool:
+    """Reference membership scan: draw(i) is the chain level at spiral
+    coordinate i, drawn for every coordinate in order until one exceeds a
+    nonzero depth (0 encodes unbounded depth)."""
+    for i, d in enumerate(depths, start=1):
+        if d and draw(i) > d:
+            return False
+    return True

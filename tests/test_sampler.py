@@ -10,6 +10,7 @@ from _helpers import (
     iter_reduced,
     reference_geometric_coordinate,
     reference_prf_block,
+    scalar_member_scan,
 )
 from irslab import _purekernels
 from irslab._backend import available_backends, get_backend, kernels
@@ -281,16 +282,12 @@ def test_geometric_coordinate_reads_later_blocks(monkeypatch):
     def first_block_zero(seed, index, block):
         return 0 if block == 0 else reference_prf_block(seed, index, block)
 
-    _purekernels.geometric_coordinate.cache_clear()
     monkeypatch.setattr(_purekernels, "prf_block", first_block_zero)
-    try:
-        for seed in (0, 9, 2**64 + 9, -9):
-            for index in range(1, 30):
-                k = _purekernels.geometric_coordinate(seed, index)
-                assert k > 64
-                assert k == reference_geometric_coordinate(first_block_zero, seed, index)
-    finally:
-        _purekernels.geometric_coordinate.cache_clear()
+    for seed in (0, 9, 2**64 + 9, -9):
+        for index in range(1, 30):
+            k = _purekernels.geometric_coordinate(seed, index)
+            assert k > 64
+            assert k == reference_geometric_coordinate(first_block_zero, seed, index)
 
 
 FAMILY_PARAMS = [Dyadic(1, 2), Dyadic(1, 3), Dyadic(5, 4), Dyadic(1, 1), Dyadic(23, 5), Dyadic(1, 70)]
@@ -325,37 +322,147 @@ def test_param_coordinate_reads_later_blocks(monkeypatch, first_block):
     assert 1 in blocks
 
 
-@pytest.mark.skipif(kernels is not _purekernels, reason="counts the pure kernels' PRF calls")
-def test_membership_matrix_draws_each_coordinate_once(monkeypatch):
+
+
+# -- packed block-0 lanes ---------------------------------------------------
+
+PROFILE_DEPTHS = (-1, 0, 1, 2, 3, 63, 64, 65, 200)
+LANE_SEEDS = [0, 1, 5, 2**63 + 1, MASK64, 2**64, 2**64 + 5, 2**100 + 3, -1, -2**64 - 7]
+
+
+def _random_profiles(rng, count, length=60):
+    return [
+        tuple(rng.choice(PROFILE_DEPTHS) for _ in range(rng.randint(1, length)))
+        for _ in range(count)
+    ]
+
+
+def test_block0_lanes_match_prf():
+    for seed in LANE_SEEDS:
+        for count in (1, 2, 81):
+            lanes = _purekernels._block0_lanes(seed & MASK64, count)
+            assert lanes >> (128 * count) == 0
+            for i in range(1, count + 1):
+                lane = lanes >> (128 * (i - 1)) & ((1 << 128) - 1)
+                assert lane == reference_prf_block(seed, i, 0), (seed, count, i)
+
+
+def test_member_scan_matches_scalar_scan():
+    rng = random.Random(77)
+    for depths in _random_profiles(rng, 300):
+        for seed in LANE_SEEDS + list(range(20)):
+            expected = scalar_member_scan(
+                lambda i: reference_geometric_coordinate(reference_prf_block, seed, i), depths
+            )
+            assert _purekernels.member_scan(seed, depths) == expected, (seed, depths)
+
+
+def test_family_scan_matches_coordinate_loop():
+    rng = random.Random(78)
+    profiles = _random_profiles(rng, 40)
+    for a in FAMILY_PARAMS:
+        inner = ParamFamily(a)
+        for depths in profiles:
+            for seed in range(25):
+                expected = scalar_member_scan(SampledSubgroup(inner, seed).coordinate, depths)
+                assert SampledSubgroup(inner, seed).scan(depths) == expected, (a, seed, depths)
+
+
+@pytest.mark.parametrize("forced", [0, MASK64])
+def test_scans_on_forced_block0(monkeypatch, forced):
+    # block 0 is pinned on chosen lanes, in the packed lanes and in
+    # prf_block alike: all zeros sends geometric lanes of depth >= 64 and
+    # family lanes of depth 1 to later blocks, all ones family lanes of
+    # depth >= 65
+    chosen = {1, 2, 3, 5, 8, 13, 21, 34}
+    blocks = set()
+
+    def prf(seed, index, block):
+        blocks.add(block)
+        if block == 0 and index in chosen:
+            return forced
+        return reference_prf_block(seed, index, block)
+
+    real_lanes = _purekernels._block0_lanes
+
+    def lanes(seed, count):
+        packed = real_lanes(seed, count)
+        for i in chosen:
+            if i <= count:
+                shift = 128 * (i - 1)
+                packed = packed & ~(MASK64 << shift) | forced << shift
+        return packed
+
+    monkeypatch.setattr(_purekernels, "_block0_lanes", lanes)
+    monkeypatch.setattr(_purekernels, "prf_block", prf)
+    monkeypatch.setattr(kernels, "prf_block", prf)
+    rng = random.Random(79)
+    profiles = [
+        tuple(rng.choice((0, 1, 63, 64, 65, 200)) for _ in range(40)) for _ in range(30)
+    ]
+    for depths in profiles:
+        for seed in range(10):
+            expected = scalar_member_scan(
+                lambda i: reference_geometric_coordinate(prf, seed, i), depths
+            )
+            assert _purekernels.member_scan(seed, depths) == expected, (seed, depths)
+    assert (1 in blocks) == (forced == 0)
+    blocks.clear()
+    for depths in profiles:
+        for seed in range(10):
+            for a in FAMILY_PARAMS:
+                expected = scalar_member_scan(SampledSubgroup(ParamFamily(a), seed).coordinate, depths)
+                assert SampledSubgroup(ParamFamily(a), seed).scan(depths) == expected, (a, seed, depths)
+    assert 1 in blocks
+
+
+def test_member_scan_accepts_any_sequence():
+    rng = random.Random(80)
+    for depths in _random_profiles(rng, 50):
+        for seed in range(10):
+            answer = kernels.member_scan(seed, depths)
+            assert kernels.member_scan(seed, list(depths)) == answer
+            assert _purekernels.member_scan(seed, list(depths)) == answer
+    profile = depth_profile(COMMUTATOR)
+    for inner in (GeomGamma(), ParamFamily(Dyadic(1, 2))):
+        for seed in range(50):
+            s = SampledSubgroup(inner, seed)
+            assert s.member(COMMUTATOR, list(profile)) == s.member(COMMUTATOR, profile)
+
+
+@pytest.mark.skipif(kernels is not _purekernels, reason="counts the pure kernels' draws")
+def test_membership_matrix_draws_only_candidate_coordinates(monkeypatch):
     # the shape of a sample command: radius-2 words from spiral indices
-    # 16..25, seeds checked one after another
+    # 16..25, seeds checked one after another; a coordinate is drawn only
+    # when its block-0 bits allow a violation, up to the scan's first one
     singles = [expand(y(i)) for i in (16, 18, 20, 22)]
     products = [expand(YWord([(i, 1), (j, 1)])) for i, j in ((17, 21), (19, 24), (23, 25))]
     words = [IDENTITY] + singles + products
     seeds = list(range(200))
     profiles = [depth_profile(w) for w in words[1:]]
+    assert len({len(p) for p in profiles}) == 1
     expected = 0
     for seed in seeds:
-        s = SampledSubgroup(GeomGamma(), seed)
-        longest = 0
         for profile in profiles:
-            scanned = next(
-                (i for i, d in enumerate(profile, start=1) if s.coordinate(i) > d),
-                len(profile),
-            )
-            longest = max(longest, scanned)
-        expected += longest
+            for i, d in enumerate(profile, start=1):
+                block0 = reference_prf_block(seed, i, 0)
+                if d and block0 & ((1 << min(d, 64)) - 1) == 0:
+                    expected += 1
+                    if reference_geometric_coordinate(reference_prf_block, seed, i) > d:
+                        break
 
     calls = [0]
+    real_draw = _purekernels.geometric_coordinate
 
-    def counted(seed, index, block):
+    def counted(seed, index):
         calls[0] += 1
-        return reference_prf_block(seed, index, block)
+        return real_draw(seed, index)
 
-    _purekernels.geometric_coordinate.cache_clear()
-    monkeypatch.setattr(_purekernels, "prf_block", counted)
+    _purekernels._block0_lanes.cache_clear()
+    monkeypatch.setattr(_purekernels, "geometric_coordinate", counted)
     try:
         membership_matrix(seeds, words, target_width=pow2(24))
+        assert _purekernels._block0_lanes.cache_info().misses == len(seeds)
     finally:
-        _purekernels.geometric_coordinate.cache_clear()
+        _purekernels._block0_lanes.cache_clear()
     assert calls[0] == expected
