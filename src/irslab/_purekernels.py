@@ -1,9 +1,7 @@
 """Pure-Python kernel routines.
 
-This module is the reference implementation of the hot inner loops; the
-compiled extension ``irslab._kernels`` exposes the same public functions
-and must return the same values.  Everything here works on plain
-tuples of small ints so that both backends share one calling convention:
+This module holds the hot inner loops.  Everything here works on plain
+tuples of small ints, in one calling convention:
 
   letters    a = 1, a^-1 = -1, b = 2, b^-1 = -2
   word       tuple of letters, always freely reduced
@@ -17,8 +15,6 @@ empty word (depth unbounded) is the caller's case to handle.
 
 from functools import lru_cache
 from math import isqrt
-
-BACKEND_NAME = "pure"
 
 _COMM = (1, 2, -1, -2)  # [a,b] = a b a^-1 b^-1
 _COMM_INV = (2, 1, -2, -1)

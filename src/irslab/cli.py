@@ -1,9 +1,9 @@
 """Command-line front door.
 
 Subcommands evaluate envelope probabilities, run the verification suites,
-sample random subgroups, sweep the parametrized family, and benchmark the
-kernel backends.  Reports are deterministic JSON (config echoed, no
-timestamps) so replays are byte-identical; timing goes to stderr.
+sample random subgroups and sweep the parametrized family.  Reports are
+deterministic JSON (config echoed, no timestamps) so replays are
+byte-identical; timing goes to stderr.
 
 Exit codes: 0 pass, 1 failed check, 2 parse error, 3 width not reached
 (unless --allow-wide).
@@ -31,8 +31,10 @@ from irslab.measures import (
 )
 from irslab.sampler import (
     DEFAULT_TOLERANCE_EXP,
+    MIN_SAMPLE_SEEDS,
     chi_square_report,
     membership_matrix,
+    word_window,
 )
 from irslab.verify import SUITES, DEFAULT_SEED
 from irslab.words import Word
@@ -49,6 +51,10 @@ MAX_WORD_LEN = 14
 MAX_SAMPLE_SEEDS = 10**6
 # membership windows grow about linearly in the tolerance exponent
 MAX_TOLERANCE_EXP = 1024
+# a word of about 100 letters takes about 3 s to profile at this window
+# (radius 23 at --tolerance-exp 1, radius 20 at the default 60); the cost
+# grows about as window^1.75 times the word's length
+MAX_MEMBERSHIP_WINDOW = 2401
 
 
 class CliError(Exception):
@@ -210,11 +216,20 @@ def cmd_sample(args) -> int:
         raise CliError(str(exc)) from None
     if not isinstance(measure, CoinducedProduct):
         raise CliError("sampling requires a co-induced measure")
-    _check_range("--n", args.n, 1, MAX_SAMPLE_SEEDS)
+    _check_range("--n", args.n, MIN_SAMPLE_SEEDS, MAX_SAMPLE_SEEDS)
     _check_range("--tolerance-exp", args.tolerance_exp, 1, MAX_TOLERANCE_EXP)
     n = args.n if args.n is not None else 10000
     base_seed = args.seed if args.seed is not None else DEFAULT_SEED
     tol = args.tolerance_exp if args.tolerance_exp is not None else DEFAULT_TOLERANCE_EXP
+    for w in words:
+        if not w.is_identity() and w.abelianization() == (0, 0):
+            window = word_window(w, tol)
+            if window > MAX_MEMBERSHIP_WINDOW:
+                raise CliError(
+                    "--word %s needs a membership window of %d coordinates at "
+                    "tolerance 2^-%d; at most %d are scanned"
+                    % (w, window, tol, MAX_MEMBERSHIP_WINDOW)
+                )
     seeds = [base_seed + j for j in range(n)]
     data = membership_matrix(seeds, words, measure, tol, target_width=pow2(24))
     empirical = [Fraction(cell["hits"], cell["n"]) for cell in data["summary"]]
@@ -300,14 +315,6 @@ def cmd_family(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    from irslab.bench import run_benchmarks
-
-    report = run_benchmarks(quick=args.quick)
-    _emit(report, args.out)
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -321,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact envelope probabilities, verification suites and "
         "samplers for co-induced invariant random subgroups of F2. "
         "Words are strings over a, b, A, B (A = a^-1); the empty string is "
-        "the identity. Set IRSLAB_BACKEND=pure|compiled to pin the kernel "
-        "backend.",
+        "the identity.",
     )
     parser.add_argument("--config", help="JSON config file; flags override its entries")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -365,18 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--out", help="write the JSON report here instead of stdout")
     p_family.set_defaults(func=cmd_family)
 
-    p_bench = sub.add_parser("bench", help="benchmark pure vs compiled kernels")
-    p_bench.add_argument("--quick", action="store_true")
-    p_bench.add_argument("--out")
-    p_bench.set_defaults(func=cmd_bench)
-
     _SUBPARSERS.update(
         {
             "eval": p_eval,
             "verify": p_verify,
             "sample": p_sample,
             "family": p_family,
-            "bench": p_bench,
         }
     )
     return parser

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from irslab._backend import kernels
-from irslab._purekernels import _candidates
 from irslab.dyadic import ZERO, ONE, Dyadic, ProbabilityValue, pow2
 from irslab.measures import (
     MU_G,
@@ -26,6 +26,7 @@ from irslab.measures import (
     Measure,
     ParamFamily,
     _grid_tail,
+    _support_radius,
     chain_env_weight,
     drop_commutator_average,
     env_prob,
@@ -33,6 +34,9 @@ from irslab.measures import (
 from irslab.words import Word
 
 DEFAULT_TOLERANCE_EXP = 60
+
+# fewest seeds for which the z-tests' normal approximation is used
+MIN_SAMPLE_SEEDS = 100
 
 # 0.9973 quantiles (the two-sided 3-sigma level) of chi-square, df 1..15
 _CHI2_Q9973 = [
@@ -159,7 +163,7 @@ class SampledSubgroup:
         if self._is_geometric:
             return kernels.member_scan(self.seed, profile)
         profile = tuple(profile)
-        for i in _candidates(self.seed, profile, True):
+        for i in kernels._candidates(self.seed, profile, True):
             if self.coordinate(i) > profile[i - 1]:
                 return False
         return True
@@ -180,16 +184,21 @@ def membership_window(radius: int, tolerance_exp: int) -> int:
     return (2 * ring + 1) ** 2
 
 
+# cmd_sample checks every word's window before membership_matrix builds the
+# word's profile; the memo keeps that to one y-rewrite per word
+@lru_cache(maxsize=256)
+def word_window(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> int:
+    """Membership window of a nontrivial commutator-subgroup word."""
+    if w.is_identity() or w.abelianization() != (0, 0):
+        raise ValueError("depth profiles exist for nontrivial commutator-subgroup words")
+    return membership_window(_support_radius((w,)), tolerance_exp)
+
+
 def depth_profile(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> tuple:
     """Conjugate depths of w at each spiral coordinate of its membership
     window (entry 0 would mean an identity conjugate, which cannot occur
     for nontrivial words)."""
-    if w.is_identity() or w.abelianization() != (0, 0):
-        raise ValueError("depth profiles exist for nontrivial commutator-subgroup words")
-    from irslab.measures import _support_radius
-
-    radius = _support_radius((w,))
-    count = membership_window(radius, tolerance_exp)
+    count = word_window(w, tolerance_exp)
     letters = w.letters
     out = []
     for i in range(1, count + 1):
@@ -264,8 +273,8 @@ def chi_square_report(
     """Per-cell z-scores of empirical frequencies against exact or
     enclosed probabilities; refuses enclosures wider than a tenth of the
     binomial sigma."""
-    if n < 100:
-        raise ValueError("need at least 100 samples, got %d" % n)
+    if n < MIN_SAMPLE_SEEDS:
+        raise ValueError("need at least %d samples, got %d" % (MIN_SAMPLE_SEEDS, n))
     if len(empirical) != len(exact):
         raise ValueError("frequency and probability tables differ in length")
     rows = []

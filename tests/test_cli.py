@@ -4,7 +4,18 @@ import sys
 
 import pytest
 
-from irslab.cli import EXIT_FAIL, EXIT_OK, EXIT_PARSE, EXIT_WIDTH, main
+from irslab import cli
+from irslab.cli import (
+    EXIT_FAIL,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_WIDTH,
+    MAX_MEMBERSHIP_WINDOW,
+    MAX_TOLERANCE_EXP,
+    main,
+)
+from irslab.sampler import word_window
+from irslab.words import Word
 
 
 def run_cli(args, out_path):
@@ -143,6 +154,8 @@ def test_sample_csv(tmp_path):
         ["eval", "--word", "abAB", "--factor-cap", "0"],
         ["sample", "--word", "abAB", "--n", "1000001"],
         ["sample", "--word", "abAB", "--n", "200", "--tolerance-exp", "1025"],
+        ["sample", "--word", "abAB", "--n", "99"],
+        ["sample", "--word", "a" * 60 + "abAB" + "A" * 60, "--n", "200"],
     ],
 )
 def test_out_of_range_numbers_are_parse_errors(args, tmp_path, capsys):
@@ -251,9 +264,20 @@ def test_sample_family_measure(tmp_path):
     assert cell["pass"] is True
 
 
-def test_bench_quick(tmp_path):
-    code, rep = run_cli(["bench", "--quick"], tmp_path / "b.json")
-    assert code == EXIT_OK
-    assert "pure" in rep["backends"]
-    for metrics in rep["backends"].values():
-        assert all(v > 0 for v in metrics.values())
+def test_membership_window_limit(monkeypatch, tmp_path):
+    # the widest window sample accepts covers radius-2 words at the largest
+    # tolerance exponent; the limit itself is inclusive
+    ring_two = Word.parse("aabbabABBBAA")
+    assert word_window(ring_two, MAX_TOLERANCE_EXP) <= MAX_MEMBERSHIP_WINDOW
+    monkeypatch.setattr(cli, "MAX_MEMBERSHIP_WINDOW", word_window(ring_two, 60))
+    args = ["sample", "--n", "100", "--word", "", "--word", "a", "--word"]
+    assert main(args + [str(ring_two), "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    out = tmp_path / "wide.json"
+    assert main(args + ["aaaabABAAA", "--out", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+
+
+def test_bench_is_not_a_subcommand():
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == EXIT_PARSE

@@ -1,5 +1,6 @@
 import pytest
 
+from irslab import _purekernels as kernels
 from irslab.grid import (
     GridPoint,
     ORIGIN,
@@ -50,6 +51,14 @@ def test_round_trip_exhaustive_rings_up_to_20():
     for p in range(-20, 21):
         for q in range(-20, 21):
             assert point(idx((p, q))) == GridPoint(p, q)
+
+
+def test_spiral_round_trip_on_ring_2_pow_22():
+    big = 1 << 22
+    for p, q in ((big, 0), (big, -big)):
+        j = kernels.spiral_index(p, q)
+        assert kernels.ring_start(big) <= j < kernels.ring_start(big + 1)
+        assert kernels.spiral_point(j) == (p, q)
 
 
 def test_negation_is_ring_preserving_involution():

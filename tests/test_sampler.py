@@ -13,7 +13,6 @@ from _helpers import (
     scalar_member_scan,
 )
 from irslab import _purekernels
-from irslab._backend import available_backends, get_backend, kernels
 from irslab.dyadic import Dyadic, Enclosure, Exact, pow2
 from irslab.measures import MU_G, GeomGamma, ParamFamily, family_measure
 from irslab.sampler import (
@@ -266,14 +265,12 @@ def _prf_triples():
             yield seed, index, rng.choice((0, 0, 1, 7, 2**64 + 2, -1))
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_prf_matches_three_round_splitmix(backend):
-    mod = get_backend(backend)
+def test_prf_matches_three_round_splitmix():
     triples = list(_prf_triples())
     assert len(triples) >= 200
     for seed, index, block in triples:
-        assert mod.prf_block(seed, index, block) == reference_prf_block(seed, index, block)
-        assert mod.geometric_coordinate(seed, index) == reference_geometric_coordinate(
+        assert _purekernels.prf_block(seed, index, block) == reference_prf_block(seed, index, block)
+        assert _purekernels.geometric_coordinate(seed, index) == reference_geometric_coordinate(
             reference_prf_block, seed, index
         )
 
@@ -298,7 +295,7 @@ def test_param_coordinate_matches_dyadic_oracle():
         for seed in range(300):
             for index in range(1, 61):
                 assert _param_coordinate(seed, index, a) == dyadic_param_coordinate(
-                    kernels.prf_block, seed, index, a
+                    _purekernels.prf_block, seed, index, a
                 ), (a, seed, index)
 
 
@@ -312,7 +309,7 @@ def test_param_coordinate_reads_later_blocks(monkeypatch, first_block):
         blocks.add(block)
         return first_block if block == 0 else reference_prf_block(seed, index, block)
 
-    monkeypatch.setattr(kernels, "prf_block", prf)
+    monkeypatch.setattr(_purekernels, "prf_block", prf)
     for a in FAMILY_PARAMS:
         for seed in range(10):
             for index in range(1, 11):
@@ -395,7 +392,6 @@ def test_scans_on_forced_block0(monkeypatch, forced):
 
     monkeypatch.setattr(_purekernels, "_block0_lanes", lanes)
     monkeypatch.setattr(_purekernels, "prf_block", prf)
-    monkeypatch.setattr(kernels, "prf_block", prf)
     rng = random.Random(79)
     profiles = [
         tuple(rng.choice((0, 1, 63, 64, 65, 200)) for _ in range(40)) for _ in range(30)
@@ -420,8 +416,7 @@ def test_member_scan_accepts_any_sequence():
     rng = random.Random(80)
     for depths in _random_profiles(rng, 50):
         for seed in range(10):
-            answer = kernels.member_scan(seed, depths)
-            assert kernels.member_scan(seed, list(depths)) == answer
+            answer = _purekernels.member_scan(seed, depths)
             assert _purekernels.member_scan(seed, list(depths)) == answer
     profile = depth_profile(COMMUTATOR)
     for inner in (GeomGamma(), ParamFamily(Dyadic(1, 2))):
@@ -430,7 +425,6 @@ def test_member_scan_accepts_any_sequence():
             assert s.member(COMMUTATOR, list(profile)) == s.member(COMMUTATOR, profile)
 
 
-@pytest.mark.skipif(kernels is not _purekernels, reason="counts the pure kernels' draws")
 def test_membership_matrix_draws_only_candidate_coordinates(monkeypatch):
     # the shape of a sample command: radius-2 words from spiral indices
     # 16..25, seeds checked one after another; a coordinate is drawn only
