@@ -17,7 +17,6 @@ from irslab.grid import GridPoint, coset, idx, point, transversal_word  # noqa: 
 from irslab.measures import (  # noqa: F401
     MU_F,
     MU_G,
-    MU_HF,
     CertifiedBool,
     CoinducedProduct,
     Convex,
@@ -26,7 +25,6 @@ from irslab.measures import (  # noqa: F401
     EnvEvent,
     GeneratePower,
     GeomGamma,
-    InducedFinite,
     IntersectPower,
     ParamFamily,
     Pushforward,

@@ -89,10 +89,6 @@ def transversal_letters(p, q):
 # spiral enumeration of Z^2
 # ---------------------------------------------------------------------------
 
-def ring_of(p, q):
-    return max(abs(p), abs(q))
-
-
 def ring_start(l):
     """First spiral index on ring l: (2l-1)^2 + 1 for l >= 1, and 1 for l = 0."""
     if l <= 0:

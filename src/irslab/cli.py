@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 failed check, 2 parse error, 3 width not reached
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -23,6 +24,7 @@ from irslab._backend import BACKEND
 from irslab.dyadic import Dyadic, parse_target_width, pow2
 from irslab.measures import (
     INSTANCE_DESCRIPTION,
+    MAX_POWER,
     CoinducedProduct,
     env_prob,
     family_measure,
@@ -55,6 +57,15 @@ MAX_TOLERANCE_EXP = 1024
 # (radius 23 at --tolerance-exp 1, radius 20 at the default 60); the cost
 # grows about as window^1.75 times the word's length
 MAX_MEMBERSHIP_WINDOW = 2401
+# a depth profile costs about 15 us per letter and window coordinate: at
+# window 2209 (radius 20) 80 letters took 2.7 s and 320 letters 11.5 s
+MAX_PROFILE_CELLS = 100 * MAX_MEMBERSHIP_WINDOW
+# certified products run to the target width: the ring-10 conjugate of
+# [a,b] took 1.2 s at 2^-60, 2.7 s at 2^-128 and 4.9 s at 2^-256
+MAX_WIDTH_EXP = 128
+# the shifted event sits on ring |shift|, and every ring inside it enters
+# the joint product: verify mixing took 0.8 s at 10, 1.8 s at 12, 4.9 s at 14
+MAX_SHIFT_EXP = 12
 
 
 class CliError(Exception):
@@ -96,6 +107,24 @@ def _check_range(flag: str, value, low: int, high=math.inf):
         raise CliError("%s must lie in [%s, %s], got %r" % (flag, low, high, value))
 
 
+def _parse_measure(text):
+    try:
+        return parse_measure(text)
+    except (ValueError, OSError) as exc:
+        raise CliError("--measure: %s" % (exc,)) from None
+
+
+def _parse_width(text) -> Dyadic:
+    """Target width of a --width flag, at most MAX_WIDTH_EXP bits fine."""
+    try:
+        width = parse_target_width(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError("--width: %s" % (exc,)) from None
+    if width.exp > MAX_WIDTH_EXP:
+        raise CliError("--width must be at least 2^-%d, got %s" % (MAX_WIDTH_EXP, text))
+    return width
+
+
 def _load_config(path):
     if not path:
         return {}
@@ -124,12 +153,9 @@ def _merge_config(args: argparse.Namespace, config: dict, parser_defaults: dict)
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    try:
-        measure = parse_measure(args.measure)
-        width = parse_target_width(args.width)
-        words = _parse_words(args.word)
-    except (ValueError, OSError) as exc:
-        raise CliError(str(exc)) from None
+    measure = _parse_measure(args.measure)
+    width = _parse_width(args.width)
+    words = _parse_words(args.word)
     _check_range("--factor-cap", args.factor_cap, 1)
     events = [tuple(words)] if args.joint else [(w,) for w in words]
     results = []
@@ -184,6 +210,7 @@ def cmd_verify(args) -> int:
 def _suite_kwargs(args) -> dict:
     _check_range("--n", args.n, 1)
     _check_range("--max-len", args.max_len, 1, MAX_WORD_LEN)
+    _check_range("--shift", args.shift, -MAX_SHIFT_EXP, MAX_SHIFT_EXP)
     kwargs = {}
     if args.suite == "faithful":
         kwargs["max_len"] = args.max_len if args.max_len is not None else 8
@@ -192,8 +219,9 @@ def _suite_kwargs(args) -> dict:
         kwargs["max_len"] = args.max_len if args.max_len is not None else 6
         kwargs["seed"] = args.seed if args.seed is not None else DEFAULT_SEED
         if args.width is not None:
-            kwargs["width"] = parse_target_width(args.width)
+            kwargs["width"] = _parse_width(args.width)
     elif args.suite == "chain-limits":
+        _check_range("--n", args.n, 1, MAX_POWER)
         kwargs["n_max"] = args.n if args.n is not None else 10
     elif args.suite == "combination":
         kwargs["sample_size"] = args.n if args.n is not None else 200
@@ -201,19 +229,16 @@ def _suite_kwargs(args) -> dict:
     elif args.suite == "mixing":
         kwargs["shift_exp"] = args.shift if args.shift is not None else 10
         if args.width is not None:
-            kwargs["width"] = parse_target_width(args.width)
+            kwargs["width"] = _parse_width(args.width)
     elif args.suite == "closure":
         if args.width is not None:
-            kwargs["width"] = parse_target_width(args.width)
+            kwargs["width"] = _parse_width(args.width)
     return kwargs
 
 
 def cmd_sample(args) -> int:
-    try:
-        measure = parse_measure(args.measure)
-        words = _parse_words(args.word)
-    except (ValueError, OSError) as exc:
-        raise CliError(str(exc)) from None
+    measure = _parse_measure(args.measure)
+    words = _parse_words(args.word)
     if not isinstance(measure, CoinducedProduct):
         raise CliError("sampling requires a co-induced measure")
     _check_range("--n", args.n, MIN_SAMPLE_SEEDS, MAX_SAMPLE_SEEDS)
@@ -229,6 +254,12 @@ def cmd_sample(args) -> int:
                     "--word %s needs a membership window of %d coordinates at "
                     "tolerance 2^-%d; at most %d are scanned"
                     % (w, window, tol, MAX_MEMBERSHIP_WINDOW)
+                )
+            if len(w) * window > MAX_PROFILE_CELLS:
+                raise CliError(
+                    "--word %s has %d letters and a membership window of %d "
+                    "coordinates; letters times window may be at most %d"
+                    % (w, len(w), window, MAX_PROFILE_CELLS)
                 )
     seeds = [base_seed + j for j in range(n)]
     data = membership_matrix(seeds, words, measure, tol, target_width=pow2(24))
@@ -274,7 +305,7 @@ def cmd_sample(args) -> int:
 
 def cmd_family(args) -> int:
     try:
-        width = parse_target_width(args.width)
+        width = _parse_width(args.width)
         word = Word.parse(args.word[0]) if args.word else None
         a_values = [Dyadic.parse(t) for t in args.a]
     except (ValueError, IndexError) as exc:
@@ -283,25 +314,16 @@ def cmd_family(args) -> int:
         raise CliError("--word is required")
     if not a_values:
         raise CliError("at least one --a is required")
-    rows = []
-    not_reached = False
     try:
-        for a in a_values:
-            value = env_prob(family_measure(a), (word,), width)
-            not_reached = not_reached or not value.width_reached
-            rows.append({"a": str(a), "value": value.to_json()})
+        values = [env_prob(family_measure(a), (word,), width) for a in a_values]
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    strictly_increasing = True
-    disjoint = True
-    for prev, cur in zip(rows, rows[1:]):
-        pv = prev["value"]
-        cv = cur["value"]
-        p_hi = Dyadic.parse(pv.get("exact", pv.get("hi")))
-        c_lo = Dyadic.parse(cv.get("exact", cv.get("lo")))
-        if not p_hi < c_lo:
-            strictly_increasing = False
-            disjoint = False
+    rows = [{"a": str(a), "value": v.to_json()} for a, v in zip(a_values, values)]
+    not_reached = not all(v.width_reached for v in values)
+    strictly_increasing = all(p.hi < c.lo for p, c in zip(values, values[1:]))
+    disjoint = not any(
+        u.interval().intersects(v.interval()) for u, v in itertools.combinations(values, 2)
+    )
     report = _base_report(
         "family",
         {"a": args.a, "word": str(word), "width": args.width},

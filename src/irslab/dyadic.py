@@ -14,9 +14,24 @@ logarithms enter any certified quantity.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Union
+
+
+# an optionally signed decimal integer literal, as int() reads it
+_INTEGER = re.compile(r"[+-]?[0-9](?:_?[0-9])*")
+
+
+def _int_from_text(text: str) -> int:
+    """The integer an int() literal denotes.  Decimal converts without the
+    digit limit of int's own conversion (sys.get_int_max_str_digits)."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ValueError("invalid integer %r" % (text,))
+    return int(Decimal(text))
 
 
 class Dyadic:
@@ -58,16 +73,16 @@ class Dyadic:
         text = text.strip()
         if "/" in text:
             num_str, den_str = text.split("/", 1)
-            num = int(num_str)
+            num = _int_from_text(num_str)
             if den_str.startswith("2^"):
-                return cls(num, int(den_str[2:]))
-            den = int(den_str)
+                return cls(num, _int_from_text(den_str[2:]))
+            den = _int_from_text(den_str)
             if den <= 0 or den & (den - 1):
                 raise ValueError("denominator of %r is not a power of two" % (text,))
             return cls(num, den.bit_length() - 1)
         if "." in text or "e" in text or "E" in text:
             return cls.from_fraction(Fraction(text))
-        return cls(int(text))
+        return cls(_int_from_text(text))
 
     def is_zero(self) -> bool:
         return self.num == 0
@@ -119,10 +134,11 @@ class Dyadic:
         return hash(self.as_fraction())
 
     def __str__(self) -> str:
-        return "%d/2^%d" % (self.num, self.exp)
+        # through Decimal, as in _int_from_text: no limit on the digits
+        return "%s/2^%d" % (Decimal(self.num), self.exp)
 
     def __repr__(self) -> str:
-        return "Dyadic(%d, %d)" % (self.num, self.exp)
+        return "Dyadic(%s, %d)" % (Decimal(self.num), self.exp)
 
     def halve(self) -> "Dyadic":
         return Dyadic(self.num, self.exp + 1)
@@ -163,19 +179,19 @@ def parse_target_width(text: str) -> Dyadic:
     """Width targets need not be dyadic; non-dyadic requests are tightened
     to the largest power of two below them."""
     try:
-        f = Dyadic.parse(text).as_fraction()
+        width = Dyadic.parse(text)
     except ValueError:
         f = Fraction(text)
-    if f <= 0:
+        if f <= 0:
+            raise ValueError("target width must be positive") from None
+        den = f.denominator
+        if not den & (den - 1):
+            return Dyadic.from_fraction(f)
+        # the smallest k with 2^-k <= f, i.e. 2^k >= ceil(1 / f)
+        return pow2((-(-den // f.numerator) - 1).bit_length())
+    if width <= ZERO:
         raise ValueError("target width must be positive")
-    den = f.denominator
-    e = den.bit_length() - 1
-    if den == (1 << e):
-        return Dyadic(f.numerator, e)
-    k = 0
-    while Fraction(1, 1 << k) > f:
-        k += 1
-    return pow2(k)
+    return width
 
 
 @dataclass(frozen=True)

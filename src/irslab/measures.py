@@ -31,7 +31,7 @@ from irslab.dyadic import (
     one_minus_pow2,
     pow2,
 )
-from irslab.words import IDENTITY, Word, conjugate
+from irslab.words import Word, conjugate
 from irslab.ywords import depth, rewrite_to_y
 
 # Instance constants of the parametrized family: the chain first drops at
@@ -41,6 +41,9 @@ FAMILY_HEAD_MASS = Dyadic(3, 2)
 
 DEFAULT_TARGET_WIDTH = pow2(21)
 DEFAULT_FACTOR_CAP = 10**6
+# an exact power value has n times the bits of the chain CDF; verify
+# chain-limits evaluates every power up to its --n, and took 3.3 s at 1000
+MAX_POWER = 1000
 
 INSTANCE_DESCRIPTION = {
     "group": "free group on a, b",
@@ -147,47 +150,18 @@ class Convex:
 
 
 @dataclass(frozen=True)
-class InducedFinite:
-    """Average of pushforwards over a finite transversal.
-
-    The representative count must be a power of two (so the average stays
-    dyadic) and every representative must lie in the commutator subgroup.
-    Each chain subgroup is normal in the commutator subgroup, so every
-    pushforward in the average equals the inner measure: the descriptor is
-    evaluated and sampled as its inner measure (see drop_commutator_average)
-    and is kept for the reports that echo it.
-    """
-
-    reps: Tuple[Word, ...]
-    inner: "Measure"
-
-    def __post_init__(self):
-        m = len(self.reps)
-        if m < 1 or m & (m - 1):
-            raise ValueError("representative count must be a power of two, got %d" % m)
-        for r in self.reps:
-            if r.abelianization() != (0, 0):
-                raise ValueError(
-                    "representative %r is outside the commutator subgroup" % str(r)
-                )
-        if not isinstance(self.inner, CHAIN_TYPES):
-            raise ValueError("induced averages are supported over chain measures only")
-
-
-@dataclass(frozen=True)
 class CoinducedProduct:
     """Intersection of the pushforwards of the inner measure over the full
-    grid transversal.  Supported inners are the chain atoms and finite
-    averages of them; each carries a certified product tail."""
+    grid transversal.  Supported inners are the chain atoms; each carries a
+    certified product tail."""
 
     inner: "Measure"
 
     def __post_init__(self):
-        inner = self.inner
-        if not isinstance(inner, CHAIN_TYPES + (InducedFinite,)):
+        if not isinstance(self.inner, CHAIN_TYPES):
             raise ValueError(
-                "co-induction is supported over chain measures and finite "
-                "averages of them, got %r" % (type(inner).__name__,)
+                "co-induction is supported over chain measures only, got %r"
+                % (type(self.inner).__name__,)
             )
 
 
@@ -200,8 +174,8 @@ class IntersectPower:
     inner: "Measure"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("power must be >= 1")
+        if not 1 <= self.n <= MAX_POWER:
+            raise ValueError("power must lie in [1, %d], got %r" % (MAX_POWER, self.n))
         if not isinstance(self.inner, CHAIN_TYPES):
             raise ValueError("intersection powers are defined over chain measures only")
 
@@ -215,8 +189,8 @@ class GeneratePower:
     inner: "Measure"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("power must be >= 1")
+        if not 1 <= self.n <= MAX_POWER:
+            raise ValueError("power must lie in [1, %d], got %r" % (MAX_POWER, self.n))
         if not isinstance(self.inner, CHAIN_TYPES):
             raise ValueError("generation powers are defined over chain measures only")
 
@@ -228,20 +202,18 @@ Measure = Union[
     DiracGamma,
     Pushforward,
     Convex,
-    InducedFinite,
     CoinducedProduct,
     IntersectPower,
     GeneratePower,
 ]
 
 MU_F = GeomGamma()
-MU_HF = InducedFinite((IDENTITY,), MU_F)
-MU_G = CoinducedProduct(MU_HF)
+MU_G = CoinducedProduct(MU_F)
 
 
 def family_measure(a: Dyadic) -> CoinducedProduct:
     """The co-induced member of the parametrized family at parameter a."""
-    return CoinducedProduct(InducedFinite((IDENTITY,), ParamFamily(a)))
+    return CoinducedProduct(ParamFamily(a))
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +247,6 @@ def _outside_commutator(words) -> bool:
     so pushforwards, mixtures, powers and co-induction stay in it), so such
     an event has probability zero under every measure."""
     return any(w.abelianization() != (0, 0) for w in words)
-
-
-def drop_commutator_average(mu: Measure) -> Measure:
-    """The measure an InducedFinite average evaluates to: its inner measure.
-
-    Every representative lies in the commutator subgroup, in which each
-    chain subgroup is normal, so conjugating by a representative fixes each
-    chain atom and each pushforward in the average equals the inner measure.
-    """
-    return mu.inner if isinstance(mu, InducedFinite) else mu
 
 
 def _event_depth(words):
@@ -328,10 +290,7 @@ def _grid_tail(count_done: int, radius: int) -> Dyadic:
 
 def _coinduced_value(inner, words, target_width, factor_cap) -> ProbabilityValue:
     """Certified product of the per-coordinate factors of a co-induced
-    measure.  An InducedFinite inner is evaluated as its chain inner: its
-    representatives lie in the commutator subgroup, where conjugation fixes
-    every chain atom, so the average changes no factor."""
-    inner = drop_commutator_average(inner)
+    measure."""
     radius = _support_radius(words)
 
     if isinstance(inner, (GeomGamma, ParamFamily)):
@@ -397,7 +356,6 @@ def env_prob(
         return Exact(ONE)
     if _outside_commutator(event):
         return Exact(ZERO)
-    mu = drop_commutator_average(mu)
 
     if isinstance(mu, CHAIN_TYPES):
         return Exact(chain_env_weight(mu, _event_depth(event)))
@@ -506,7 +464,7 @@ def supported_in(mu: Measure, region: Region) -> bool:
         return supported_in(mu.inner, region)
     if isinstance(mu, Convex):
         return all(supported_in(inner, region) for _, inner in mu.parts)
-    if isinstance(mu, (InducedFinite, CoinducedProduct, IntersectPower, GeneratePower)):
+    if isinstance(mu, (CoinducedProduct, IntersectPower, GeneratePower)):
         return supported_in(mu.inner, region)
     raise TypeError("unknown measure descriptor %r" % (mu,))
 
@@ -595,12 +553,6 @@ def descriptor_to_json(mu: Measure) -> dict:
                 for w, inner in mu.parts
             ],
         }
-    if isinstance(mu, InducedFinite):
-        return {
-            "type": "induced_finite",
-            "reps": [str(r) for r in mu.reps],
-            "inner": descriptor_to_json(mu.inner),
-        }
     if isinstance(mu, CoinducedProduct):
         return {"type": "coinduced_product", "inner": descriptor_to_json(mu.inner)}
     if isinstance(mu, IntersectPower):
@@ -630,10 +582,19 @@ def descriptor_from_json(data: dict) -> Measure:
             )
         )
     if kind == "induced_finite":
-        return InducedFinite(
-            tuple(Word.parse(r) for r in data["reps"]),
-            descriptor_from_json(data["inner"]),
-        )
+        # an average of pushforwards over representatives in the commutator
+        # subgroup, where each chain subgroup is normal: every pushforward,
+        # hence the average, is the chain inner itself
+        reps = [Word.parse(r) for r in data["reps"]]
+        if not reps or len(reps) & (len(reps) - 1):
+            raise ValueError("representative count must be a power of two, got %d" % len(reps))
+        for r in reps:
+            if r.abelianization() != (0, 0):
+                raise ValueError("representative %r is outside the commutator subgroup" % str(r))
+        inner = descriptor_from_json(data["inner"])
+        if not isinstance(inner, CHAIN_TYPES):
+            raise ValueError("induced averages are supported over chain measures only")
+        return inner
     if kind == "coinduced_product":
         return CoinducedProduct(descriptor_from_json(data["inner"]))
     if kind == "intersect_power":
@@ -643,11 +604,8 @@ def descriptor_from_json(data: dict) -> Measure:
     raise ValueError("unknown measure type %r" % (kind,))
 
 
-_MEASURE_ALIASES = {
-    "mu_F": lambda: MU_F,
-    "mu_HF": lambda: MU_HF,
-    "mu_G": lambda: MU_G,
-}
+# mu_HF averages mu_F over the finite transversal {1}, so it is mu_F
+_MEASURE_ALIASES = {"mu_F": MU_F, "mu_HF": MU_F, "mu_G": MU_G}
 
 
 def parse_measure(text: str) -> Measure:
@@ -657,7 +615,7 @@ def parse_measure(text: str) -> Measure:
 
     text = text.strip()
     if text in _MEASURE_ALIASES:
-        return _MEASURE_ALIASES[text]()
+        return _MEASURE_ALIASES[text]
     if text.startswith("mu_aG:"):
         return family_measure(Dyadic.parse(text.split(":", 1)[1]))
     if text.startswith("mu_aF:"):

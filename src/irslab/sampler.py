@@ -28,7 +28,6 @@ from irslab.measures import (
     _grid_tail,
     _support_radius,
     chain_env_weight,
-    drop_commutator_average,
     env_prob,
 )
 from irslab.words import Word
@@ -62,7 +61,7 @@ def _unwrap_inner(mu: Measure):
     """Chain inner of a co-induced descriptor."""
     if not isinstance(mu, CoinducedProduct):
         raise ValueError("sampling is defined for co-induced descriptors only")
-    inner = drop_commutator_average(mu.inner)
+    inner = mu.inner
     if not isinstance(inner, (GeomGamma, ParamFamily)):
         raise ValueError(
             "sampling supports GeomGamma or ParamFamily coordinates, got %r"

@@ -13,7 +13,6 @@ largest k whose retraction still kills w.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from typing import Iterable, Tuple
@@ -131,8 +130,9 @@ def phi_k(v: YWord, k: int) -> YWord:
     return YWord._raw(kernels.phi_syllables(v.syllables, k))
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _depth_letters(letters: tuple):
+def depth(w: Word):
+    """Largest k whose retraction kills w; math.inf for the identity."""
+    letters = w.letters
     a0, a1 = kernels.abelianize(letters)
     if a0 or a1:
         raise NotInCommutatorSubgroup(
@@ -142,11 +142,6 @@ def _depth_letters(letters: tuple):
     if not letters:
         return math.inf
     return kernels.depth_syllables(kernels.rewrite_syllables(letters))
-
-
-def depth(w: Word):
-    """Largest k whose retraction kills w; math.inf for the identity."""
-    return _depth_letters(w.letters)
 
 
 def depth_of_y(v: YWord):

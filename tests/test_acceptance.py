@@ -47,9 +47,6 @@ def verdict(n, ok, text):
 
 
 def test_criterion_01_exact_chain_values():
-    from irslab.ywords import _depth_letters
-
-    _depth_letters.cache_clear()
     t0 = time.perf_counter()
     v1 = env_prob(MU_F, COMMUTATOR)
     t1 = time.perf_counter()

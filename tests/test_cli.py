@@ -14,6 +14,7 @@ from irslab.cli import (
     MAX_TOLERANCE_EXP,
     main,
 )
+from irslab.dyadic import Dyadic, one_minus_pow2
 from irslab.sampler import word_window
 from irslab.words import Word
 
@@ -57,6 +58,33 @@ def test_eval_joint_event(tmp_path):
     assert code == EXIT_OK
     assert len(rep["results"]) == 1
     assert rep["results"][0]["value"]["exact"] == "1/2^1"
+
+
+def test_eval_exact_value_beyond_int_digit_limit(tmp_path):
+    # depth 19322: the numerator has about 5800 decimal digits
+    word = "a" * 70 + "abAB" + "A" * 70
+    code, rep = run_cli(["eval", "--measure", "mu_F", "--word", word], tmp_path / "r.json")
+    assert code == EXIT_OK
+    assert Dyadic.parse(rep["results"][0]["value"]["exact"]) == one_minus_pow2(19322)
+
+
+def test_induced_finite_descriptor_is_checked_and_normalised(tmp_path):
+    code, rep = run_cli(["eval", "--measure", "mu_HF", "--word", "abAB"], tmp_path / "r.json")
+    assert code == EXIT_OK
+    assert rep["results"][0]["value"]["exact"] == "1/2^1"
+    assert rep["config"]["measure"] == {"type": "geom_gamma"}
+    code, rep = run_cli(["eval", "--word", "abAB"], tmp_path / "g.json")
+    assert rep["config"]["measure"] == {
+        "inner": {"type": "geom_gamma"},
+        "type": "coinduced_product",
+    }
+    for reps in (["a"], ["", "abAB", "abAB"]):
+        measure = json.dumps(
+            {"type": "induced_finite", "reps": reps, "inner": {"type": "geom_gamma"}}
+        )
+        out = tmp_path / "bad.json"
+        assert main(["eval", "--measure", measure, "--word", "abAB", "--out", str(out)]) == EXIT_PARSE
+        assert not out.exists()
 
 
 def test_eval_parse_error(tmp_path):
@@ -156,6 +184,23 @@ def test_sample_csv(tmp_path):
         ["sample", "--word", "abAB", "--n", "200", "--tolerance-exp", "1025"],
         ["sample", "--word", "abAB", "--n", "99"],
         ["sample", "--word", "a" * 60 + "abAB" + "A" * 60, "--n", "200"],
+        ["eval", "--word", "abAB", "--width", "1/2^129"],
+        ["eval", "--word", "abAB", "--width", "1e-39"],
+        ["family", "--a", "1/4", "--word", "abAB", "--width", "1/2^129"],
+        ["verify", "invariance", "--width", "1/2^129"],
+        ["verify", "mixing", "--shift", "13"],
+        ["verify", "mixing", "--shift", "-13"],
+        ["verify", "chain-limits", "--n", "1001"],
+        [
+            "eval", "--word", "abAB", "--measure",
+            '{"type": "intersect_power", "n": 1001, "inner": {"type": "geom_gamma"}}',
+        ],
+        [
+            "eval", "--word", "abAB", "--measure",
+            '{"type": "generate_power", "n": 1001, "inner": {"type": "geom_gamma"}}',
+        ],
+        # radius 20 (window 2209) with 320 letters
+        ["sample", "--word", ("a" * 20 + "b" * 20 + "A" * 20 + "B" * 20) * 4, "--n", "100"],
     ],
 )
 def test_out_of_range_numbers_are_parse_errors(args, tmp_path, capsys):
@@ -180,6 +225,22 @@ def test_family_table(tmp_path):
     assert rep["enclosures_pairwise_disjoint"] is True
     mids = [r["value"]["lo_approx"] for r in rep["rows"]]
     assert mids == sorted(mids)
+
+
+def test_family_unsorted_sweep_flags(tmp_path):
+    # decreasing yet disjoint: 2a * 0.28879 at a = 1/2, then at a = 1/4
+    code, rep = run_cli(["family", "--a", "1/2", "--a", "1/4", "--word", "abAB"], tmp_path / "r.json")
+    assert code == EXIT_OK
+    assert rep["strictly_increasing"] is False
+    assert rep["enclosures_pairwise_disjoint"] is True
+    # a repeated parameter meets its twin across a distinct middle value
+    code, rep = run_cli(
+        ["family", "--a", "1/4", "--a", "1/2", "--a", "1/4", "--word", "abAB"],
+        tmp_path / "r2.json",
+    )
+    assert code == EXIT_OK
+    assert rep["strictly_increasing"] is False
+    assert rep["enclosures_pairwise_disjoint"] is False
 
 
 def test_family_rejects_boundary(tmp_path):

@@ -2,7 +2,8 @@
 
 - Each chain subgroup Gamma_k is normal in the commutator subgroup, so
   conjugating by a commutator-subgroup element keeps every depth.  This is
-  why an InducedFinite average evaluates and samples as its inner measure.
+  why an induced_finite descriptor, an average over representatives in the
+  commutator subgroup, parses to its inner measure.
 - Ring lower bound: a conjugate by a transversal element on ring l has
   depth at least ring_start(l - radius) once l exceeds the support radius.
   Every grid-tail bound, hence every co-induced enclosure and the

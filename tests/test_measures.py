@@ -9,9 +9,9 @@ from _helpers import dst_constant_interval, iter_reduced, random_commutator_word
 from irslab.dyadic import HALF, ONE, ZERO, Dyadic, Exact, certified_product, one_minus_pow2, pow2
 from irslab.grid import idx, point
 from irslab.measures import (
+    MAX_POWER,
     MU_F,
     MU_G,
-    MU_HF,
     CertifiedBool,
     CoinducedProduct,
     Convex,
@@ -19,7 +19,6 @@ from irslab.measures import (
     DiracTrivial,
     GeneratePower,
     GeomGamma,
-    InducedFinite,
     IntersectPower,
     ParamFamily,
     Pushforward,
@@ -41,6 +40,15 @@ from irslab.ywords import YWord, depth, expand, y
 
 Y2_WORD = Word.parse("aabABA")
 WIDTH6 = pow2(21)  # < 1e-6
+
+
+def induced_json(reps, inner):
+    """JSON of the average of an inner descriptor over representatives."""
+    return {
+        "type": "induced_finite",
+        "reps": [str(r) for r in reps],
+        "inner": descriptor_to_json(inner),
+    }
 
 
 def geometric_weight_sum(K: int) -> Fraction:
@@ -134,8 +142,11 @@ def test_coinduced_value_matches_direct_product_oracle():
     lo_ref, hi_ref = dst_constant_interval()
     assert v.lo.as_fraction() <= hi_ref and lo_ref <= v.hi.as_fraction()
     assert v.interval().contains(Fraction("0.2887880951"))
-    # plain inner (no induced wrapper) gives the same value
-    v2 = env_prob(CoinducedProduct(GeomGamma()), COMMUTATOR, WIDTH6)
+    # co-inducing an induced average gives the same value
+    induced = descriptor_from_json(
+        {"type": "coinduced_product", "inner": induced_json((IDENTITY, COMMUTATOR), MU_F)}
+    )
+    v2 = env_prob(induced, COMMUTATOR, WIDTH6)
     assert v2.interval().intersects(v.interval())
 
 
@@ -197,6 +208,9 @@ def test_power_descriptors_reject_non_chain():
         GeneratePower(2, Convex(((HALF, MU_F), (HALF, DiracTrivial()))))
     with pytest.raises(ValueError):
         IntersectPower(0, MU_F)
+    with pytest.raises(ValueError):
+        GeneratePower(MAX_POWER + 1, MU_F)
+    assert IntersectPower(MAX_POWER, MU_F).n == MAX_POWER
 
 
 def test_coinduced_point_mass_inners():
@@ -209,7 +223,9 @@ def test_coinduced_point_mass_inners():
     assert env_prob(CoinducedProduct(DiracGamma(3)), expand(y(9, -2))) == Exact(ZERO)
     assert env_prob(CoinducedProduct(DiracTrivial()), COMMUTATOR) == Exact(ZERO)
     assert env_prob(CoinducedProduct(DiracTrivial()), IDENTITY) == Exact(ONE)
-    mu = CoinducedProduct(InducedFinite((IDENTITY,), DiracGamma(1)))
+    mu = descriptor_from_json(
+        {"type": "coinduced_product", "inner": induced_json((IDENTITY,), DiracGamma(1))}
+    )
     assert env_prob(mu, COMMUTATOR) == Exact(ONE)
 
 
@@ -217,9 +233,14 @@ def test_coinduced_rejects_unsupported_inner():
     with pytest.raises(ValueError):
         CoinducedProduct(Pushforward(A, MU_F))
     with pytest.raises(ValueError):
-        InducedFinite((A,), MU_F)  # rep outside the commutator subgroup
+        CoinducedProduct(IntersectPower(2, MU_F))
     with pytest.raises(ValueError):
-        InducedFinite((IDENTITY, COMMUTATOR, IDENTITY), MU_F)  # count not a power of two
+        descriptor_from_json(induced_json((A,), MU_F))  # rep outside the commutator subgroup
+    with pytest.raises(ValueError):
+        # count not a power of two
+        descriptor_from_json(induced_json((IDENTITY, COMMUTATOR, IDENTITY), MU_F))
+    with pytest.raises(ValueError):
+        descriptor_from_json(induced_json((IDENTITY,), Pushforward(A, MU_F)))
 
 
 def test_pushforward_convention():
@@ -236,10 +257,16 @@ def test_pushforward_convention():
 
 
 def test_induced_average_equals_chain_on_commutator_reps():
-    mu = InducedFinite((IDENTITY, expand(y(1)), expand(y(2)), expand(y(4, -1))), MU_F)
+    # each chain subgroup is normal in the commutator subgroup, so the
+    # average parses to its inner measure (tests/test_lemmas.py checks the
+    # normality by brute force)
+    reps = (IDENTITY, expand(y(1)), expand(y(2)), expand(y(4, -1)))
+    for inner in (MU_F, ParamFamily(Dyadic(1, 3)), DiracGamma(2)):
+        assert descriptor_from_json(induced_json(reps, inner)) == inner
+    mu = descriptor_from_json(induced_json(reps, MU_F))
     for w in (COMMUTATOR, Y2_WORD, A):
         assert env_prob(mu, w) == env_prob(MU_F, w)
-    assert env_prob(MU_HF, COMMUTATOR) == Exact(HALF)
+    assert env_prob(parse_measure("mu_HF"), COMMUTATOR) == Exact(HALF)
 
 
 def test_convex_combination():
@@ -267,12 +294,11 @@ def test_kernel_contains_examples():
     assert kernel_contains(MU_G, A) is CertifiedBool.FALSE
     assert kernel_contains(DiracGamma(3), expand(y(5))) is CertifiedBool.TRUE
     # the cheap probe and the word-class exit agree with the definition
-    reps = (IDENTITY, expand(y(1)), expand(y(2)), expand(y(4, -1)))
     descriptors = [
         MU_G,
         Pushforward(A, MU_G),
         Convex(((HALF, MU_F), (HALF, DiracTrivial()))),
-        CoinducedProduct(InducedFinite(reps, MU_F)),
+        family_measure(Dyadic(1, 2)),
         IntersectPower(3, MU_F),
         DiracGamma(3),
     ]
@@ -409,7 +435,6 @@ def test_descriptor_json_round_trip():
     descriptors = [
         MU_F,
         MU_G,
-        MU_HF,
         ParamFamily(Dyadic(3, 3)),
         DiracTrivial(),
         DiracGamma(4),
@@ -421,11 +446,17 @@ def test_descriptor_json_round_trip():
     ]
     for mu in descriptors:
         assert descriptor_from_json(descriptor_to_json(mu)) == mu
+    assert descriptor_to_json(MU_G) == {
+        "type": "coinduced_product",
+        "inner": {"type": "geom_gamma"},
+    }
 
 
 def test_parse_measure():
     assert parse_measure("mu_F") == MU_F
+    assert parse_measure("mu_HF") == MU_F
     assert parse_measure("mu_G") == MU_G
+    assert MU_G == CoinducedProduct(GeomGamma())
     assert parse_measure("mu_aG:1/2^2") == family_measure(Dyadic(1, 2))
     assert parse_measure('{"type": "geom_gamma"}') == MU_F
     with pytest.raises(ValueError):
