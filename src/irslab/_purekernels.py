@@ -14,7 +14,8 @@ empty word (depth unbounded) is the caller's case to handle.
 """
 
 from functools import lru_cache
-from math import isqrt
+from itertools import count
+from math import inf, isqrt
 
 _COMM = (1, 2, -1, -2)  # [a,b] = a b a^-1 b^-1
 _COMM_INV = (2, 1, -2, -1)
@@ -138,13 +139,26 @@ def spiral_point(i):
 # rewriting into the conjugate basis and depth
 # ---------------------------------------------------------------------------
 
-def _push_syllable(stack, idx, exp):
-    if stack and stack[-1][0] == idx:
-        stack[-1][1] += exp
-        if stack[-1][1] == 0:
-            stack.pop()
-    else:
-        stack.append([idx, exp])
+def reduce_syllables(sylls, limit=inf):
+    """Free reduction of the syllables whose index is below `limit`.
+
+    Adjacent equal indices merge and exponents that sum to zero drop out;
+    the input exponents must be nonzero.  Returns a list of (index,
+    exponent) tuples.  With a finite limit this is phi_limit, the
+    retraction killing every y_i with i >= limit.
+    """
+    stack = []
+    for s in sylls:
+        if s[0] < limit:
+            if stack and stack[-1][0] == s[0]:
+                e = stack[-1][1] + s[1]
+                if e:
+                    stack[-1] = (s[0], e)
+                else:
+                    stack.pop()
+            else:
+                stack.append(s)
+    return stack
 
 
 def rewrite_syllables(w):
@@ -160,32 +174,28 @@ def rewrite_syllables(w):
     with x(p,j) the basis element at spiral index of (p, j).  Raises
     ValueError when the word is not in the commutator subgroup.
     """
-    return _rewrite_from(w, 0, 0)
+    return tuple(_rewrite_from(w, 0, 0))
 
 
 def _rewrite_from(w, p0, q0):
     """Schreier rewrite of w read from the coset (p0, q0) instead of the
-    origin; w must return to its start coset."""
-    stack = []
+    origin, as a reduced syllable list; w must return to its start coset.
+
+    An a-step out of (p, q) emits z(p, q); an A-step out of (p, q) emits
+    z(p-1, q)^-1, the same column at p-1 reversed with exponents negated.
+    """
+    sylls = []
     p, q = p0, q0
     for x in w:
         if x == 1 or x == -1:
-            pz = p if x == 1 else p - 1
-            if q >= 1:
-                if x == 1:
-                    for j in range(q - 1, -1, -1):
-                        _push_syllable(stack, spiral_index(pz, j), -1)
-                else:
-                    for j in range(q):
-                        _push_syllable(stack, spiral_index(pz, j), 1)
-            elif q <= -1:
-                if x == 1:
-                    for j in range(q, 0):
-                        _push_syllable(stack, spiral_index(pz, j), 1)
-                else:
-                    for j in range(-1, q - 1, -1):
-                        _push_syllable(stack, spiral_index(pz, j), -1)
-            p += 1 if x == 1 else -1
+            if q:
+                js = range(q - 1, -1, -1) if q > 0 else range(q, 0)
+                e = -1 if q > 0 else 1
+                if x == -1:
+                    js, e = reversed(js), -e
+                pz = p if x == 1 else p - 1
+                sylls.extend([(spiral_index(pz, j), e) for j in js])
+            p += x
         elif x == 2:
             q += 1
         else:
@@ -195,62 +205,25 @@ def _rewrite_from(w, p0, q0):
             "word has abelianization (%d, %d); not in the commutator subgroup"
             % (p - p0, q - q0)
         )
-    return tuple((i, e) for i, e in stack)
-
-
-def normalize_syllables(sylls):
-    """Merge adjacent equal-index syllables and drop zero exponents."""
-    stack = []
-    for i, e in sylls:
-        if e:
-            _push_syllable(stack, i, e)
-    return tuple((i, e) for i, e in stack)
-
-
-def phi_syllables(sylls, k):
-    """Kill syllables with index >= k, then renormalize."""
-    stack = []
-    for i, e in sylls:
-        if i < k:
-            _push_syllable(stack, i, e)
-    return tuple((i, e) for i, e in stack)
-
-
-def _cancels_up_to(sylls, t):
-    """Whether the syllables with index <= t cancel to the identity.
-
-    _push_syllable is inlined here: this loop is most of depth_syllables.
-    """
-    stack = []
-    for s in sylls:
-        if s[0] <= t:
-            if stack and stack[-1][0] == s[0]:
-                e = stack[-1][1] + s[1]
-                if e:
-                    stack[-1] = (s[0], e)
-                else:
-                    stack.pop()
-            else:
-                stack.append(s)
-    return not stack
+    return reduce_syllables(sylls)
 
 
 def depth_syllables(sylls):
     """Depth of a nonempty normalized syllable word.
 
-    Each restriction to the indices <= t is a homomorphism, so the set of
-    t whose restriction cancels is downward closed; the depth is the first
-    present index whose restriction does not cancel, found by binary
-    search over the sorted distinct indices.
+    Each restriction reduce_syllables(sylls, t + 1) to the indices <= t is
+    a homomorphism, so the set of t whose restriction cancels is downward
+    closed; the depth is the first present index whose restriction does
+    not cancel, found by binary search over the sorted distinct indices.
     """
-    idxs = sorted({i for i, _ in sylls})
+    idxs = sorted({s[0] for s in sylls})
     lo, hi = 0, len(idxs)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _cancels_up_to(sylls, idxs[mid]):
-            lo = mid + 1
-        else:
+        if reduce_syllables(sylls, idxs[mid] + 1):
             hi = mid
+        else:
+            lo = mid + 1
     if lo == len(idxs):
         raise AssertionError("normalized nonempty syllable word cancelled")
     return idxs[lo]
@@ -287,6 +260,14 @@ def shifted_depth(w, p, q):
     if not sylls:
         return 0
     return depth_syllables(sylls)
+
+
+def conjugate_depths(w):
+    """Yield shifted_depth(w, p, q) at the spiral points of 1, 2, ...: the
+    conjugate depths of w in transversal order, without end."""
+    for i in count(1):
+        p, q = spiral_point(i)
+        yield shifted_depth(w, p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -138,13 +138,25 @@ def _load_config(path):
     return cfg
 
 
-def _merge_config(args: argparse.Namespace, config: dict, parser_defaults: dict):
-    """Config supplies values for flags left at their parser defaults."""
+def _merge_config(parser, argv, args: argparse.Namespace, config: dict):
+    """Config supplies values for the subcommand's flags that argv leaves
+    out; a flag given on the command line wins, and a repeated one such as
+    --word replaces the config's list."""
+    flags = {
+        action.dest: action
+        for action in _SUBPARSERS[args.cmd]._actions
+        if action.option_strings and action.dest != "help"
+    }
+    for key in config:
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise CliError("unknown config key %r for %s" % (key, args.cmd))
+        # with no default, a flag reaches the namespace only from argv
+        action.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise CliError("unknown config key %r" % (key,))
-        if getattr(args, dest) == parser_defaults.get(dest):
+        if dest not in given:
             setattr(args, dest, value)
 
 
@@ -410,11 +422,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         if config:
-            defaults = {
-                action.dest: action.default
-                for action in _SUBPARSERS[args.cmd]._actions
-            }
-            _merge_config(args, config, defaults)
+            _merge_config(parser, argv, args, config)
         return args.func(args)
     except CliError as exc:
         sys.stderr.write("error: %s\n" % (exc,))

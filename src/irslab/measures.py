@@ -41,8 +41,9 @@ FAMILY_HEAD_MASS = Dyadic(3, 2)
 
 DEFAULT_TARGET_WIDTH = pow2(21)
 DEFAULT_FACTOR_CAP = 10**6
-# an exact power value has n times the bits of the chain CDF; verify
-# chain-limits evaluates every power up to its --n, and took 3.3 s at 1000
+# an exact power value has n times the bits of the chain CDF, so the
+# report of a deep word grows with n; verify chain-limits evaluates and
+# prints every power up to its --n, and took 0.12 s at 1000
 MAX_POWER = 1000
 
 INSTANCE_DESCRIPTION = {
@@ -255,14 +256,10 @@ def _event_depth(words):
 
 
 def _support_radius(words) -> int:
-    r = 0
-    for w in words:
-        for i, _ in rewrite_to_y(w).syllables:
-            p, q = kernels.spiral_point(i)
-            ring = max(abs(p), abs(q))
-            if ring > r:
-                r = ring
-    return r
+    """Largest ring of a basis index in the words' y-forms.  Spiral indices
+    grow ring by ring, so it is the ring of the largest index."""
+    p, q = kernels.spiral_point(max(rewrite_to_y(w).max_index() for w in words))
+    return max(abs(p), abs(q))
 
 
 def _grid_tail(count_done: int, radius: int) -> Dyadic:
@@ -311,16 +308,10 @@ def _coinduced_value(inner, words, target_width, factor_cap) -> ProbabilityValue
             return ONE
 
     def factors():
-        # the event conjugated back through the transversal element a^p b^q
-        i = 1
-        while True:
-            p, q = kernels.spiral_point(i)
-            K = math.inf
-            for w in words:
-                d = kernels.shifted_depth(w.letters, p, q)
-                K = min(K, d if d else math.inf)
-            yield chain_env_weight(inner, K)
-            i += 1
+        # the event conjugated back through each transversal element a^p b^q
+        walks = [kernels.conjugate_depths(w.letters) for w in words]
+        for depths in zip(*walks):
+            yield chain_env_weight(inner, min(d if d else math.inf for d in depths))
 
     return certified_product(factors(), tail_bound, target_width, factor_cap)
 
@@ -374,17 +365,11 @@ def env_prob(
 
     if isinstance(mu, IntersectPower):
         cdf = chain_env_weight(mu.inner, _event_depth(event))
-        out = ONE
-        for _ in range(mu.n):
-            out = out * cdf
-        return Exact(out)
+        return Exact(Dyadic(cdf.num ** mu.n, cdf.exp * mu.n))
 
     if isinstance(mu, GeneratePower):
         miss = ONE - chain_env_weight(mu.inner, _event_depth(event))
-        out = ONE
-        for _ in range(mu.n):
-            out = out * miss
-        return Exact(ONE - out)
+        return Exact(ONE - Dyadic(miss.num ** mu.n, miss.exp * mu.n))
 
     if isinstance(mu, CoinducedProduct):
         return _coinduced_value(mu.inner, event, target_width, factor_cap)
@@ -563,6 +548,20 @@ def descriptor_to_json(mu: Measure) -> dict:
 
 
 def descriptor_from_json(data: dict) -> Measure:
+    """The descriptor a JSON object encodes; a malformed one (not an
+    object, a missing key, a value of the wrong type) raises ValueError."""
+    try:
+        return _descriptor_fields(data)
+    except KeyError as exc:
+        raise ValueError("measure descriptor lacks the key %s" % (exc,)) from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError("malformed measure descriptor: %s" % (exc,)) from None
+
+
+def _descriptor_fields(data: dict) -> Measure:
+    if not isinstance(data, dict):
+        raise ValueError("a measure descriptor must be a JSON object, got %s"
+                         % (type(data).__name__,))
     kind = data.get("type")
     if kind == "geom_gamma":
         return GeomGamma()
@@ -573,11 +572,11 @@ def descriptor_from_json(data: dict) -> Measure:
     if kind == "dirac_gamma":
         return DiracGamma(int(data["k"]))
     if kind == "pushforward":
-        return Pushforward(Word.parse(data["g"]), descriptor_from_json(data["inner"]))
+        return Pushforward(Word.parse(data["g"]), _descriptor_fields(data["inner"]))
     if kind == "convex":
         return Convex(
             tuple(
-                (Dyadic.parse(p["weight"]), descriptor_from_json(p["inner"]))
+                (Dyadic.parse(p["weight"]), _descriptor_fields(p["inner"]))
                 for p in data["parts"]
             )
         )
@@ -591,16 +590,16 @@ def descriptor_from_json(data: dict) -> Measure:
         for r in reps:
             if r.abelianization() != (0, 0):
                 raise ValueError("representative %r is outside the commutator subgroup" % str(r))
-        inner = descriptor_from_json(data["inner"])
+        inner = _descriptor_fields(data["inner"])
         if not isinstance(inner, CHAIN_TYPES):
             raise ValueError("induced averages are supported over chain measures only")
         return inner
     if kind == "coinduced_product":
-        return CoinducedProduct(descriptor_from_json(data["inner"]))
+        return CoinducedProduct(_descriptor_fields(data["inner"]))
     if kind == "intersect_power":
-        return IntersectPower(int(data["n"]), descriptor_from_json(data["inner"]))
+        return IntersectPower(int(data["n"]), _descriptor_fields(data["inner"]))
     if kind == "generate_power":
-        return GeneratePower(int(data["n"]), descriptor_from_json(data["inner"]))
+        return GeneratePower(int(data["n"]), _descriptor_fields(data["inner"]))
     raise ValueError("unknown measure type %r" % (kind,))
 
 

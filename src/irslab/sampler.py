@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from irslab._backend import kernels
@@ -183,9 +183,6 @@ def membership_window(radius: int, tolerance_exp: int) -> int:
     return (2 * ring + 1) ** 2
 
 
-# cmd_sample checks every word's window before membership_matrix builds the
-# word's profile; the memo keeps that to one y-rewrite per word
-@lru_cache(maxsize=256)
 def word_window(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> int:
     """Membership window of a nontrivial commutator-subgroup word."""
     if w.is_identity() or w.abelianization() != (0, 0):
@@ -197,13 +194,7 @@ def depth_profile(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> tuple:
     """Conjugate depths of w at each spiral coordinate of its membership
     window (entry 0 would mean an identity conjugate, which cannot occur
     for nontrivial words)."""
-    count = word_window(w, tolerance_exp)
-    letters = w.letters
-    out = []
-    for i in range(1, count + 1):
-        p, q = kernels.spiral_point(i)
-        out.append(kernels.shifted_depth(letters, p, q))
-    return tuple(out)
+    return tuple(islice(kernels.conjugate_depths(w.letters), word_window(w, tolerance_exp)))
 
 
 def membership_matrix(

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, List
 
-from irslab.dyadic import Dyadic, one_minus_pow2, pow2
+from irslab.dyadic import ONE, Dyadic, one_minus_pow2, pow2
 from irslab.measures import (
     MU_F,
     MU_G,
@@ -208,12 +208,11 @@ def suite_chain_limits(n_max: int = 10) -> dict:
     for w in chain_limit_words():
         K = depth(w)
         cdf = one_minus_pow2(K)
+        want_inter = ONE
         for n in range(1, n_max + 1):
             inter = env_prob(IntersectPower(n, MU_F), (w,))
             gen = env_prob(GeneratePower(n, MU_F), (w,))
-            want_inter = cdf
-            for _ in range(n - 1):
-                want_inter = want_inter * cdf
+            want_inter = want_inter * cdf
             want_gen = one_minus_pow2(n * K)
             ok = inter.value == want_inter and gen.value == want_gen
             all_ok = all_ok and ok

@@ -39,8 +39,10 @@ class YWord:
         for i, e in syllables:
             if i < 1:
                 raise ValueError("syllable index must be >= 1, got %r" % (i,))
-            sylls.append((int(i), int(e)))
-        self._syllables = kernels.normalize_syllables(tuple(sylls))
+            e = int(e)
+            if e:
+                sylls.append((int(i), e))
+        self._syllables = tuple(kernels.reduce_syllables(sylls))
 
     @classmethod
     def _raw(cls, normalized: tuple) -> "YWord":
@@ -67,7 +69,7 @@ class YWord:
 
     def __mul__(self, other: "YWord") -> "YWord":
         return YWord._raw(
-            kernels.normalize_syllables(self._syllables + other._syllables)
+            tuple(kernels.reduce_syllables(self._syllables + other._syllables))
         )
 
     def __eq__(self, other) -> bool:
@@ -127,7 +129,7 @@ def phi_k(v: YWord, k: int) -> YWord:
     """Retraction killing all syllables with index >= k."""
     if k < 1:
         raise ValueError("retraction level must be >= 1, got %r" % (k,))
-    return YWord._raw(kernels.phi_syllables(v.syllables, k))
+    return YWord._raw(tuple(kernels.reduce_syllables(v.syllables, k)))
 
 
 def depth(w: Word):

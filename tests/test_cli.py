@@ -264,6 +264,36 @@ def test_config_file_merging(tmp_path):
     assert rep["results"][0]["value"]["exact"] == "0/2^0"
     cfg.write_text(json.dumps({"nonsense": 1}))
     assert main(["--config", str(cfg), "eval", "--word", "a"]) == EXIT_PARSE
+    # a flag given at its parser default still wins over the config
+    cfg.write_text(json.dumps({"width": "1/2^3", "word": ["abAB", "aabAAB"]}))
+    code = main(["--config", str(cfg), "eval", "--width", "1e-6", "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert code == EXIT_OK
+    assert rep["config"]["width"] == "1e-6"
+    assert rep["config"]["words"] == ["abAB", "aabAAB"]
+    code = main(["--config", str(cfg), "eval", "--out", str(out)])
+    assert json.loads(out.read_text())["config"]["width"] == "1/2^3"
+    # only the chosen subcommand's flags are config keys
+    for key in ("cmd", "func", "config", "help", "suite", "joint"):
+        cfg.write_text(json.dumps({key: "closure"}))
+        assert main(["--config", str(cfg), "verify", "closure", "--out", str(out)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        '{"type":"induced_finite","inner":{"type":"geom_gamma"}}',
+        '{"type":"dirac_gamma"}',
+        '{"type":"coinduced_product"}',
+        "[1]",
+        '{"type":"convex","parts":5}',
+    ],
+)
+def test_malformed_descriptor_is_parse_error(measure, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["eval", "--word", "abAB", "--measure", measure, "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: --measure: ")
+    assert not out.exists()
 
 
 def test_verify_failure_exit_code(monkeypatch, tmp_path):
