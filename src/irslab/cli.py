@@ -60,11 +60,13 @@ MAX_MEMBERSHIP_WINDOW = 2401
 # a depth profile costs about 15 us per letter and window coordinate: at
 # window 2209 (radius 20) 80 letters took 2.7 s and 320 letters 11.5 s
 MAX_PROFILE_CELLS = 100 * MAX_MEMBERSHIP_WINDOW
-# certified products run to the target width: the ring-10 conjugate of
-# [a,b] took 1.2 s at 2^-60, 2.7 s at 2^-128 and 4.9 s at 2^-256
+# certified products run to the target width: mu_G of the ring-10
+# conjugate of [a,b] took 0.18 s at 2^-60, 0.26 s at 2^-128 and 0.36 s at
+# 2^-256 (best of 3, 2-vCPU VM)
 MAX_WIDTH_EXP = 128
 # the shifted event sits on ring |shift|, and every ring inside it enters
-# the joint product: verify mixing took 0.8 s at 10, 1.8 s at 12, 4.9 s at 14
+# the joint product: the mixing suite took 0.27 s at 10, 0.50 s at 12 and
+# 0.85 s at 14 (in-process, best of 2)
 MAX_SHIFT_EXP = 12
 
 
@@ -138,6 +140,32 @@ def _load_config(path):
     return cfg
 
 
+def _config_value(key: str, action: argparse.Action, value):
+    """A config entry as argparse would store its flag: a switch such as
+    --joint takes a JSON boolean, a repeatable flag such as --word a list,
+    and every other value is converted as if typed on the command line."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise CliError("config %r must be true or false, got %s" % (key, json.dumps(value)))
+        return value
+    if isinstance(action, argparse._AppendAction):
+        if not isinstance(value, list):
+            raise CliError("config %r must be a list, got %s" % (key, json.dumps(value)))
+        return [_config_scalar(key, action.type, v) for v in value]
+    return _config_scalar(key, action.type, value)
+
+
+def _config_scalar(key: str, convert, value):
+    """A JSON string or number through a flag's type (None: kept as text)."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise CliError("config %r must be a string or a number, got %s" % (key, json.dumps(value)))
+    text = value if isinstance(value, str) else str(value)
+    try:
+        return convert(text) if convert else text
+    except ValueError as exc:
+        raise CliError("config %r: %s" % (key, exc)) from None
+
+
 def _merge_config(parser, argv, args: argparse.Namespace, config: dict):
     """Config supplies values for the subcommand's flags that argv leaves
     out; a flag given on the command line wins, and a repeated one such as
@@ -147,15 +175,16 @@ def _merge_config(parser, argv, args: argparse.Namespace, config: dict):
         for action in _SUBPARSERS[args.cmd]._actions
         if action.option_strings and action.dest != "help"
     }
-    for key in config:
+    values = {}
+    for key, value in config.items():
         action = flags.get(key.replace("-", "_"))
         if action is None:
             raise CliError("unknown config key %r for %s" % (key, args.cmd))
+        values[action.dest] = _config_value(key, action, value)
         # with no default, a flag reaches the namespace only from argv
         action.default = argparse.SUPPRESS
     given = vars(parser.parse_args(argv))
-    for key, value in config.items():
-        dest = key.replace("-", "_")
+    for dest, value in values.items():
         if dest not in given:
             setattr(args, dest, value)
 
@@ -173,7 +202,10 @@ def cmd_eval(args) -> int:
     results = []
     not_reached = False
     for event in events:
-        value = env_prob(measure, event, width, factor_cap=args.factor_cap)
+        try:
+            value = env_prob(measure, event, width, factor_cap=args.factor_cap)
+        except ValueError as exc:
+            raise CliError("--measure: %s" % (exc,)) from None
         not_reached = not_reached or not value.width_reached
         entry = {"words": [str(w) for w in event], "value": value.to_json()}
         y_forms = []

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Union
 
 
@@ -337,40 +338,58 @@ def certified_product(
     the width drops to target_width, the tail vanishes (exact value), or
     the factor cap binds (flagged, still sound).
 
-    Partial products are kept exact internally; the returned endpoints are
-    rounded outward to a precision far below the target width so reports
-    stay compact.
+    The returned endpoints are rounded outward to multiples of 2^-bits,
+    bits = target_width.exp + 64, far below the target width, so reports
+    stay compact.  P_I is carried as a bracket lo <= P_I <= hi, rounded
+    outward to 64 more bits after each factor.  Every decision (the width
+    test, the rounded endpoints, an exact value) is monotone in P_I and is
+    taken from the bracket when both ends agree on it; when they do not,
+    the loop reruns with exact partial products.  The result is therefore
+    the one exact arithmetic gives (Ziv's rounding test).
     """
-    it = iter(factors)
-    prod = ONE
-    count = 0
     bits = target_width.exp + 64
+    it = iter(factors)
+    seen = []
+    value = _product(seen, it, tail_bound, target_width, factor_cap, bits, bits + 64)
+    if value is None:
+        # the stored factors first, so the caller's iterator is read once
+        value = _product([], chain(seen, it), tail_bound, target_width, factor_cap, bits, None)
+    return value
 
-    def enclose(tb: Dyadic, reached: bool) -> Enclosure:
-        lo = (prod * (ONE - tb)).round_down(bits)
-        hi = prod.round_up(bits)
-        if lo < ZERO:
-            lo = ZERO
-        return Enclosure(lo, hi, reached)
 
+def _product(seen, it, tail_bound, target_width, factor_cap, bits, prec):
+    """The refinement loop of certified_product over a bracket lo <= P <= hi
+    of the partial product, rounded outward to 2^-prec (exact when prec is
+    None).  Appends each factor it pulls to seen; returns None when the
+    bracket's ends disagree on a decision."""
+    lo = hi = ONE
+    count = 0
+    slack = pow2(bits - 1)
     while True:
         tb = tail_bound(count)
         if tb > ONE:
             tb = ONE
         if tb.is_zero():
-            return Exact(prod)
-        width = prod * tb + pow2(bits - 1)
-        if width <= target_width:
-            return enclose(tb, True)
-        if count >= factor_cap:
-            return enclose(tb, False)
-        f = next(it, None)
-        if f is None:
-            return enclose(tb, width <= target_width)
+            return Exact(lo) if lo == hi else None
+        reached = lo * tb + slack <= target_width
+        if reached and hi * tb + slack > target_width:
+            return None
+        if reached or count >= factor_cap or (f := next(it, None)) is None:
+            keep = ONE - tb
+            lo_end = (lo * keep).round_down(bits)
+            hi_end = hi.round_up(bits)
+            if lo_end != (hi * keep).round_down(bits) or hi_end != lo.round_up(bits):
+                return None
+            return Enclosure(lo_end, hi_end, reached)
+        seen.append(f)
         if f < ZERO or f > ONE:
             raise ValueError("product factor %s outside [0, 1]" % (f,))
         if f.is_zero():
             return Exact(ZERO)
         if f != ONE:
-            prod = prod * f
+            if prec is None:
+                lo = hi = lo * f
+            else:
+                lo = (lo * f).round_down(prec)
+                hi = (hi * f).round_up(prec)
         count += 1

@@ -45,6 +45,12 @@ DEFAULT_FACTOR_CAP = 10**6
 # report of a deep word grows with n; verify chain-limits evaluates and
 # prints every power up to its --n, and took 0.12 s at 1000
 MAX_POWER = 1000
+# and n times the CDF's bits may be at most this: eval of a depth-19,322
+# word took 0.27 s at n = 10 (193k bits) and 11.5 s at n = 100
+MAX_POWER_BITS = 1 << 18
+# evaluating a descriptor takes a few stack frames per nesting level, and
+# past about 980 levels Python's default recursion limit stops it
+MAX_DESCRIPTOR_DEPTH = 900
 
 INSTANCE_DESCRIPTION = {
     "group": "free group on a, b",
@@ -363,12 +369,17 @@ def env_prob(
         ]
         return _combine_affine(parts)
 
-    if isinstance(mu, IntersectPower):
+    if isinstance(mu, (IntersectPower, GeneratePower)):
         cdf = chain_env_weight(mu.inner, _event_depth(event))
-        return Exact(Dyadic(cdf.num ** mu.n, cdf.exp * mu.n))
-
-    if isinstance(mu, GeneratePower):
-        miss = ONE - chain_env_weight(mu.inner, _event_depth(event))
+        # 1 - cdf has the bits of cdf, so both powers have n times them
+        if mu.n * cdf.exp > MAX_POWER_BITS:
+            raise ValueError(
+                "power %d of a chain value of %d bits exceeds %d bits"
+                % (mu.n, cdf.exp, MAX_POWER_BITS)
+            )
+        if isinstance(mu, IntersectPower):
+            return Exact(Dyadic(cdf.num ** mu.n, cdf.exp * mu.n))
+        miss = ONE - cdf
         return Exact(ONE - Dyadic(miss.num ** mu.n, miss.exp * mu.n))
 
     if isinstance(mu, CoinducedProduct):
@@ -558,7 +569,9 @@ def descriptor_from_json(data: dict) -> Measure:
         raise ValueError("malformed measure descriptor: %s" % (exc,)) from None
 
 
-def _descriptor_fields(data: dict) -> Measure:
+def _descriptor_fields(data: dict, depth: int = 0) -> Measure:
+    if depth > MAX_DESCRIPTOR_DEPTH:
+        raise ValueError("a measure descriptor may nest at most %d levels" % MAX_DESCRIPTOR_DEPTH)
     if not isinstance(data, dict):
         raise ValueError("a measure descriptor must be a JSON object, got %s"
                          % (type(data).__name__,))
@@ -572,11 +585,11 @@ def _descriptor_fields(data: dict) -> Measure:
     if kind == "dirac_gamma":
         return DiracGamma(int(data["k"]))
     if kind == "pushforward":
-        return Pushforward(Word.parse(data["g"]), _descriptor_fields(data["inner"]))
+        return Pushforward(Word.parse(data["g"]), _descriptor_fields(data["inner"], depth + 1))
     if kind == "convex":
         return Convex(
             tuple(
-                (Dyadic.parse(p["weight"]), _descriptor_fields(p["inner"]))
+                (Dyadic.parse(p["weight"]), _descriptor_fields(p["inner"], depth + 1))
                 for p in data["parts"]
             )
         )
@@ -590,16 +603,16 @@ def _descriptor_fields(data: dict) -> Measure:
         for r in reps:
             if r.abelianization() != (0, 0):
                 raise ValueError("representative %r is outside the commutator subgroup" % str(r))
-        inner = _descriptor_fields(data["inner"])
+        inner = _descriptor_fields(data["inner"], depth + 1)
         if not isinstance(inner, CHAIN_TYPES):
             raise ValueError("induced averages are supported over chain measures only")
         return inner
     if kind == "coinduced_product":
-        return CoinducedProduct(_descriptor_fields(data["inner"]))
+        return CoinducedProduct(_descriptor_fields(data["inner"], depth + 1))
     if kind == "intersect_power":
-        return IntersectPower(int(data["n"]), _descriptor_fields(data["inner"]))
+        return IntersectPower(int(data["n"]), _descriptor_fields(data["inner"], depth + 1))
     if kind == "generate_power":
-        return GeneratePower(int(data["n"]), _descriptor_fields(data["inner"]))
+        return GeneratePower(int(data["n"]), _descriptor_fields(data["inner"], depth + 1))
     raise ValueError("unknown measure type %r" % (kind,))
 
 
@@ -619,7 +632,11 @@ def parse_measure(text: str) -> Measure:
         return family_measure(Dyadic.parse(text.split(":", 1)[1]))
     if text.startswith("mu_aF:"):
         return ParamFamily(Dyadic.parse(text.split(":", 1)[1]))
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return descriptor_from_json(json.load(fh))
-    return descriptor_from_json(json.loads(text))
+    try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                return descriptor_from_json(json.load(fh))
+        return descriptor_from_json(json.loads(text))
+    except RecursionError:
+        # json's decoder and the descriptor walk take frames per nesting level
+        raise ValueError("measure descriptor is nested too deeply") from None

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from irslab.dyadic import Dyadic
+from irslab.dyadic import ONE, ZERO, Dyadic, Enclosure, Exact, pow2
 from irslab.words import Word
 from irslab.ywords import YWord
 
@@ -98,6 +98,43 @@ def partial_product_interval(exps, tail: Fraction):
     for e in exps:
         prod *= 1 - Fraction(1, 2**e)
     return prod * (1 - tail), prod
+
+
+def reference_certified_product(factors, tail_bound, target_width, factor_cap=10**6):
+    """certified_product with the partial product kept exact throughout."""
+    it = iter(factors)
+    prod = ONE
+    count = 0
+    bits = target_width.exp + 64
+
+    def enclose(tb: Dyadic, reached: bool) -> Enclosure:
+        lo = (prod * (ONE - tb)).round_down(bits)
+        hi = prod.round_up(bits)
+        if lo < ZERO:
+            lo = ZERO
+        return Enclosure(lo, hi, reached)
+
+    while True:
+        tb = tail_bound(count)
+        if tb > ONE:
+            tb = ONE
+        if tb.is_zero():
+            return Exact(prod)
+        width = prod * tb + pow2(bits - 1)
+        if width <= target_width:
+            return enclose(tb, True)
+        if count >= factor_cap:
+            return enclose(tb, False)
+        f = next(it, None)
+        if f is None:
+            return enclose(tb, width <= target_width)
+        if f < ZERO or f > ONE:
+            raise ValueError("product factor %s outside [0, 1]" % (f,))
+        if f.is_zero():
+            return Exact(ZERO)
+        if f != ONE:
+            prod = prod * f
+        count += 1
 
 
 def dst_constant_interval():

@@ -15,6 +15,7 @@ from irslab.cli import (
     main,
 )
 from irslab.dyadic import Dyadic, one_minus_pow2
+from irslab.measures import MAX_DESCRIPTOR_DEPTH
 from irslab.sampler import word_window
 from irslab.words import Word
 
@@ -201,6 +202,15 @@ def test_sample_csv(tmp_path):
         ],
         # radius 20 (window 2209) with 320 letters
         ["sample", "--word", ("a" * 20 + "b" * 20 + "A" * 20 + "B" * 20) * 4, "--n", "100"],
+        # a depth-19,322 word: 100 times its bits exceed MAX_POWER_BITS
+        [
+            "eval", "--word", "a" * 70 + "abAB" + "A" * 70, "--measure",
+            '{"type": "intersect_power", "n": 100, "inner": {"type": "geom_gamma"}}',
+        ],
+        [
+            "eval", "--word", "a" * 70 + "abAB" + "A" * 70, "--measure",
+            '{"type": "generate_power", "n": 14, "inner": {"type": "geom_gamma"}}',
+        ],
     ],
 )
 def test_out_of_range_numbers_are_parse_errors(args, tmp_path, capsys):
@@ -277,6 +287,19 @@ def test_config_file_merging(tmp_path):
     for key in ("cmd", "func", "config", "help", "suite", "joint"):
         cfg.write_text(json.dumps({key: "closure"}))
         assert main(["--config", str(cfg), "verify", "closure", "--out", str(out)]) == EXIT_PARSE
+    # config values go through their flag's type and shape, as argv would
+    cfg.write_text(json.dumps({"factor_cap": "10", "joint": True, "word": ["abAB", "aabAAB"]}))
+    assert main(["--config", str(cfg), "eval", "--out", str(out)]) == EXIT_WIDTH
+    rep = json.loads(out.read_text())
+    assert rep["config"]["factor_cap"] == 10
+    assert rep["config"]["joint"] is True and len(rep["results"]) == 1
+    out.unlink()
+    for bad in ({"factor_cap": "ten"}, {"factor_cap": 10.5}, {"factor_cap": None},
+                {"word": "abAB"}, {"joint": "no"}, {"joint": 1}):
+        cfg.write_text(json.dumps(bad))
+        argv = [] if "word" in bad else ["--word", "abAB"]
+        assert main(["--config", str(cfg), "eval", "--out", str(out)] + argv) == EXIT_PARSE
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -294,6 +317,34 @@ def test_malformed_descriptor_is_parse_error(measure, tmp_path, capsys):
     assert main(["eval", "--word", "abAB", "--measure", measure, "--out", str(out)]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: --measure: ")
     assert not out.exists()
+
+
+def _pushforward_chain(levels: int) -> str:
+    return (
+        '{"type": "pushforward", "g": "abAB", "inner": ' * levels
+        + '{"type": "geom_gamma"}'
+        + "}" * levels
+    )
+
+
+@pytest.mark.parametrize("levels", [MAX_DESCRIPTOR_DEPTH + 1, 984, 1000, 10**5])
+def test_deep_descriptor_is_parse_error(levels, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_pushforward_chain(levels))
+    out = tmp_path / "r.json"
+    assert main(["eval", "--word", "abAB", "--measure", "@" + str(path), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: --measure: ")
+    assert not out.exists()
+
+
+def test_descriptor_at_nesting_cap_evaluates(tmp_path):
+    # g = abAB commutes with the event word, so each level leaves it as is
+    code, rep = run_cli(
+        ["eval", "--word", "abAB", "--measure", _pushforward_chain(MAX_DESCRIPTOR_DEPTH)],
+        tmp_path / "r.json",
+    )
+    assert code == EXIT_OK
+    assert rep["results"][0]["value"]["exact"] == "1/2^1"
 
 
 def test_verify_failure_exit_code(monkeypatch, tmp_path):

@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from _helpers import dst_constant_interval
+from _helpers import dst_constant_interval, reference_certified_product
+from irslab import dyadic
 from irslab.dyadic import (
     HALF,
     ONE,
@@ -191,6 +193,100 @@ def test_certified_product_factor_cap_flag():
 def test_certified_product_rejects_bad_factors():
     with pytest.raises(ValueError):
         certified_product(iter([Dyadic(3, 1)]), lambda n: ONE, pow2(4))
+
+
+def _random_factor(rng: random.Random, kind: str) -> Dyadic:
+    roll = rng.random()
+    if roll < 0.05:
+        return ONE
+    if roll < 0.07:
+        return ZERO
+    if kind == "chain":
+        return one_minus_pow2(rng.randint(1, 400))
+    if kind == "family":
+        # parametrized-family CDF values: a at level 1, 3/4 at level 2
+        return rng.choice([Dyadic(rng.randint(1, 15), 4), Dyadic(3, 2),
+                           one_minus_pow2(rng.randint(3, 400))])
+    e = rng.randint(0, 400)
+    return Dyadic(rng.randint(0, 1 << e), e)
+
+
+def _random_tail(rng: random.Random):
+    m = rng.randint(0, 40)
+    k = rng.randint(1, 8)
+    return rng.choice([
+        lambda n: pow2(n),
+        lambda n: pow2(k * n),
+        lambda n: ZERO if n >= m else ONE,
+        lambda n: ZERO if n >= m else pow2(n),
+        lambda n: Dyadic(3) if n < m else pow2(k * n),  # clamped to one
+    ])
+
+
+def test_certified_product_matches_exact_loop():
+    rng = random.Random(20260)
+    for case in range(600):
+        kind = ("chain", "family", "arbitrary")[case % 3]
+        factors = [_random_factor(rng, kind) for _ in range(rng.randint(0, 60))]
+        tail = _random_tail(rng)
+        width = rng.choice([pow2(rng.randint(0, 128)), Dyadic(rng.randint(1, 7), rng.randint(3, 100))])
+        cap = rng.choice([1, 5, 10**6])
+        got = certified_product(iter(factors), tail, width, cap)
+        assert got == reference_certified_product(iter(factors), tail, width, cap), case
+
+
+# At width 2^-20 the report rounds to 2^-84 and the bracket to 2^-148.  Each
+# stream puts the exact partial product a sub-ulp of the bracket away from a
+# point where a decision changes: the Exact value (tail vanishes), the
+# rounded endpoints (both, and the lower one alone), and the width test.
+NEAR_TIES = {
+    "exact": ([ONE - pow2(300)], lambda n: ONE if n == 0 else ZERO),
+    "endpoints": ([HALF + pow2(84 + 70)], lambda n: ONE if n == 0 else pow2(200)),
+    "lower_endpoint": ([HALF + pow2(148) + pow2(160)], lambda n: ONE if n == 0 else pow2(147)),
+    "width": (
+        [HALF + pow2(160)],
+        lambda n: ONE if n == 0 else (pow2(19) - pow2(82) if n == 1 else pow2(200)),
+    ),
+}
+
+
+class _CountedIter:
+    def __init__(self, items):
+        self._it = iter(items)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self._it)
+        self.pulled += 1
+        return item
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_TIES))
+def test_certified_product_near_tie_reruns_exactly(name, monkeypatch):
+    factors, tail = NEAR_TIES[name]
+    precs = []
+    bracket_loop = dyadic._product
+
+    def spy(seen, it, tail_bound, target_width, factor_cap, bits, prec):
+        precs.append(prec)
+        return bracket_loop(seen, it, tail_bound, target_width, factor_cap, bits, prec)
+
+    monkeypatch.setattr(dyadic, "_product", spy)
+    # an endless stream after the tie: the caller's iterator must be
+    # advanced exactly as often as the exact loop advances it
+    got_it = _CountedIter(itertools.chain(factors, itertools.repeat(HALF)))
+    ref_it = _CountedIter(itertools.chain(factors, itertools.repeat(HALF)))
+    got = certified_product(got_it, tail, pow2(20))
+    assert got == reference_certified_product(ref_it, tail, pow2(20))
+    assert precs == [148, None]
+    assert got_it.pulled == ref_it.pulled
+    if name == "width":
+        # the exact loop continues past the tie, so the rerun reads the
+        # stored factor and then pulls a new one from the caller
+        assert ref_it.pulled == 2
 
 
 def test_interval_ops():
