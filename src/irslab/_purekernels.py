@@ -14,8 +14,8 @@ empty word (depth unbounded) is the caller's case to handle.
 """
 
 from functools import lru_cache
-from itertools import count
-from math import inf, isqrt
+from itertools import count, repeat
+from math import isqrt
 
 _COMM = (1, 2, -1, -2)  # [a,b] = a b a^-1 b^-1
 _COMM_INV = (2, 1, -2, -1)
@@ -139,17 +139,19 @@ def spiral_point(i):
 # rewriting into the conjugate basis and depth
 # ---------------------------------------------------------------------------
 
-def reduce_syllables(sylls, limit=inf):
-    """Free reduction of the syllables whose index is below `limit`.
+def reduce_syllables(sylls, limit=None):
+    """Free reduction of the syllables whose index is below `limit` (of
+    all of them when limit is None).
 
     Adjacent equal indices merge and exponents that sum to zero drop out;
     the input exponents must be nonzero.  Returns a list of (index,
-    exponent) tuples.  With a finite limit this is phi_limit, the
-    retraction killing every y_i with i >= limit.
+    exponent) tuples.  With a limit this is phi_limit, the retraction
+    killing every y_i with i >= limit.  Without one, the indices need only
+    compare for equality, so _rewrite_points reduces (p, j) points here.
     """
     stack = []
     for s in sylls:
-        if s[0] < limit:
+        if limit is None or s[0] < limit:
             if stack and stack[-1][0] == s[0]:
                 e = stack[-1][1] + s[1]
                 if e:
@@ -174,18 +176,24 @@ def rewrite_syllables(w):
     with x(p,j) the basis element at spiral index of (p, j).  Raises
     ValueError when the word is not in the commutator subgroup.
     """
-    return tuple(_rewrite_from(w, 0, 0))
+    return tuple([(spiral_index(x, j), e) for (x, j), e in _rewrite_points(w, 0)])
 
 
-def _rewrite_from(w, p0, q0):
-    """Schreier rewrite of w read from the coset (p0, q0) instead of the
-    origin, as a reduced syllable list; w must return to its start coset.
+def _rewrite_points(w, q0):
+    """Schreier rewrite of w read from the coset (0, q0) instead of the
+    origin, as a reduced list of ((p, j), exponent) pairs over the basis
+    points x(p, j); w must return to its start coset.
 
     An a-step out of (p, q) emits z(p, q); an A-step out of (p, q) emits
     z(p-1, q)^-1, the same column at p-1 reversed with exponents negated.
+
+    Column shift: read from (p0, q0) instead, the walk's p moves by p0 and
+    nothing else changes, so that rewrite is this one with every point
+    (p, j) moved to (p + p0, j).  Free reduction merges on point equality,
+    which the move keeps, so the reduced lists correspond point by point.
     """
     sylls = []
-    p, q = p0, q0
+    p, q = 0, q0
     for x in w:
         if x == 1 or x == -1:
             if q:
@@ -194,16 +202,16 @@ def _rewrite_from(w, p0, q0):
                 if x == -1:
                     js, e = reversed(js), -e
                 pz = p if x == 1 else p - 1
-                sylls.extend([(spiral_index(pz, j), e) for j in js])
+                sylls.extend([((pz, j), e) for j in js])
             p += x
         elif x == 2:
             q += 1
         else:
             q -= 1
-    if p != p0 or q != q0:
+    if p or q != q0:
         raise ValueError(
             "word has abelianization (%d, %d); not in the commutator subgroup"
-            % (p - p0, q - q0)
+            % (p, q - q0)
         )
     return reduce_syllables(sylls)
 
@@ -211,13 +219,31 @@ def _rewrite_from(w, p0, q0):
 def depth_syllables(sylls):
     """Depth of a nonempty normalized syllable word.
 
-    Each restriction reduce_syllables(sylls, t + 1) to the indices <= t is
-    a homomorphism, so the set of t whose restriction cancels is downward
-    closed; the depth is the first present index whose restriction does
-    not cancel, found by binary search over the sorted distinct indices.
+    Downward closure: each restriction reduce_syllables(sylls, t + 1) to
+    the indices <= t is a homomorphism, so the set of t whose restriction
+    cancels is downward closed; the depth is the first present index whose
+    restriction does not cancel, found by binary search over the sorted
+    distinct indices.
+
+    Abelian upper bound: let ub be the least index whose exponents sum to
+    nonzero.  The restriction to the indices <= ub then has a nontrivial
+    abelian image, so it does not cancel and depth <= ub, with equality
+    exactly when the restriction to the indices below ub cancels.
+    Otherwise the search runs over the indices below ub only, the last of
+    which is known not to cancel.  A word whose every exponent sum is zero
+    (a product of commutators of the y_i) is searched as a whole.
     """
-    idxs = sorted({s[0] for s in sylls})
+    sums = {}
+    for i, e in sylls:
+        sums[i] = sums.get(i, 0) + e
+    idxs = sorted(sums)
     lo, hi = 0, len(idxs)
+    for k, i in enumerate(idxs):
+        if sums[i]:
+            if not reduce_syllables(sylls, i):
+                return i
+            hi = k - 1
+            break
     while lo < hi:
         mid = (lo + hi) // 2
         if reduce_syllables(sylls, idxs[mid] + 1):
@@ -252,22 +278,50 @@ def shifted_depth(w, p, q):
     P R P^-1 with R the rewrite of w started at (-p, -q).  Every phi_k is a
     homomorphism, so phi_k kills P R P^-1 exactly when it kills R, and the
     conjugate's depth is depth(R); neither t nor the conjugate is built.
+    By the column shift of _rewrite_points, R is the rewrite from (0, -q)
+    with every point moved by -p.
     """
     a0, a1 = abelianize(w)
     if a0 or a1:
         return -1
-    sylls = _rewrite_from(w, -p, -q)
-    if not sylls:
+    points = _rewrite_points(w, -q)
+    if not points:
         return 0
-    return depth_syllables(sylls)
+    return depth_syllables([(spiral_index(x - p, j), e) for (x, j), e in points])
+
+
+class _IndexMemo(dict):
+    """point -> spiral_index(*point), computed on the first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, point):
+        i = self[point] = spiral_index(*point)
+        return i
 
 
 def conjugate_depths(w):
     """Yield shifted_depth(w, p, q) at the spiral points of 1, 2, ...: the
-    conjugate depths of w in transversal order, without end."""
+    conjugate depths of w in transversal order, without end.
+
+    Every coordinate of a column q shares one rewrite, _rewrite_points(w,
+    -q), moved by -p per coordinate, so w is rewritten once per column.
+    The walk keeps its columns and a point -> spiral index memo while it
+    lives: on the ring-10 conjugate a^10 b^-9 [a,b] b^9 a^-10 that is 0.7 MB
+    after 841 coordinates and 8.4 MB after 10^4.  Nothing outlives the
+    generator.
+    """
+    a0, a1 = abelianize(w)
+    if a0 or a1:
+        yield from repeat(-1)
+    columns = {}
+    index = _IndexMemo()
     for i in count(1):
         p, q = spiral_point(i)
-        yield shifted_depth(w, p, q)
+        points = columns.get(q)
+        if points is None:
+            points = columns[q] = _rewrite_points(w, -q)
+        yield depth_syllables([(index[x - p, j], e) for (x, j), e in points]) if points else 0
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +417,15 @@ def _block0_lanes(seed, count):
     return (z ^ (z >> 31)) & m
 
 
-@lru_cache(maxsize=1024)
+# A membership matrix cycles through its words' profiles seed after seed,
+# so the mask memo must hold one entry per word or it misses every call;
+# the CLI takes at most this many sample words.  At the largest window
+# (2401 coordinates) an entry is two 38 KB packed ints, and 16 of them
+# hold 1.3 MB besides their keys, the caller's own profile tuples.
+MAX_SCAN_PROFILES = 16
+
+
+@lru_cache(maxsize=MAX_SCAN_PROFILES)
 def _lane_masks(depths, min_bits):
     """(mask, high) of the block-0 test of a depth profile.
 

@@ -20,8 +20,8 @@ import time
 from fractions import Fraction
 
 from irslab import __version__
-from irslab._backend import BACKEND
-from irslab.dyadic import Dyadic, parse_target_width, pow2
+from irslab._backend import BACKEND, kernels
+from irslab.dyadic import Dyadic, Exact, parse_target_width, pow2
 from irslab.measures import (
     INSTANCE_DESCRIPTION,
     MAX_POWER,
@@ -51,6 +51,9 @@ EXIT_WIDTH = 3
 MAX_WORD_LEN = 14
 # sample holds every seed's membership row before it writes anything
 MAX_SAMPLE_SEEDS = 10**6
+# sample keeps one depth profile and one block-0 lane mask per word; the
+# kernels' mask memo holds exactly this many, so a run never evicts its own
+MAX_SAMPLE_WORDS = kernels.MAX_SCAN_PROFILES
 # membership windows grow about linearly in the tolerance exponent
 MAX_TOLERANCE_EXP = 1024
 # a word of about 100 letters takes about 3 s to profile at this window
@@ -68,6 +71,10 @@ MAX_WIDTH_EXP = 128
 # the joint product: the mixing suite took 0.27 s at 10, 0.50 s at 12 and
 # 0.85 s at 14 (in-process, best of 2)
 MAX_SHIFT_EXP = 12
+# exact values print through Decimal, quadratic in the digits: at this cap
+# (19,737 characters) one value prints in 0.008 s, where the depth-358,802
+# value of mu_F on a^300 abAB A^300 took 0.34 s to report, in 110 KB
+MAX_EXACT_BITS = 1 << 16
 
 
 class CliError(Exception):
@@ -206,6 +213,11 @@ def cmd_eval(args) -> int:
             value = env_prob(measure, event, width, factor_cap=args.factor_cap)
         except ValueError as exc:
             raise CliError("--measure: %s" % (exc,)) from None
+        if isinstance(value, Exact) and value.value.exp > MAX_EXACT_BITS:
+            raise CliError(
+                "--word %s: the exact value has denominator 2^%d; at most 2^%d is printed"
+                % (" ".join(str(w) for w in event), value.value.exp, MAX_EXACT_BITS)
+            )
         not_reached = not_reached or not value.width_reached
         entry = {"words": [str(w) for w in event], "value": value.to_json()}
         y_forms = []
@@ -283,6 +295,10 @@ def _suite_kwargs(args) -> dict:
 def cmd_sample(args) -> int:
     measure = _parse_measure(args.measure)
     words = _parse_words(args.word)
+    if len(words) > MAX_SAMPLE_WORDS:
+        raise CliError(
+            "--word may be given at most %d times, got %d" % (MAX_SAMPLE_WORDS, len(words))
+        )
     if not isinstance(measure, CoinducedProduct):
         raise CliError("sampling requires a co-induced measure")
     _check_range("--n", args.n, MIN_SAMPLE_SEEDS, MAX_SAMPLE_SEEDS)

@@ -2,6 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import count
+from math import inf
+
+from irslab._backend import kernels
 
 from irslab.dyadic import ONE, ZERO, Dyadic, Enclosure, Exact, pow2
 from irslab.words import Word
@@ -75,6 +79,79 @@ def linear_scan_depth(sylls) -> int:
         if stack:
             return t
     raise AssertionError("normalized nonempty syllable word cancelled")
+
+
+# The conjugate-depth walk as it was before columns were shared: one
+# Schreier rewrite per coordinate, then a binary search over every index.
+# The three functions below are that code, with only the names of the
+# functions they call changed, kept as an oracle.
+
+def _reference_reduce_syllables(sylls, limit=inf):
+    stack = []
+    for s in sylls:
+        if s[0] < limit:
+            if stack and stack[-1][0] == s[0]:
+                e = stack[-1][1] + s[1]
+                if e:
+                    stack[-1] = (s[0], e)
+                else:
+                    stack.pop()
+            else:
+                stack.append(s)
+    return stack
+
+
+def _reference_rewrite_from(w, p0, q0):
+    sylls = []
+    p, q = p0, q0
+    for x in w:
+        if x == 1 or x == -1:
+            if q:
+                js = range(q - 1, -1, -1) if q > 0 else range(q, 0)
+                e = -1 if q > 0 else 1
+                if x == -1:
+                    js, e = reversed(js), -e
+                pz = p if x == 1 else p - 1
+                sylls.extend([(kernels.spiral_index(pz, j), e) for j in js])
+            p += x
+        elif x == 2:
+            q += 1
+        else:
+            q -= 1
+    if p != p0 or q != q0:
+        raise ValueError(
+            "word has abelianization (%d, %d); not in the commutator subgroup"
+            % (p - p0, q - q0)
+        )
+    return _reference_reduce_syllables(sylls)
+
+
+def _reference_depth_syllables(sylls):
+    idxs = sorted({s[0] for s in sylls})
+    lo, hi = 0, len(idxs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _reference_reduce_syllables(sylls, idxs[mid] + 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == len(idxs):
+        raise AssertionError("normalized nonempty syllable word cancelled")
+    return idxs[lo]
+
+
+def reference_conjugate_depths(w):
+    """Depth of t^-1 w t at the spiral points t = a^p b^q of 1, 2, ...,
+    rewriting w from (-p, -q) afresh at each one; 0 for an identity
+    conjugate and -1 for every t when w is not in the commutator subgroup."""
+    a0, a1 = kernels.abelianize(w)
+    for i in count(1):
+        if a0 or a1:
+            yield -1
+            continue
+        p, q = kernels.spiral_point(i)
+        sylls = _reference_rewrite_from(w, -p, -q)
+        yield _reference_depth_syllables(sylls) if sylls else 0
 
 
 def naive_free_reduce(letters) -> tuple:

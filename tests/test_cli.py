@@ -10,7 +10,9 @@ from irslab.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_WIDTH,
+    MAX_EXACT_BITS,
     MAX_MEMBERSHIP_WINDOW,
+    MAX_SAMPLE_WORDS,
     MAX_TOLERANCE_EXP,
     main,
 )
@@ -67,6 +69,20 @@ def test_eval_exact_value_beyond_int_digit_limit(tmp_path):
     code, rep = run_cli(["eval", "--measure", "mu_F", "--word", word], tmp_path / "r.json")
     assert code == EXIT_OK
     assert Dyadic.parse(rep["results"][0]["value"]["exact"]) == one_minus_pow2(19322)
+
+
+def test_eval_exact_value_at_bit_cap(tmp_path, capsys):
+    # a^k [a,b] a^-k has depth ring_start(k) = (2k - 1)^2 + 1
+    word = "a" * 128 + "abAB" + "A" * 128
+    code, rep = run_cli(["eval", "--measure", "mu_F", "--word", word], tmp_path / "r.json")
+    assert code == EXIT_OK
+    assert Dyadic.parse(rep["results"][0]["value"]["exact"]) == one_minus_pow2(65026)
+    assert 65026 <= MAX_EXACT_BITS < 66050
+    out = tmp_path / "over.json"
+    word = "a" * 129 + "abAB" + "A" * 129
+    assert main(["eval", "--measure", "mu_F", "--word", word, "--out", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+    assert "2^66050" in capsys.readouterr().err
 
 
 def test_induced_finite_descriptor_is_checked_and_normalised(tmp_path):
@@ -211,6 +227,9 @@ def test_sample_csv(tmp_path):
             "eval", "--word", "a" * 70 + "abAB" + "A" * 70, "--measure",
             '{"type": "generate_power", "n": 14, "inner": {"type": "geom_gamma"}}',
         ],
+        # an exact value of depth 358,802, beyond MAX_EXACT_BITS
+        ["eval", "--measure", "mu_F", "--word", "a" * 300 + "abAB" + "A" * 300],
+        ["sample", "--n", "200"] + ["--word", "abAB"] * (MAX_SAMPLE_WORDS + 1),
     ],
 )
 def test_out_of_range_numbers_are_parse_errors(args, tmp_path, capsys):

@@ -12,18 +12,29 @@
   coordinate it skips.
 - Downward closure: the levels whose restriction cancels form an initial
   segment, which lets depth_syllables binary-search them.
+- Abelian upper bound: the depth is at most the least index ub whose
+  exponents sum to nonzero, with equality exactly when the restriction
+  below ub cancels; depth_syllables searches only below ub.
 - Coset start: the depth of t^-1 w t is the depth of w rewritten from the
   coset of t^-1, which is what shifted_depth computes.
+- Column shift: the rewrite from (-p, -q) is the rewrite from (0, -q) with
+  every point moved by -p, so conjugate_depths rewrites once per column.
 """
 
 import random
+from itertools import islice
 
-from _helpers import linear_scan_depth, random_yword
+from _helpers import (
+    _reference_rewrite_from,
+    linear_scan_depth,
+    random_yword,
+    reference_conjugate_depths,
+)
 from irslab._backend import kernels
 from irslab.grid import transversal_word
 from irslab.measures import _grid_tail, _support_radius
 from irslab.verify import commutator_pool
-from irslab.words import Word, conjugate
+from irslab.words import COMMUTATOR, Word, conjugate
 from irslab.ywords import YWord, depth, expand, y
 
 REPS = (expand(y(1)), expand(y(2)), expand(y(4, -1)), expand(y(3, 2)))
@@ -131,3 +142,108 @@ def test_shifted_depth_is_conjugate_depth():
                 str(w), p, q)
         assert kernels.shifted_depth((), p, q) == 0
         assert kernels.shifted_depth(Word.parse("ab").letters, p, q) == -1
+
+
+def _exponent_sums(sylls):
+    sums = {}
+    for i, e in sylls:
+        sums[i] = sums.get(i, 0) + e
+    return sums
+
+
+def _abelian_bound(sylls):
+    """Least index whose exponents sum to nonzero, or None."""
+    sums = _exponent_sums(sylls)
+    return min((i for i, e in sums.items() if e), default=None)
+
+
+def _restriction_below(sylls, t):
+    """The restriction to the indices below t, freely reduced by brute force."""
+    return YWord([(i, e) for i, e in sylls if i < t]).syllables
+
+
+def test_depth_at_most_least_nonzero_exponent_sum():
+    rng = random.Random(4099)
+    words = [random_yword(rng, max_syllables=30, max_index=40) for _ in range(3000)]
+    # r s r^-1 and [u, r] s with s deep: every index of r and u sums to
+    # zero, so ub lies in s; the restriction below it cancels in the first
+    # form when r sits below s, and need not in the second
+    for _ in range(1000):
+        r = random_yword(rng, max_syllables=10, max_index=30)
+        u = random_yword(rng, max_syllables=3, max_index=30)
+        deep = random_yword(rng, max_syllables=6, max_index=20)
+        s = YWord([(i + 15, e) for i, e in deep.syllables])
+        words.append(r * s * r.inverse())
+        words.append(u * r * u.inverse() * r.inverse() * s)
+    n_equal = n_below = 0
+    for v in words:
+        if v.is_identity():
+            continue
+        sylls = v.syllables
+        ub = _abelian_bound(sylls)
+        if ub is None:
+            continue
+        want = linear_scan_depth(sylls)
+        assert want <= ub, str(v)
+        # equality exactly when the restriction below ub cancels
+        assert (want == ub) == (not _restriction_below(sylls, ub)), str(v)
+        assert kernels.depth_syllables(sylls) == want, str(v)
+        if want == ub:
+            n_equal += 1
+        else:
+            n_below += 1
+    assert n_equal > 2000 and n_below > 300, (n_equal, n_below)
+
+
+def test_depth_of_products_of_commutators_of_the_basis():
+    """Every exponent sum of a product of [y_i, y_j] is zero, so there is
+    no abelian bound and depth_syllables searches every index."""
+    rng = random.Random(8191)
+    n_checks = 0
+    for _ in range(1500):
+        v = YWord(())
+        for _ in range(rng.randint(1, 4)):
+            u = random_yword(rng, max_syllables=3, max_index=25)
+            w = random_yword(rng, max_syllables=3, max_index=25)
+            v = v * u * w * u.inverse() * w.inverse()
+        if v.is_identity():
+            continue
+        assert _abelian_bound(v.syllables) is None, str(v)
+        assert kernels.depth_syllables(v.syllables) == linear_scan_depth(v.syllables), str(v)
+        n_checks += 1
+    assert n_checks > 1000
+
+
+def test_column_shift_of_the_rewrite():
+    """shifted_depth(w, p, q) is the depth of the column-q points moved by
+    -p, and the moved points give the rewrite from (-p, -q) exactly."""
+    pool = commutator_pool(8)
+    n_checks = 0
+    for i in range(1, 82):
+        p, q = kernels.spiral_point(i)
+        for w in pool:
+            moved = [(kernels.spiral_index(x - p, j), e)
+                     for (x, j), e in kernels._rewrite_points(w.letters, -q)]
+            assert moved == _reference_rewrite_from(w.letters, -p, -q), (str(w), p, q)
+            want = linear_scan_depth(moved) if moved else 0
+            assert kernels.shifted_depth(w.letters, p, q) == want, (str(w), p, q)
+            n_checks += 1
+    assert n_checks == 81 * 360
+
+
+def test_conjugate_depths_match_the_per_coordinate_walk():
+    """The column-shared walk against one rewrite and one full binary
+    search per coordinate."""
+    for w in commutator_pool(6):
+        got = list(islice(kernels.conjugate_depths(w.letters), 225))
+        assert got == list(islice(reference_conjugate_depths(w.letters), 225)), str(w)
+    # conjugates of [a,b] on rings 0, 2, 6 and 10, and a joint partner
+    events = [conjugate(transversal_word(t), COMMUTATOR)
+              for t in ((0, 0), (2, -1), (6, 2), (10, -9))]
+    events.append(Word.parse("AAbabABBaaaaBBabAbAA"))
+    for w in events:
+        got = list(islice(kernels.conjugate_depths(w.letters), 841))
+        assert got == list(islice(reference_conjugate_depths(w.letters), 841)), str(w)
+    for w in ((), Word.parse("ab").letters):
+        got = list(islice(kernels.conjugate_depths(w), 25))
+        assert got == list(islice(reference_conjugate_depths(w), 25))
