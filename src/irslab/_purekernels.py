@@ -397,14 +397,12 @@ def _lane_constants(count):
     return ones, _pack(range(1, count + 1)), ones * MASK64
 
 
-@lru_cache(maxsize=16)
-def _block0_lanes(seed, count):
+def block0_lanes(seed, count):
     """prf_block(seed, i, 0) for i = 1..count, packed with i in lane i-1.
 
     The rounds of prf_block with every constant repeated in each lane;
     each lane is masked back to 64 bits after each add and before each
-    multiply, so no lane carries into the next.  Callers pass
-    seed & MASK64, so every word scanned under one seed shares the draw.
+    multiply, so no lane carries into the next.
     """
     ones, indices, m = _lane_constants(count)
     add = 0x9E3779B97F4A7C15 * ones
@@ -417,17 +415,8 @@ def _block0_lanes(seed, count):
     return (z ^ (z >> 31)) & m
 
 
-# A membership matrix cycles through its words' profiles seed after seed,
-# so the mask memo must hold one entry per word or it misses every call;
-# the CLI takes at most this many sample words.  At the largest window
-# (2401 coordinates) an entry is two 38 KB packed ints, and 16 of them
-# hold 1.3 MB besides their keys, the caller's own profile tuples.
-MAX_SCAN_PROFILES = 16
-
-
-@lru_cache(maxsize=MAX_SCAN_PROFILES)
-def _lane_masks(depths, min_bits):
-    """(mask, high) of the block-0 test of a depth profile.
+def lane_masks(depths, min_bits):
+    """(mask, high, low) of the block-0 test of a depth profile.
 
     Lane i-1 of mask keeps the low min(d, 64) bits of block 0 for a depth
     d = depths[i-1] >= min_bits and no bit for a smaller nonzero d, which
@@ -436,13 +425,14 @@ def _lane_masks(depths, min_bits):
     """
     mask = _pack([(1 << min(d, 64)) - 1 if d >= min_bits else 0 for d in depths])
     high = _pack([1 << 64 if d else 0 for d in depths])
-    return mask, high
+    return mask, high, _lane_constants(len(depths))[2]
 
 
-def _candidates(seed, depths, ones):
+def block0_candidates(lanes, mask, high, low, ones):
     """Coordinates i, in increasing order, whose masked block-0 bits are
     all zeros (all ones when `ones` is set), which is necessary for the
-    draw at i to exceed depths[i-1]; depths must be a tuple.
+    draw at i to exceed its depth; lanes is block0_lanes over at least the
+    profile's window and (mask, high, low) its lane_masks.
 
     The geometric draw exceeds d >= 1 only if the low min(d, 64) bits of
     block 0 are zeros.  The family draw (0 < a < 3/4) exceeds d >= 2 only
@@ -451,10 +441,7 @@ def _candidates(seed, depths, ones):
     lane y sets bit 64 of ((y + low) & high) ^ high: adding 2^64 - 1
     carries into bit 64 exactly when y is not zero.
     """
-    count = len(depths)
-    low = _lane_constants(count)[2]
-    mask, high = _lane_masks(depths, 2 if ones else 1)
-    y = _block0_lanes(seed & MASK64, count) & mask
+    y = lanes & mask
     if ones:
         y ^= mask
     hits = ((y + low) & high) ^ high
@@ -464,20 +451,12 @@ def _candidates(seed, depths, ones):
         hits ^= bit
 
 
-def member_scan(seed, depths):
-    """Membership scan against a precomputed depth profile.
-
-    depths[j] is the conjugate depth at spiral coordinate j+1; entry 0
-    encodes unbounded depth (never violated).  Returns False at the first
-    coordinate whose geometric draw exceeds its depth.
-
-    The geometric draw at i exceeds d only if the low min(d, 64) bits of
-    prf_block(seed, i, 0) are zero, so one packed draw of every block 0
-    of the window (lanes 128 bits apart) picks the candidate coordinates,
-    and geometric_coordinate decides each of them in order.
+def member_scan(seed, depths, lanes, masks):
+    """False at the first coordinate i whose geometric draw exceeds the
+    depth depths[i-1] (0: unbounded), else True.  Only the candidates of
+    the seed's block0_lanes under masks = lane_masks(depths, 1) are drawn.
     """
-    depths = tuple(depths)
-    for i in _candidates(seed, depths, False):
+    for i in block0_candidates(lanes, *masks, False):
         if geometric_coordinate(seed, i) > depths[i - 1]:
             return False
     return True

@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 
 from irslab import __version__
-from irslab._backend import BACKEND, kernels
+from irslab._backend import BACKEND
 from irslab.dyadic import Dyadic, Exact, parse_target_width, pow2
 from irslab.measures import (
     INSTANCE_DESCRIPTION,
@@ -51,9 +51,9 @@ EXIT_WIDTH = 3
 MAX_WORD_LEN = 14
 # sample holds every seed's membership row before it writes anything
 MAX_SAMPLE_SEEDS = 10**6
-# sample keeps one depth profile and one block-0 lane mask per word; the
-# kernels' mask memo holds exactly this many, so a run never evicts its own
-MAX_SAMPLE_WORDS = kernels.MAX_SCAN_PROFILES
+# sample holds each word's depth profile and its block-0 lane masks (two
+# 38 KB packed ints at the largest window), and writes one CSV column per word
+MAX_SAMPLE_WORDS = 16
 # membership windows grow about linearly in the tolerance exponent
 MAX_TOLERANCE_EXP = 1024
 # a word of about 100 letters takes about 3 s to profile at this window

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -109,6 +110,19 @@ def _param_coordinate(seed: int, index: int, a: Dyadic) -> int:
                 return k
 
 
+class DepthProfile(tuple):
+    """Conjugate depths over a membership window (entry 0: unbounded) that
+    builds the lane masks of each kind of block-0 test on its first scan."""
+
+    @cached_property
+    def geometric_masks(self):
+        return kernels.lane_masks(self, 1)
+
+    @cached_property
+    def family_masks(self):
+        return kernels.lane_masks(self, 2)
+
+
 class SampledSubgroup:
     """A lazily materialized sample of a co-induced random subgroup."""
 
@@ -124,6 +138,8 @@ class SampledSubgroup:
         self.tolerance_exp = tolerance_exp
         self.resolved: Dict[int, int] = {}
         self._is_geometric = isinstance(inner, GeomGamma)
+        self._lanes = None
+        self._lane_count = 0
 
     def coordinate(self, i: int) -> int:
         """Chain level at transversal coordinate i (deterministic in
@@ -153,16 +169,18 @@ class SampledSubgroup:
         """Whether no coordinate level exceeds its entry of the depth
         profile of a nontrivial [F,F] word (entry 0: unbounded).
 
-        For the family, k > d >= 2 holds iff the first d bits of the stream,
-        the low d bits of block 0, are ones (k >= 3 iff x >= 3/4 needs
-        a < 3/4, which ParamFamily enforces).  One packed draw of the
-        seed's block 0s (lanes 128 bits apart) picks the coordinates where
-        that can hold, plus every depth-1 one, and only those are drawn.
+        Only the block0_candidates of the profile's masks are drawn (the
+        family's test needs a < 3/4, which ParamFamily enforces).  The seed's
+        block-0 lanes are drawn once, and again only for a longer window.
         """
+        if not isinstance(profile, DepthProfile):
+            profile = DepthProfile(profile)
+        if len(profile) > self._lane_count:
+            self._lane_count = len(profile)
+            self._lanes = kernels.block0_lanes(self.seed, self._lane_count)
         if self._is_geometric:
-            return kernels.member_scan(self.seed, profile)
-        profile = tuple(profile)
-        for i in kernels._candidates(self.seed, profile, True):
+            return kernels.member_scan(self.seed, profile, self._lanes, profile.geometric_masks)
+        for i in kernels.block0_candidates(self._lanes, *profile.family_masks, True):
             if self.coordinate(i) > profile[i - 1]:
                 return False
         return True
@@ -190,11 +208,11 @@ def word_window(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> int:
     return membership_window(_support_radius((w,)), tolerance_exp)
 
 
-def depth_profile(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> tuple:
+def depth_profile(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> DepthProfile:
     """Conjugate depths of w at each spiral coordinate of its membership
     window (entry 0 would mean an identity conjugate, which cannot occur
     for nontrivial words)."""
-    return tuple(islice(kernels.conjugate_depths(w.letters), word_window(w, tolerance_exp)))
+    return DepthProfile(islice(kernels.conjugate_depths(w.letters), word_window(w, tolerance_exp)))
 
 
 def membership_matrix(
@@ -304,6 +322,8 @@ def coordinate_chi_square(
         inner = GeomGamma()
     if not isinstance(inner, (GeomGamma, ParamFamily)):
         raise ValueError("sampleable chain inner required")
+    if not 1 <= max_bin <= len(_CHI2_Q9973):
+        raise ValueError("max_bin must lie in 1..%d, got %r" % (len(_CHI2_Q9973), max_bin))
     counts: Dict[int, int] = {}
     n = 0
     for seed in seeds:

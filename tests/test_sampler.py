@@ -16,6 +16,7 @@ from irslab import _purekernels
 from irslab.dyadic import Dyadic, Enclosure, Exact, pow2
 from irslab.measures import MU_G, GeomGamma, ParamFamily, family_measure
 from irslab.sampler import (
+    _CHI2_Q9973,
     SampledSubgroup,
     _param_coordinate,
     chi_square_report,
@@ -337,7 +338,7 @@ def _random_profiles(rng, count, length=60):
 def test_block0_lanes_match_prf():
     for seed in LANE_SEEDS:
         for count in (1, 2, 81):
-            lanes = _purekernels._block0_lanes(seed & MASK64, count)
+            lanes = _purekernels.block0_lanes(seed, count)
             assert lanes >> (128 * count) == 0
             for i in range(1, count + 1):
                 lane = lanes >> (128 * (i - 1)) & ((1 << 128) - 1)
@@ -351,7 +352,7 @@ def test_member_scan_matches_scalar_scan():
             expected = scalar_member_scan(
                 lambda i: reference_geometric_coordinate(reference_prf_block, seed, i), depths
             )
-            assert _purekernels.member_scan(seed, depths) == expected, (seed, depths)
+            assert SampledSubgroup(GeomGamma(), seed).scan(depths) == expected, (seed, depths)
 
 
 def test_family_scan_matches_coordinate_loop():
@@ -380,7 +381,7 @@ def test_scans_on_forced_block0(monkeypatch, forced):
             return forced
         return reference_prf_block(seed, index, block)
 
-    real_lanes = _purekernels._block0_lanes
+    real_lanes = _purekernels.block0_lanes
 
     def lanes(seed, count):
         packed = real_lanes(seed, count)
@@ -390,7 +391,7 @@ def test_scans_on_forced_block0(monkeypatch, forced):
                 packed = packed & ~(MASK64 << shift) | forced << shift
         return packed
 
-    monkeypatch.setattr(_purekernels, "_block0_lanes", lanes)
+    monkeypatch.setattr(_purekernels, "block0_lanes", lanes)
     monkeypatch.setattr(_purekernels, "prf_block", prf)
     rng = random.Random(79)
     profiles = [
@@ -401,7 +402,7 @@ def test_scans_on_forced_block0(monkeypatch, forced):
             expected = scalar_member_scan(
                 lambda i: reference_geometric_coordinate(prf, seed, i), depths
             )
-            assert _purekernels.member_scan(seed, depths) == expected, (seed, depths)
+            assert SampledSubgroup(GeomGamma(), seed).scan(depths) == expected, (seed, depths)
     assert (1 in blocks) == (forced == 0)
     blocks.clear()
     for depths in profiles:
@@ -416,8 +417,8 @@ def test_member_scan_accepts_any_sequence():
     rng = random.Random(80)
     for depths in _random_profiles(rng, 50):
         for seed in range(10):
-            answer = _purekernels.member_scan(seed, depths)
-            assert _purekernels.member_scan(seed, list(depths)) == answer
+            answer = SampledSubgroup(GeomGamma(), seed).scan(depths)
+            assert SampledSubgroup(GeomGamma(), seed).scan(list(depths)) == answer
     profile = depth_profile(COMMUTATOR)
     for inner in (GeomGamma(), ParamFamily(Dyadic(1, 2))):
         for seed in range(50):
@@ -445,18 +446,56 @@ def test_membership_matrix_draws_only_candidate_coordinates(monkeypatch):
                     if reference_geometric_coordinate(reference_prf_block, seed, i) > d:
                         break
 
-    calls = [0]
-    real_draw = _purekernels.geometric_coordinate
+    calls = {"geometric_coordinate": 0, "block0_lanes": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(_purekernels, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(_purekernels, name, counted)
+    membership_matrix(seeds, words, target_width=pow2(24))
+    assert calls["block0_lanes"] == len(seeds)
+    assert calls["geometric_coordinate"] == expected
 
-    def counted(seed, index):
-        calls[0] += 1
-        return real_draw(seed, index)
 
-    _purekernels._block0_lanes.cache_clear()
-    monkeypatch.setattr(_purekernels, "geometric_coordinate", counted)
-    try:
-        membership_matrix(seeds, words, target_width=pow2(24))
-        assert _purekernels._block0_lanes.cache_info().misses == len(seeds)
-    finally:
-        _purekernels._block0_lanes.cache_clear()
-    assert calls[0] == expected
+def test_profiles_own_their_masks_beyond_sixteen_words(monkeypatch):
+    # 24 words of radii 1..3, more than any fixed-size mask memo of 16
+    # would hold: each profile builds the masks of each scan kind once
+    words = []
+    for ring in (range(2, 10), range(10, 26), range(26, 50)):
+        words += [expand(y(i, e)) for i, e in zip(ring[:4], (1, -1, 2, 1))]
+        words += [expand(YWord([(ring[k], 1), (ring[-1 - k], -1)])) for k in range(4)]
+    seeds = list(range(100))
+    profiles = [depth_profile(w) for w in words]
+    assert len(words) == 24 and len({len(p) for p in profiles}) == 3
+    calls = []
+    real_masks = _purekernels.lane_masks
+
+    def counted(depths, min_bits):
+        calls.append((tuple(depths), min_bits))
+        return real_masks(depths, min_bits)
+
+    monkeypatch.setattr(_purekernels, "lane_masks", counted)
+    for inner, mu, min_bits in (
+        (GeomGamma(), MU_G, 1),
+        (ParamFamily(Dyadic(1, 2)), family_measure(Dyadic(1, 2)), 2),
+    ):
+        calls.clear()
+        matrix = membership_matrix(seeds, words, mu, target_width=pow2(24))["matrix"]
+        for seed, row in zip(seeds, matrix):
+            draw = SampledSubgroup(inner, seed).coordinate
+            assert row == [scalar_member_scan(draw, p) for p in profiles], seed
+        assert sorted(calls) == sorted((p, min_bits) for p in profiles)
+
+
+@pytest.mark.parametrize("max_bin", [0, 16, -1])
+def test_coordinate_chi_square_rejects_bins_without_a_threshold(max_bin):
+    with pytest.raises(ValueError):
+        coordinate_chi_square(range(200), max_bin=max_bin)
+
+
+@pytest.mark.parametrize("max_bin", [1, 15])
+def test_coordinate_chi_square_takes_every_tabulated_bin(max_bin):
+    rep = coordinate_chi_square(range(2000), max_bin=max_bin)
+    assert rep["df"] == max_bin
+    assert rep["threshold"] == _CHI2_Q9973[max_bin - 1]
+    assert rep["pass"], rep

@@ -6,6 +6,8 @@ from itertools import islice
 from pathlib import Path
 
 from irslab._backend import kernels
+from irslab.dyadic import pow2
+from irslab.sampler import membership_matrix
 from irslab.words import Word
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -37,3 +39,34 @@ def test_conjugate_depths_calls_traced_kernels_by_module_name(monkeypatch):
     assert calls["spiral_point"] == 81
     assert calls["depth_syllables"] == 81
     assert calls["spiral_index"] > 0
+
+
+def test_geometric_draws_happen_inside_member_scan(monkeypatch):
+    """The tracer counts a scan's coordinates as the geometric draws whose
+    innermost open traced call is kernels.member_scan, so the geometric
+    scan must draw there, through the kernel module's attributes."""
+    open_calls = []
+    draws = {}
+
+    def scan(*args, _fn=kernels.member_scan):
+        open_calls.append("member_scan")
+        try:
+            return _fn(*args)
+        finally:
+            open_calls.pop()
+
+    def draw(*args, _fn=kernels.geometric_coordinate):
+        parent = open_calls[-1] if open_calls else None
+        draws[parent] = draws.get(parent, 0) + 1
+        open_calls.append("geometric_coordinate")
+        try:
+            return _fn(*args)
+        finally:
+            open_calls.pop()
+
+    monkeypatch.setattr(kernels, "member_scan", scan)
+    monkeypatch.setattr(kernels, "geometric_coordinate", draw)
+    words = [Word.parse(s) for s in ("abAB", "aabABA", "abABbaBA")]
+    membership_matrix(range(100), words, target_width=pow2(24))
+    assert draws.get("member_scan", 0) > 0
+    assert set(draws) == {"member_scan"}
