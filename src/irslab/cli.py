@@ -12,9 +12,11 @@ Exit codes: 0 pass, 1 failed check, 2 parse error, 3 width not reached
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -34,6 +36,7 @@ from irslab.measures import (
 from irslab.sampler import (
     DEFAULT_TOLERANCE_EXP,
     MIN_SAMPLE_SEEDS,
+    check_z_test_inputs,
     chi_square_report,
     membership_matrix,
     word_window,
@@ -49,7 +52,9 @@ EXIT_WIDTH = 3
 
 # faithful at this length already checks 2 * (3^14 - 1) words
 MAX_WORD_LEN = 14
-# sample holds every seed's membership row before it writes anything
+# sample streams each seed's membership row to the CSV, so its memory is flat
+# in --n, but its time is not: with 8 radius-2 words a seed takes about 80 us
+# (10^5 seeds in 7.8 s on a 2-vCPU VM), so 10^6 seeds take about 80 s
 MAX_SAMPLE_SEEDS = 10**6
 # sample holds each word's depth profile and its block-0 lane masks (two
 # 38 KB packed ints at the largest window), and writes one CSV column per word
@@ -99,6 +104,20 @@ def _emit(report: dict, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_output(flag: str, path) -> None:
+    """Reject, before any work, an output path that cannot be opened for
+    writing; the probe leaves no new file behind."""
+    if not path:
+        return
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise CliError("--%s: cannot write %s: %s" % (flag, path, exc.strerror)) from None
+    if not existed:
+        os.remove(path)
 
 
 def _parse_words(raw_words) -> list:
@@ -321,16 +340,22 @@ def cmd_sample(args) -> int:
                     "coordinates; letters times window may be at most %d"
                     % (w, len(w), window, MAX_PROFILE_CELLS)
                 )
-    seeds = [base_seed + j for j in range(n)]
-    data = membership_matrix(seeds, words, measure, tol, target_width=pow2(24))
-    empirical = [Fraction(cell["hits"], cell["n"]) for cell in data["summary"]]
-    from irslab.dyadic import value_from_json
-
-    exact = [value_from_json(cell["exact"]) for cell in data["summary"]]
+    labels = [str(w) for w in words]
+    exact = [env_prob(measure, (w,), pow2(24)) for w in words]
     try:
-        stats = chi_square_report(empirical, exact, n, labels=[str(w) for w in words])
+        check_z_test_inputs(exact, n)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    seeds = range(base_seed, base_seed + n)
+    hits = [0] * len(words)
+    with open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext() as csv:
+        if csv:
+            csv.write("seed," + ",".join(labels) + "\n")
+        for seed, row in zip(seeds, membership_matrix(seeds, words, measure, tol)):
+            hits = [h + v for h, v in zip(hits, row)]
+            if csv:
+                csv.write(str(seed) + "," + ",".join("1" if v else "0" for v in row) + "\n")
+    stats = chi_square_report([Fraction(h, n) for h in hits], exact, n, labels=labels)
     report = _base_report(
         "sample",
         {
@@ -338,16 +363,14 @@ def cmd_sample(args) -> int:
             "n": n,
             "seed": base_seed,
             "tolerance_exp": tol,
-            "words": [str(w) for w in words],
+            "words": labels,
         },
     )
-    summary = []
-    for cell, zcell in zip(data["summary"], stats["cells"]):
-        merged = dict(cell)
-        merged["z"] = zcell["z"]
-        merged["pass"] = zcell["pass"]
-        summary.append(merged)
-    report["summary"] = summary
+    report["summary"] = [
+        {"word": label, "hits": h, "n": n, "frequency": h / n, "exact": v.to_json(),
+         "z": cell["z"], "pass": cell["pass"]}
+        for label, h, v, cell in zip(labels, hits, exact, stats["cells"])
+    ]
     report["z_tests"] = stats
     report["seeds"] = {"base": base_seed, "count": n, "rule": "base + index"}
     report["tolerance"] = {
@@ -355,11 +378,6 @@ def cmd_sample(args) -> int:
         "per_query_total_variation_bound": "2^-%d" % tol,
     }
     _emit(report, args.out)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("seed," + ",".join(str(w) for w in words) + "\n")
-            for seed, row in zip(seeds, data["matrix"]):
-                fh.write(str(seed) + "," + ",".join("1" if v else "0" for v in row) + "\n")
     return EXIT_OK if stats["pass"] else EXIT_FAIL
 
 
@@ -471,6 +489,8 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         if config:
             _merge_config(parser, argv, args, config)
+        for flag in ("out", "csv"):
+            _check_output(flag, getattr(args, flag, None))
         return args.func(args)
     except CliError as exc:
         sys.stderr.write("error: %s\n" % (exc,))

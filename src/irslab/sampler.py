@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from irslab._backend import kernels
 from irslab.dyadic import ZERO, ONE, Dyadic, ProbabilityValue, pow2
@@ -29,7 +29,6 @@ from irslab.measures import (
     _grid_tail,
     _support_radius,
     chain_env_weight,
-    env_prob,
 )
 from irslab.words import Word
 
@@ -74,40 +73,23 @@ def _unwrap_inner(mu: Measure):
 def _param_coordinate(seed: int, index: int, a: Dyadic) -> int:
     """Exact inverse-CDF draw of a chain level for the parametrized family.
 
-    Consumes PRF bits until the dyadic interval [x, x+1] / 2^n pinned by
-    the consumed prefix x lies inside one CDF cell: [0, a), [a, 3/4), and
-    [1 - 2^-(k-1), 1 - 2^-k) for k >= 3.  Every comparison is exact and in
-    integers: x / 2^n against a = A / 2^e compares x * 2^e with A * 2^n.
+    The PRF blocks, each read from its least significant bit, are the
+    binary digits of a uniform x in [0, 1); its CDF cells are [0, a),
+    [a, 3/4) and [1 - 2^-(k-1), 1 - 2^-k) for k >= 3.  So k is one plus
+    the number of leading one digits when there are at least two, else,
+    with a = A / 2^e, 1 if the first e digits read as an integer are below
+    A, and 2 if not.
     """
-    a_num, a_exp = a.num, a.exp
-    n = 0
-    prefix = 0
-    block = 0
-    buf = 0
-    avail = 0
-    while True:
-        if avail == 0:
-            buf = kernels.prf_block(seed, index, block)
-            block += 1
-            avail = 64
-        prefix = (prefix << 1) | (buf & 1)
-        buf >>= 1
-        avail -= 1
-        n += 1
-        lo = prefix << a_exp
-        a_n = a_num << n
-        if lo + (1 << a_exp) <= a_n:
-            return 1
-        three_quarters = 3 << n  # 3/4 in units of 2^-(n+2)
-        if lo >= a_n and (prefix + 1) << 2 <= three_quarters:
-            return 2
-        if prefix << 2 >= three_quarters:
-            # gap r = 2^n - x; the smallest k with x / 2^n < 1 - 2^-k is
-            # the smallest k with r * 2^k > 2^n (k >= 3 since r <= 2^n / 4)
-            r = (1 << n) - prefix
-            k = n + 2 - r.bit_length() - (1 if r & (r - 1) else 0)
-            if (r - 1) << k >= 1 << n:
-                return k
+    stream = kernels.prf_block(seed, index, 0)
+    read = 1  # blocks in stream, block j at bit 64 j
+    while 64 * read < a.exp or stream == (1 << 64 * read) - 1:
+        stream |= kernels.prf_block(seed, index, read) << 64 * read
+        read += 1
+    ones = (stream ^ (stream + 1)).bit_length() - 1
+    if ones >= 2:
+        return ones + 1
+    head = bin(stream & ((1 << a.exp) - 1) | 1 << a.exp)[:2:-1]  # digits 1..e
+    return 1 if int(head, 2) < a.num else 2
 
 
 class DepthProfile(tuple):
@@ -216,14 +198,13 @@ def depth_profile(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> DepthP
 
 
 def membership_matrix(
-    seeds: Sequence[int],
+    seeds: Iterable[int],
     words: Sequence[Word],
     mu: Measure = MU_G,
     tolerance_exp: int = DEFAULT_TOLERANCE_EXP,
-    target_width: Dyadic = None,
-) -> dict:
-    """Membership booleans for every (seed, word) pair plus per-word
-    frequency summaries against the exact envelope probabilities."""
+) -> Iterator[List[bool]]:
+    """Yield, seed by seed, whether each word lies in the subgroup sampled
+    from (mu, seed)."""
     inner = _unwrap_inner(mu)
     cells: list = []  # per word: its fixed answer, or its profile to scan
     for w in words:
@@ -233,31 +214,16 @@ def membership_matrix(
             cells.append(False)
         else:
             cells.append(depth_profile(w, tolerance_exp))
-    matrix: List[List[bool]] = []
+    # longest window first, so each seed draws its block-0 lanes once
+    scanned = sorted(
+        (j for j, c in enumerate(cells) if not isinstance(c, bool)), key=lambda j: -len(cells[j])
+    )
     for seed in seeds:
         scan = SampledSubgroup(inner, seed, tolerance_exp).scan
-        matrix.append([c if isinstance(c, bool) else scan(c) for c in cells])
-    n = len(seeds)
-    summary = []
-    for j, w in enumerate(words):
-        hits = sum(1 for row in matrix if row[j])
-        exact = env_prob(mu, (w,), target_width)
-        summary.append(
-            {
-                "word": str(w),
-                "hits": hits,
-                "n": n,
-                "frequency": hits / n if n else 0.0,
-                "exact": exact.to_json(),
-            }
-        )
-    return {
-        "tolerance_exp": tolerance_exp,
-        "n_seeds": n,
-        "words": [str(w) for w in words],
-        "matrix": matrix,
-        "summary": summary,
-    }
+        row = list(cells)
+        for j in scanned:
+            row[j] = scan(cells[j])
+        yield row
 
 
 def z_score(frequency: Fraction, p: Fraction, n: int) -> float:
@@ -271,6 +237,22 @@ def z_score(frequency: Fraction, p: Fraction, n: int) -> float:
     return float(diff) / sigma
 
 
+def check_z_test_inputs(exact: Sequence[ProbabilityValue], n: int) -> None:
+    """Raise ValueError unless the z-tests of n samples against these
+    probabilities are sound: n reaches MIN_SAMPLE_SEEDS and no enclosure
+    is wider than a tenth of its binomial sigma."""
+    if n < MIN_SAMPLE_SEEDS:
+        raise ValueError("need at least %d samples, got %d" % (MIN_SAMPLE_SEEDS, n))
+    for value in exact:
+        p_mid = float(value.midpoint().as_fraction())
+        sigma = math.sqrt(p_mid * (1.0 - p_mid) / n)
+        width = float(value.width().as_fraction())
+        if sigma > 0 and width > sigma / 10:
+            raise ValueError(
+                "enclosure width %g too wide for sigma %g at n=%d" % (width, sigma, n)
+            )
+
+
 def chi_square_report(
     empirical: Sequence[Fraction],
     exact: Sequence[ProbabilityValue],
@@ -279,22 +261,14 @@ def chi_square_report(
     z_threshold: float = 3.0,
 ) -> dict:
     """Per-cell z-scores of empirical frequencies against exact or
-    enclosed probabilities; refuses enclosures wider than a tenth of the
-    binomial sigma."""
-    if n < MIN_SAMPLE_SEEDS:
-        raise ValueError("need at least %d samples, got %d" % (MIN_SAMPLE_SEEDS, n))
+    enclosed probabilities, after check_z_test_inputs."""
+    check_z_test_inputs(exact, n)
     if len(empirical) != len(exact):
         raise ValueError("frequency and probability tables differ in length")
     rows = []
     all_pass = True
     for j, (freq, value) in enumerate(zip(empirical, exact)):
         p_mid = value.midpoint().as_fraction()
-        sigma = math.sqrt(float(p_mid) * (1.0 - float(p_mid)) / n)
-        width = float(value.width().as_fraction())
-        if sigma > 0 and width > sigma / 10:
-            raise ValueError(
-                "enclosure width %g too wide for sigma %g at n=%d" % (width, sigma, n)
-            )
         z = z_score(Fraction(freq), p_mid, n)
         ok = abs(z) <= z_threshold if math.isfinite(z) else False
         all_pass = all_pass and ok

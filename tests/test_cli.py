@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -242,6 +243,56 @@ def test_out_of_range_numbers_are_parse_errors(args, tmp_path, capsys):
 def test_sample_too_few_seeds_is_parse_error(tmp_path):
     code = main(["sample", "--n", "20", "--word", "abAB", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_PARSE
+
+
+def test_sample_checks_the_z_tests_before_any_scan(monkeypatch, tmp_path, capsys):
+    # mu_aG:1/2^24 encloses abAB's value in [0, 2^-24], wider than a tenth
+    # of its binomial sigma at 10^5 seeds
+    monkeypatch.setattr(cli, "membership_matrix", lambda *args: pytest.fail("scanned"))
+    out, csv_path = tmp_path / "r.json", tmp_path / "m.csv"
+    args = ["sample", "--measure", "mu_aG:1/2^24", "--n", "100000", "--word", "abAB"]
+    assert main(args + ["--out", str(out), "--csv", str(csv_path)]) == EXIT_PARSE
+    assert "too wide" in capsys.readouterr().err
+    assert not out.exists() and not csv_path.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sample", "--n", "200", "--word", "abAB", "--csv", "{missing}", "--out", "{ok}"],
+        ["sample", "--n", "200", "--word", "abAB", "--csv", "{ok}", "--out", "{missing}"],
+        ["sample", "--n", "200", "--word", "abAB", "--csv", "{ok}", "--out", "{dir}"],
+        ["eval", "--word", "abAB", "--out", "{missing}"],
+        ["verify", "closure", "--out", "{dir}"],
+        ["family", "--a", "1/4", "--word", "abAB", "--out", "{missing}"],
+    ],
+)
+def test_unwritable_output_is_parse_error(args, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "membership_matrix", lambda *args: pytest.fail("scanned"))
+    monkeypatch.setattr(cli, "env_prob", lambda *args, **kw: pytest.fail("evaluated"))
+    paths = {"missing": tmp_path / "no" / "such.json", "ok": tmp_path / "ok.json", "dir": tmp_path}
+    argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in args]
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: --")
+    assert not list(tmp_path.iterdir())
+
+
+def test_sample_memory_does_not_grow_with_seeds(tmp_path):
+    # rows stream to the CSV, so ten times the seeds costs no more memory
+    def peak(n):
+        tracemalloc.start()
+        try:
+            code = main(["sample", "--n", str(n), "--word", "abAB", "--seed", "3",
+                         "--csv", str(tmp_path / "m.csv"), "--out", str(tmp_path / "r.json")])
+            assert code in (EXIT_OK, EXIT_FAIL)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2000)  # fills the kernels' small memos
+    small, large = peak(2000), peak(20000)
+    # holding a row per seed would add about 2.5 MB at 20,000 seeds
+    assert large <= small + 256 * 1024, (small, large)
 
 
 def test_family_table(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -13,7 +14,7 @@ from _helpers import (
     scalar_member_scan,
 )
 from irslab import _purekernels
-from irslab.dyadic import Dyadic, Enclosure, Exact, pow2
+from irslab.dyadic import Dyadic, Enclosure, Exact
 from irslab.measures import MU_G, GeomGamma, ParamFamily, family_measure
 from irslab.sampler import (
     _CHI2_Q9973,
@@ -123,25 +124,47 @@ def test_param_sampling_member_consistency():
     assert s.member(COMMUTATOR) == sample(mu, 99).member(COMMUTATOR)
 
 
+def _frequencies(seeds, words, mu=MU_G):
+    """Word -> fraction of the yielded membership rows that contain it."""
+    n = len(seeds)
+    hits = [sum(column) for column in zip(*membership_matrix(seeds, words, mu))]
+    return {str(w): h / n for w, h in zip(words, hits)}
+
+
 def test_membership_frequencies_match_exact_values():
     words = [IDENTITY, A, COMMUTATOR, Y2_WORD, expand(y(1, 2))]
-    seeds = list(range(10000))
-    data = membership_matrix(seeds, words)
-    by_word = {cell["word"]: cell for cell in data["summary"]}
-    assert by_word[""]["frequency"] == 1.0
-    assert by_word["a"]["frequency"] == 0.0
+    seeds = range(10000)
+    by_word = _frequencies(seeds, words)
+    assert by_word[""] == 1.0
+    assert by_word["a"] == 0.0
     p = Fraction("0.2887880951")
     sigma = math.sqrt(float(p) * (1 - float(p)) / len(seeds))
     for text in ("abAB", "aabABA", str(expand(y(1, 2)))):
-        freq = by_word[text]["frequency"]
+        freq = by_word[text]
         assert abs(freq - float(p)) <= 3 * sigma, (text, freq)
 
 
 def test_membership_matrix_deterministic():
     words = [COMMUTATOR, Y2_WORD]
-    a = membership_matrix(list(range(500)), words)
-    b = membership_matrix(list(range(500)), words)
+    a = list(membership_matrix(range(500), words))
+    b = list(membership_matrix(range(500), words))
     assert a == b
+
+
+def test_membership_matrix_streams_rows():
+    # rows come one seed at a time: reading seeds ahead of the rows asked
+    # for fails here, where an endless count(7) would never stop
+    def seeds():
+        yield from range(7, 10)
+        pytest.fail("a seed was read before its row was asked for")
+
+    words = [IDENTITY, A, COMMUTATOR, Y2_WORD, expand(YWord([(3, 1), (7, -1)]))]
+    rows = list(islice(membership_matrix(seeds(), words), 3))
+    assert len(rows) == 3
+    for seed, row in zip(range(7, 10), rows):
+        draw = sample(MU_G, seed).coordinate
+        expected = [True, False] + [scalar_member_scan(draw, depth_profile(w)) for w in words[2:]]
+        assert row == expected, seed
 
 
 def test_sampled_members_stay_in_commutator_subgroup():
@@ -249,8 +272,7 @@ def test_family_sampling_frequency_matches_closed_form():
     a = Dyadic(1, 3)  # value 2a * prod(1-2^-j) = 0.25 * 0.288788...
     mu = family_measure(a)
     n = 4000
-    data = membership_matrix(list(range(n)), [COMMUTATOR], mu)
-    freq = data["summary"][0]["frequency"]
+    freq = _frequencies(range(n), [COMMUTATOR], mu)["abAB"]
     p = 0.25 * 0.2887880951
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(freq - p) <= 3 * sigma, (freq, p)
@@ -452,9 +474,33 @@ def test_membership_matrix_draws_only_candidate_coordinates(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(_purekernels, name, counted)
-    membership_matrix(seeds, words, target_width=pow2(24))
+    for _ in membership_matrix(seeds, words):
+        pass
     assert calls["block0_lanes"] == len(seeds)
     assert calls["geometric_coordinate"] == expected
+
+
+def test_membership_matrix_draws_block0_lanes_once_per_seed(monkeypatch):
+    # windows 121, 169 and 225, listed shortest first: the longest window's
+    # lanes serve the shorter ones too
+    words = [expand(y(i)) for i in (2, 10, 26)]
+    assert [len(depth_profile(w)) for w in words] == [121, 169, 225]
+    seeds = range(200)
+    calls = []
+    real_lanes = _purekernels.block0_lanes
+
+    def counted(seed, lane_count):
+        calls.append(lane_count)
+        return real_lanes(seed, lane_count)
+
+    monkeypatch.setattr(_purekernels, "block0_lanes", counted)
+    for inner, mu in ((GeomGamma(), MU_G), (ParamFamily(Dyadic(1, 2)), family_measure(Dyadic(1, 2)))):
+        calls.clear()
+        rows = list(membership_matrix(seeds, words, mu))
+        assert calls == [225] * len(seeds)
+        for seed, row in zip(seeds, rows):
+            draw = SampledSubgroup(inner, seed).coordinate
+            assert row == [scalar_member_scan(draw, depth_profile(w)) for w in words], seed
 
 
 def test_profiles_own_their_masks_beyond_sixteen_words(monkeypatch):
@@ -480,8 +526,7 @@ def test_profiles_own_their_masks_beyond_sixteen_words(monkeypatch):
         (ParamFamily(Dyadic(1, 2)), family_measure(Dyadic(1, 2)), 2),
     ):
         calls.clear()
-        matrix = membership_matrix(seeds, words, mu, target_width=pow2(24))["matrix"]
-        for seed, row in zip(seeds, matrix):
+        for seed, row in zip(seeds, membership_matrix(seeds, words, mu)):
             draw = SampledSubgroup(inner, seed).coordinate
             assert row == [scalar_member_scan(draw, p) for p in profiles], seed
         assert sorted(calls) == sorted((p, min_bits) for p in profiles)
