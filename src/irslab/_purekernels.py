@@ -224,26 +224,9 @@ def depth_syllables(sylls):
     cancels is downward closed; the depth is the first present index whose
     restriction does not cancel, found by binary search over the sorted
     distinct indices.
-
-    Abelian upper bound: let ub be the least index whose exponents sum to
-    nonzero.  The restriction to the indices <= ub then has a nontrivial
-    abelian image, so it does not cancel and depth <= ub, with equality
-    exactly when the restriction to the indices below ub cancels.
-    Otherwise the search runs over the indices below ub only, the last of
-    which is known not to cancel.  A word whose every exponent sum is zero
-    (a product of commutators of the y_i) is searched as a whole.
     """
-    sums = {}
-    for i, e in sylls:
-        sums[i] = sums.get(i, 0) + e
-    idxs = sorted(sums)
+    idxs = sorted({i for i, _ in sylls})
     lo, hi = 0, len(idxs)
-    for k, i in enumerate(idxs):
-        if sums[i]:
-            if not reduce_syllables(sylls, i):
-                return i
-            hi = k - 1
-            break
     while lo < hi:
         mid = (lo + hi) // 2
         if reduce_syllables(sylls, idxs[mid] + 1):
@@ -267,6 +250,31 @@ def expand_syllables(sylls):
     return free_reduce(letters)
 
 
+def _cyclic_core(points):
+    """Cyclic core of a reduced point list.
+
+    x^e M x^-e is a conjugate of M, and x^e M x^f with e + f != 0 is
+    x^e (M x^(e+f)) x^-e, a conjugate of M x^(e+f).  Every phi_k is a
+    homomorphism, so it kills a conjugate exactly when it kills the word
+    conjugated: the core has the list's depth under any injective map of
+    points to indices, in particular after the column shift by -p.
+    """
+    i, j = 0, len(points) - 1
+    while i < j and points[i][0] == points[j][0]:
+        e = points[i][1] + points[j][1]
+        if e:
+            return points[i + 1:j] + [(points[i][0], e)]
+        i += 1
+        j -= 1
+    return points[i:j + 1]
+
+
+def _moved_depth(core, p):
+    """Depth of a column's core with every point moved by -p; 0 when the
+    core is empty."""
+    return depth_syllables([(spiral_index(x - p, j), e) for (x, j), e in core]) if core else 0
+
+
 def shifted_depth(w, p, q):
     """Depth of t^-1 w t for t = a^p b^q.
 
@@ -279,25 +287,13 @@ def shifted_depth(w, p, q):
     homomorphism, so phi_k kills P R P^-1 exactly when it kills R, and the
     conjugate's depth is depth(R); neither t nor the conjugate is built.
     By the column shift of _rewrite_points, R is the rewrite from (0, -q)
-    with every point moved by -p.
+    with every point moved by -p, and by the same lemma its cyclic core
+    has its depth.
     """
     a0, a1 = abelianize(w)
     if a0 or a1:
         return -1
-    points = _rewrite_points(w, -q)
-    if not points:
-        return 0
-    return depth_syllables([(spiral_index(x - p, j), e) for (x, j), e in points])
-
-
-class _IndexMemo(dict):
-    """point -> spiral_index(*point), computed on the first lookup."""
-
-    __slots__ = ()
-
-    def __missing__(self, point):
-        i = self[point] = spiral_index(*point)
-        return i
+    return _moved_depth(_cyclic_core(_rewrite_points(w, -q)), p)
 
 
 def conjugate_depths(w):
@@ -305,23 +301,19 @@ def conjugate_depths(w):
     conjugate depths of w in transversal order, without end.
 
     Every coordinate of a column q shares one rewrite, _rewrite_points(w,
-    -q), moved by -p per coordinate, so w is rewritten once per column.
-    The walk keeps its columns and a point -> spiral index memo while it
-    lives: on the ring-10 conjugate a^10 b^-9 [a,b] b^9 a^-10 that is 0.7 MB
-    after 841 coordinates and 8.4 MB after 10^4.  Nothing outlives the
-    generator.
+    -q), so w is rewritten once per column and the column keeps only the
+    rewrite's cyclic core, which each coordinate moves by -p.
     """
     a0, a1 = abelianize(w)
     if a0 or a1:
         yield from repeat(-1)
     columns = {}
-    index = _IndexMemo()
     for i in count(1):
         p, q = spiral_point(i)
-        points = columns.get(q)
-        if points is None:
-            points = columns[q] = _rewrite_points(w, -q)
-        yield depth_syllables([(index[x - p, j], e) for (x, j), e in points]) if points else 0
+        core = columns.get(q)
+        if core is None:
+            core = columns[q] = _cyclic_core(_rewrite_points(w, -q))
+        yield _moved_depth(core, p)
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,14 @@ MAX_SAMPLE_SEEDS = 10**6
 MAX_SAMPLE_WORDS = 16
 # membership windows grow about linearly in the tolerance exponent
 MAX_TOLERANCE_EXP = 1024
-# a word of about 100 letters takes about 3 s to profile at this window
-# (radius 23 at --tolerance-exp 1, radius 20 at the default 60); the cost
-# grows about as window^1.75 times the word's length
+# a word of about 100 letters whose column cores do not shrink takes 2-2.5 s
+# to profile at this window ([a^24,b^24] at --tolerance-exp 1, [a^21,b^21]
+# [a^2,b^2] at the default 60; best of 3, 2-vCPU VM); the cost grows about
+# as window^1.5 times the word's length
 MAX_MEMBERSHIP_WINDOW = 2401
-# a depth profile costs about 15 us per letter and window coordinate: at
-# window 2209 (radius 20) 80 letters took 2.7 s and 320 letters 11.5 s
+# a depth profile costs about 10 us per letter and window coordinate: at
+# window 2209 (radius 20) [a^20,b^20] (80 letters) took 1.9 s and its
+# fourth power (320 letters) 7.5 s
 MAX_PROFILE_CELLS = 100 * MAX_MEMBERSHIP_WINDOW
 # certified products run to the target width: mu_G of the ring-10
 # conjugate of [a,b] took 0.18 s at 2^-60, 0.26 s at 2^-128 and 0.36 s at
@@ -76,6 +78,13 @@ MAX_WIDTH_EXP = 128
 # the joint product: the mixing suite took 0.27 s at 10, 0.50 s at 12 and
 # 0.85 s at 14 (in-process, best of 2)
 MAX_SHIFT_EXP = 12
+# verify invariance evaluates two enclosures per pair and reports every
+# pair: 10^4 pairs took 24 s and 54 MB at the default --max-len 6, and
+# 10^3 pairs 22 s at --max-len 14 (2-vCPU VM)
+MAX_INVARIANCE_PAIRS = 10**4
+# verify combination builds all its words before checking any: 2x10^4
+# words took 3.2 s and 28 MB, 10^5 words 20 s and 73 MB (2-vCPU VM)
+MAX_COMBINATION_WORDS = 10**5
 # exact values print through Decimal, quadratic in the digits: at this cap
 # (19,737 characters) one value prints in 0.008 s, where the depth-358,802
 # value of mu_F on a^300 abAB A^300 took 0.34 s to report, in 110 KB
@@ -146,7 +155,7 @@ def _parse_width(text) -> Dyadic:
     """Target width of a --width flag, at most MAX_WIDTH_EXP bits fine."""
     try:
         width = parse_target_width(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CliError("--width: %s" % (exc,)) from None
     if width.exp > MAX_WIDTH_EXP:
         raise CliError("--width must be at least 2^-%d, got %s" % (MAX_WIDTH_EXP, text))
@@ -290,6 +299,7 @@ def _suite_kwargs(args) -> dict:
     if args.suite == "faithful":
         kwargs["max_len"] = args.max_len if args.max_len is not None else 8
     elif args.suite == "invariance":
+        _check_range("--n", args.n, 1, MAX_INVARIANCE_PAIRS)
         kwargs["pairs"] = args.n if args.n is not None else 100
         kwargs["max_len"] = args.max_len if args.max_len is not None else 6
         kwargs["seed"] = args.seed if args.seed is not None else DEFAULT_SEED
@@ -299,6 +309,7 @@ def _suite_kwargs(args) -> dict:
         _check_range("--n", args.n, 1, MAX_POWER)
         kwargs["n_max"] = args.n if args.n is not None else 10
     elif args.suite == "combination":
+        _check_range("--n", args.n, 1, MAX_COMBINATION_WORDS)
         kwargs["sample_size"] = args.n if args.n is not None else 200
         kwargs["seed"] = args.seed if args.seed is not None else DEFAULT_SEED
     elif args.suite == "mixing":

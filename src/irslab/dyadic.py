@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Union
@@ -33,6 +33,35 @@ def _int_from_text(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise ValueError("invalid integer %r" % (text,))
     return int(Decimal(text))
+
+
+# 10^MAX_DECIMAL_EXP has about 218,000 bits and builds in milliseconds;
+# 10^(10^8), from a literal such as 1e-100000000, ran for minutes
+MAX_DECIMAL_EXP = 1 << 16
+
+
+def _decimal_fraction(text: str) -> Fraction:
+    """The value of a decimal literal, read once through Decimal.  A
+    non-finite literal, or one whose exponent lies outside
+    +-MAX_DECIMAL_EXP, is rejected before any Fraction is built."""
+    try:
+        d = Decimal(text)
+    except InvalidOperation:
+        raise ValueError("invalid number %r" % (text,)) from None
+    if not d.is_finite() or abs(d.as_tuple().exponent) > MAX_DECIMAL_EXP:
+        raise ValueError(
+            "%r is not a finite decimal with exponent in [-%d, %d]"
+            % (text, MAX_DECIMAL_EXP, MAX_DECIMAL_EXP)
+        )
+    return Fraction(d)
+
+
+class NotDyadic(ValueError):
+    """A well-formed number whose value is not dyadic; `value` holds it."""
+
+    def __init__(self, text: str, value: Fraction):
+        super().__init__("%r is not dyadic" % (text,))
+        self.value = value
 
 
 class Dyadic:
@@ -60,17 +89,10 @@ class Dyadic:
         return d
 
     @classmethod
-    def from_fraction(cls, f: Fraction) -> "Dyadic":
-        den = f.denominator
-        e = den.bit_length() - 1
-        if den != (1 << e):
-            raise ValueError("%s is not dyadic" % (f,))
-        return cls._raw(f.numerator, e) if f.numerator % 2 or e == 0 else cls(f.numerator, e)
-
-    @classmethod
     def parse(cls, text: str) -> "Dyadic":
-        """Accepts 'num/2^exp', 'p/q' with q a power of two, a decimal
-        string with dyadic value, or a plain integer."""
+        """Accepts 'num/2^exp', 'p/q' whose value is dyadic, a decimal
+        string with dyadic value, or a plain integer.  A well-formed value
+        that is not dyadic raises NotDyadic."""
         text = text.strip()
         if "/" in text:
             num_str, den_str = text.split("/", 1)
@@ -78,12 +100,17 @@ class Dyadic:
             if den_str.startswith("2^"):
                 return cls(num, _int_from_text(den_str[2:]))
             den = _int_from_text(den_str)
-            if den <= 0 or den & (den - 1):
-                raise ValueError("denominator of %r is not a power of two" % (text,))
-            return cls(num, den.bit_length() - 1)
-        if "." in text or "e" in text or "E" in text:
-            return cls.from_fraction(Fraction(text))
-        return cls(_int_from_text(text))
+            if den <= 0:
+                raise ValueError("denominator of %r is not positive" % (text,))
+            f = Fraction(num, den)
+        elif "." in text or "e" in text or "E" in text:
+            f = _decimal_fraction(text)
+        else:
+            return cls(_int_from_text(text))
+        den = f.denominator
+        if den & (den - 1):
+            raise NotDyadic(text, f)
+        return cls(f.numerator, den.bit_length() - 1)
 
     def is_zero(self) -> bool:
         return self.num == 0
@@ -181,15 +208,12 @@ def parse_target_width(text: str) -> Dyadic:
     to the largest power of two below them."""
     try:
         width = Dyadic.parse(text)
-    except ValueError:
-        f = Fraction(text)
+    except NotDyadic as exc:
+        f = exc.value
         if f <= 0:
             raise ValueError("target width must be positive") from None
-        den = f.denominator
-        if not den & (den - 1):
-            return Dyadic.from_fraction(f)
         # the smallest k with 2^-k <= f, i.e. 2^k >= ceil(1 / f)
-        return pow2((-(-den // f.numerator) - 1).bit_length())
+        return pow2((-(-f.denominator // f.numerator) - 1).bit_length())
     if width <= ZERO:
         raise ValueError("target width must be positive")
     return width

@@ -583,7 +583,7 @@ def _descriptor_fields(data: dict, depth: int = 0) -> Measure:
     if kind == "dirac_trivial":
         return DiracTrivial()
     if kind == "dirac_gamma":
-        return DiracGamma(int(data["k"]))
+        return DiracGamma(_descriptor_int(data, "k"))
     if kind == "pushforward":
         return Pushforward(Word.parse(data["g"]), _descriptor_fields(data["inner"], depth + 1))
     if kind == "convex":
@@ -610,10 +610,21 @@ def _descriptor_fields(data: dict, depth: int = 0) -> Measure:
     if kind == "coinduced_product":
         return CoinducedProduct(_descriptor_fields(data["inner"], depth + 1))
     if kind == "intersect_power":
-        return IntersectPower(int(data["n"]), _descriptor_fields(data["inner"], depth + 1))
+        return IntersectPower(_descriptor_int(data, "n"), _descriptor_fields(data["inner"], depth + 1))
     if kind == "generate_power":
-        return GeneratePower(int(data["n"]), _descriptor_fields(data["inner"], depth + 1))
+        return GeneratePower(_descriptor_int(data, "n"), _descriptor_fields(data["inner"], depth + 1))
     raise ValueError("unknown measure type %r" % (kind,))
+
+
+def _descriptor_int(data: dict, key: str) -> int:
+    """data[key] as an int: a JSON integer (not a boolean) or an integer
+    string; any other value, 2.5 or 1e400 among them, raises ValueError."""
+    value = data[key]
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError("descriptor key %r must be an integer, got %r" % (key, value))
 
 
 # mu_HF averages mu_F over the finite transversal {1}, so it is mu_F

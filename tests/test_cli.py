@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -11,7 +12,9 @@ from irslab.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_WIDTH,
+    MAX_COMBINATION_WORDS,
     MAX_EXACT_BITS,
+    MAX_INVARIANCE_PAIRS,
     MAX_MEMBERSHIP_WINDOW,
     MAX_SAMPLE_WORDS,
     MAX_TOLERANCE_EXP,
@@ -209,6 +212,8 @@ def test_sample_csv(tmp_path):
         ["verify", "mixing", "--shift", "13"],
         ["verify", "mixing", "--shift", "-13"],
         ["verify", "chain-limits", "--n", "1001"],
+        ["verify", "invariance", "--n", str(MAX_INVARIANCE_PAIRS + 1)],
+        ["verify", "combination", "--n", str(MAX_COMBINATION_WORDS + 1)],
         [
             "eval", "--word", "abAB", "--measure",
             '{"type": "intersect_power", "n": 1001, "inner": {"type": "geom_gamma"}}',
@@ -293,6 +298,42 @@ def test_sample_memory_does_not_grow_with_seeds(tmp_path):
     small, large = peak(2000), peak(20000)
     # holding a row per seed would add about 2.5 MB at 20,000 seeds
     assert large <= small + 256 * 1024, (small, large)
+
+
+@pytest.mark.parametrize(
+    "suite, n", [("invariance", MAX_INVARIANCE_PAIRS + 1), ("combination", 10**9)]
+)
+def test_verify_n_cap_is_checked_before_any_work(suite, n, monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(cli.SUITES, suite, lambda **kw: pytest.fail("ran"))
+    out = tmp_path / "r.json"
+    assert main(["verify", suite, "--n", str(n), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: --n must lie in [1, ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, literal",
+    [
+        (["eval", "--word", "abAB", "--width"], "1e-10000000"),
+        (["eval", "--word", "abAB", "--width"], "1e-100000000"),
+        (["eval", "--word", "abAB", "--width"], "1e100000000"),
+        (["family", "--word", "abAB", "--a"], "1e-1000000"),
+    ],
+)
+def test_huge_decimal_exponents_fail_fast(args, literal, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    assert main(args + [literal, "--out", str(out)]) == EXIT_PARSE
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert repr(literal) in err and "exponent" in err, err
+    assert not out.exists()
+
+
+def test_not_dyadic_error_names_the_input(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["family", "--word", "abAB", "--a", "1e-60000", "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: '1e-60000' is not dyadic\n"
 
 
 def test_family_table(tmp_path):
@@ -380,6 +421,14 @@ def test_config_file_merging(tmp_path):
         '{"type":"coinduced_product"}',
         "[1]",
         '{"type":"convex","parts":5}',
+        '{"type":"dirac_gamma","k":1e400}',
+        '{"type":"dirac_gamma","k":2.5}',
+        '{"type":"dirac_gamma","k":true}',
+        '{"type":"dirac_gamma","k":"2.5"}',
+        '{"type":"dirac_gamma","k":null}',
+        '{"type":"intersect_power","n":1e400,"inner":{"type":"geom_gamma"}}',
+        '{"type":"generate_power","n":2.0,"inner":{"type":"geom_gamma"}}',
+        '{"type":"generate_power","n":true,"inner":{"type":"geom_gamma"}}',
     ],
 )
 def test_malformed_descriptor_is_parse_error(measure, tmp_path, capsys):
@@ -387,6 +436,20 @@ def test_malformed_descriptor_is_parse_error(measure, tmp_path, capsys):
     assert main(["eval", "--word", "abAB", "--measure", measure, "--out", str(out)]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: --measure: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, key, extra",
+    [("dirac_gamma", "k", {}), ("intersect_power", "n", {"inner": {"type": "geom_gamma"}})],
+)
+def test_descriptor_integers_as_numbers_or_strings(kind, key, extra, tmp_path):
+    values = []
+    for raw in (2, "2", " 2 "):
+        measure = json.dumps({"type": kind, key: raw, **extra})
+        code, rep = run_cli(["eval", "--word", "abAB", "--measure", measure], tmp_path / "r.json")
+        assert code == EXIT_OK
+        values.append(rep["results"][0]["value"])
+    assert values[0] == values[1] == values[2]
 
 
 def _pushforward_chain(levels: int) -> str:

@@ -16,6 +16,7 @@ from irslab.dyadic import (
     Enclosure,
     Exact,
     Interval,
+    NotDyadic,
     certified_product,
     one_minus_pow2,
     parse_target_width,
@@ -81,6 +82,27 @@ def test_parse_and_format():
         Dyadic.parse("1/3")
     with pytest.raises(ValueError):
         Dyadic.parse("0.1")
+    # p/q is read by its value, so a non-reduced dyadic quotient parses
+    assert Dyadic.parse("3/6") == HALF
+    with pytest.raises(ValueError, match="not positive"):
+        Dyadic.parse("1/0")
+
+
+@pytest.mark.parametrize("text", ["1e-65537", "1e65537", "1e-100000000", "0.5e-99999999"])
+def test_parse_rejects_decimal_exponents_beyond_the_cap(text):
+    with pytest.raises(ValueError, match="exponent"):
+        Dyadic.parse(text)
+    with pytest.raises(ValueError, match="exponent"):
+        parse_target_width(text)
+
+
+def test_not_dyadic_carries_the_text_and_the_value():
+    with pytest.raises(NotDyadic) as exc:
+        Dyadic.parse(" 0.1 ")
+    assert str(exc.value) == "'0.1' is not dyadic"
+    assert exc.value.value == Fraction(1, 10)
+    # at the exponent cap the value is still built, and tightened as a width
+    assert parse_target_width("1e-65536") == pow2(217706)
 
 
 def test_rounding():

@@ -14,19 +14,25 @@
   segment, which lets depth_syllables binary-search them.
 - Abelian upper bound: the depth is at most the least index ub whose
   exponents sum to nonzero, with equality exactly when the restriction
-  below ub cancels; depth_syllables searches only below ub.
+  below ub cancels.  It still holds and is tested, but depth_syllables no
+  longer uses it to cut its search.
 - Coset start: the depth of t^-1 w t is the depth of w rewritten from the
   coset of t^-1, which is what shifted_depth computes.
 - Column shift: the rewrite from (-p, -q) is the rewrite from (0, -q) with
   every point moved by -p, so conjugate_depths rewrites once per column.
+- Cyclic core: x^e M x^-e is a conjugate of M and x^e M x^f one of
+  M x^(e+f), and conjugation keeps every depth (the first lemma, in the
+  basis), so each column keeps only its rewrite's cyclic core.
 """
 
 import random
+import tracemalloc
 from itertools import islice
 
 from _helpers import (
     _reference_rewrite_from,
     linear_scan_depth,
+    random_reduced_letters,
     random_yword,
     reference_conjugate_depths,
 )
@@ -38,6 +44,8 @@ from irslab.words import COMMUTATOR, Word, conjugate
 from irslab.ywords import YWord, depth, expand, y
 
 REPS = (expand(y(1)), expand(y(2)), expand(y(4, -1)), expand(y(3, 2)))
+# a deep conjugate whose columns all strip to one point
+DEEP_CONJUGATE = Word.parse("a" * 40 + "abAB" + "A" * 40)
 
 
 def test_commutator_conjugation_keeps_depth():
@@ -167,7 +175,8 @@ def test_depth_at_most_least_nonzero_exponent_sum():
     words = [random_yword(rng, max_syllables=30, max_index=40) for _ in range(3000)]
     # r s r^-1 and [u, r] s with s deep: every index of r and u sums to
     # zero, so ub lies in s; the restriction below it cancels in the first
-    # form when r sits below s, and need not in the second
+    # form when r sits below s, and need not in the second, so the bound
+    # is met with equality and missed both many times
     for _ in range(1000):
         r = random_yword(rng, max_syllables=10, max_index=30)
         u = random_yword(rng, max_syllables=3, max_index=30)
@@ -196,8 +205,8 @@ def test_depth_at_most_least_nonzero_exponent_sum():
 
 
 def test_depth_of_products_of_commutators_of_the_basis():
-    """Every exponent sum of a product of [y_i, y_j] is zero, so there is
-    no abelian bound and depth_syllables searches every index."""
+    """Every exponent sum of a product of [y_i, y_j] is zero, so these
+    words have no abelian bound at all."""
     rng = random.Random(8191)
     n_checks = 0
     for _ in range(1500):
@@ -231,6 +240,61 @@ def test_column_shift_of_the_rewrite():
     assert n_checks == 81 * 360
 
 
+def _random_points(rng, n):
+    """A random point list over a 7 x 7 block of columns; not reduced."""
+    points = []
+    for _ in range(n):
+        e = rng.choice((-2, -1, 1, 2))
+        points.append(((rng.randint(-3, 3), rng.randint(-3, 3)), e))
+    return points
+
+
+def _inverse_points(points):
+    return [(x, -e) for x, e in reversed(points)]
+
+
+def test_cyclic_core_keeps_the_depth():
+    """The depth of a column's core, moved by -p, against a linear scan of
+    the whole moved list, on lists built as U C U^-1 (mostly stripped) and
+    as x^e M x^f (mostly merged)."""
+    rng = random.Random(6007)
+    n_strip = n_merge = n_checks = 0
+    for trial in range(4000):
+        if trial % 2:
+            u = _random_points(rng, rng.randint(1, 6))
+            full = u + _random_points(rng, rng.randint(1, 6)) + _inverse_points(u)
+        else:
+            x = (rng.randint(-3, 3), rng.randint(-3, 3))
+            middle = _random_points(rng, rng.randint(1, 8))
+            full = [(x, rng.choice((-2, -1, 1, 2)))] + middle + [(x, rng.choice((-2, -1, 1, 2)))]
+        full = kernels.reduce_syllables(full)
+        if not full:
+            continue
+        # which branch the core takes, read off the list itself
+        lo, hi = 0, len(full) - 1
+        while lo < hi and full[lo][0] == full[hi][0] and full[lo][1] + full[hi][1] == 0:
+            lo, hi = lo + 1, hi - 1
+        n_strip += lo > 0
+        n_merge += lo < hi and full[lo][0] == full[hi][0]
+        core = kernels._cyclic_core(full)
+        assert core and len(core) <= len(full), full
+        p = rng.randint(-5, 5)
+        moved = [(kernels.spiral_index(x - p, j), e) for (x, j), e in full]
+        want = linear_scan_depth(moved)
+        assert kernels._moved_depth(core, p) == want, (full, core, p)
+        n_checks += 1
+    assert n_checks > 3500 and n_strip > 300 and n_merge > 300, (n_checks, n_strip, n_merge)
+
+
+def test_cyclic_core_merges_with_the_summed_exponent():
+    # y1 y3 y1^-2 y3^-1 y1 has depth 3: its core is y3 y1^-2 y3^-1 y1^2,
+    # while a difference of the end exponents would leave y1^0 and depth 1
+    sylls = [(1, 1), (3, 1), (1, -2), (3, -1), (1, 1)]
+    assert linear_scan_depth(sylls) == 3
+    assert kernels._cyclic_core(sylls) == [(3, 1), (1, -2), (3, -1), (1, 2)]
+    assert kernels.depth_syllables(kernels._cyclic_core(sylls)) == 3
+
+
 def test_conjugate_depths_match_the_per_coordinate_walk():
     """The column-shared walk against one rewrite and one full binary
     search per coordinate."""
@@ -244,6 +308,29 @@ def test_conjugate_depths_match_the_per_coordinate_walk():
     for w in events:
         got = list(islice(kernels.conjugate_depths(w.letters), 841))
         assert got == list(islice(reference_conjugate_depths(w.letters), 841)), str(w)
+    # conjugates by long random words, whose columns strip long outer parts
+    rng = random.Random(3571)
+    pool = commutator_pool(6)
+    for _ in range(12):
+        g = Word._raw(random_reduced_letters(rng, rng.randint(20, 40)))
+        w = conjugate(g, rng.choice(pool)).letters
+        got = list(islice(kernels.conjugate_depths(w), 225))
+        assert got == list(islice(reference_conjugate_depths(w), 225)), str(Word._raw(w))
+    deep = DEEP_CONJUGATE.letters
+    got = list(islice(kernels.conjugate_depths(deep), 200))
+    assert got == list(islice(reference_conjugate_depths(deep), 200))
     for w in ((), Word.parse("ab").letters):
         got = list(islice(kernels.conjugate_depths(w), 25))
         assert got == list(islice(reference_conjugate_depths(w), 25))
+
+
+def test_conjugate_depths_memory_stays_small():
+    # keeping every column's full rewrite peaked at 8.4 MB here
+    tracemalloc.start()
+    try:
+        for _ in islice(kernels.conjugate_depths(DEEP_CONJUGATE.letters), 3000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024, peak
