@@ -71,19 +71,20 @@ MAX_MEMBERSHIP_WINDOW = 2401
 # fourth power (320 letters) 7.5 s
 MAX_PROFILE_CELLS = 100 * MAX_MEMBERSHIP_WINDOW
 # certified products run to the target width: mu_G of the ring-10
-# conjugate of [a,b] took 0.18 s at 2^-60, 0.26 s at 2^-128 and 0.36 s at
-# 2^-256 (best of 3, 2-vCPU VM)
+# conjugate of [a,b] took 0.007 s at 2^-60, 0.010 s at 2^-128 and 0.014 s
+# at 2^-256 (in-process, best of 3, 2-vCPU VM)
 MAX_WIDTH_EXP = 128
 # the shifted event sits on ring |shift|, and every ring inside it enters
-# the joint product: the mixing suite took 0.27 s at 10, 0.50 s at 12 and
-# 0.85 s at 14 (in-process, best of 2)
+# the joint product: the mixing suite took 0.016 s at 10, 0.028 s at 12,
+# 0.034 s at 14 and 0.053 s at 16 (in-process, best of 2, 2-vCPU VM)
 MAX_SHIFT_EXP = 12
 # verify invariance evaluates two enclosures per pair and reports every
-# pair: 10^4 pairs took 24 s and 54 MB at the default --max-len 6, and
-# 10^3 pairs 22 s at --max-len 14 (2-vCPU VM)
+# pair: 10^4 pairs took 11 s and 54 MB at the default --max-len 6, and
+# 10^3 pairs 4.3 s and 21 MB at --max-len 14 (2-vCPU VM)
 MAX_INVARIANCE_PAIRS = 10**4
-# verify combination builds all its words before checking any: 2x10^4
-# words took 3.2 s and 28 MB, 10^5 words 20 s and 73 MB (2-vCPU VM)
+# verify combination judges each word as it is drawn, so its memory is flat
+# in --n but its time is not: 2x10^4 words took 3.8 s and 10^5 words 23 s,
+# both at 16 MB peak RSS (2-vCPU VM)
 MAX_COMBINATION_WORDS = 10**5
 # exact values print through Decimal, quadratic in the digits: at this cap
 # (19,737 characters) one value prints in 0.008 s, where the depth-358,802
@@ -309,7 +310,9 @@ def _suite_kwargs(args) -> dict:
         _check_range("--n", args.n, 1, MAX_POWER)
         kwargs["n_max"] = args.n if args.n is not None else 10
     elif args.suite == "combination":
-        _check_range("--n", args.n, 1, MAX_COMBINATION_WORDS)
+        # the suite always checks IDENTITY and COMMUTATOR, so --n 1 would
+        # report one word and check two
+        _check_range("--n", args.n, 2, MAX_COMBINATION_WORDS)
         kwargs["sample_size"] = args.n if args.n is not None else 200
         kwargs["seed"] = args.seed if args.seed is not None else DEFAULT_SEED
     elif args.suite == "mixing":

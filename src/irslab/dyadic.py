@@ -381,39 +381,65 @@ def certified_product(
     return value
 
 
+def _at_scale(num: int, exp: int, bits: int, up: bool) -> int:
+    """num / 2^exp rounded down (up when `up`) to a multiple of 2^-bits,
+    as the integer count of 2^-bits."""
+    if exp <= bits:
+        return num << (bits - exp)
+    if up:
+        return -((-num) >> (exp - bits))
+    return num >> (exp - bits)
+
+
 def _product(seen, it, tail_bound, target_width, factor_cap, bits, prec):
     """The refinement loop of certified_product over a bracket lo <= P <= hi
     of the partial product, rounded outward to 2^-prec (exact when prec is
     None).  Appends each factor it pulls to seen; returns None when the
-    bracket's ends disagree on a decision."""
-    lo = hi = ONE
+    bracket's ends disagree on a decision.
+
+    The bracket is two integers over one scale, P in [lo, hi] / 2^e.  The
+    ends are the values round_down(prec) and round_up(prec) give, and
+    Dyadics are built only for the result."""
+    lo = hi = 1
+    e = 0
     count = 0
-    slack = pow2(bits - 1)
+    # the width test P * tb + 2^-(bits-1) <= target_width, in units of
+    # 2^-(bits-1), is P * tb <= limit (bits - 1 > target_width.exp)
+    limit = (target_width.num << (bits - 1 - target_width.exp)) - 1
     while True:
         tb = tail_bound(count)
-        if tb > ONE:
-            tb = ONE
-        if tb.is_zero():
-            return Exact(lo) if lo == hi else None
-        reached = lo * tb + slack <= target_width
-        if reached and hi * tb + slack > target_width:
+        tn, te = tb.num, tb.exp
+        if tn > 1 << te:
+            tn, te = 1, 0
+        if not tn:
+            return Exact(Dyadic(lo, e)) if lo == hi else None
+        # P * tb is (lo * tn) / 2^(e+te): compare at 2^-max(e + te, bits - 1)
+        s = e + te - bits + 1
+        up, bound = (-s, limit) if s < 0 else (0, limit << s)
+        reached = (lo * tn) << up <= bound
+        if reached and (hi * tn) << up > bound:
             return None
         if reached or count >= factor_cap or (f := next(it, None)) is None:
-            keep = ONE - tb
-            lo_end = (lo * keep).round_down(bits)
-            hi_end = hi.round_up(bits)
-            if lo_end != (hi * keep).round_down(bits) or hi_end != lo.round_up(bits):
+            # lo * (1 - tb) rounded down and hi rounded up, at 2^-bits
+            kn = (1 << te) - tn
+            lo_end = _at_scale(lo * kn, e + te, bits, False)
+            hi_end = _at_scale(hi, e, bits, True)
+            if (lo_end != _at_scale(hi * kn, e + te, bits, False)
+                    or hi_end != _at_scale(lo, e, bits, True)):
                 return None
-            return Enclosure(lo_end, hi_end, reached)
+            return Enclosure(Dyadic(lo_end, bits), Dyadic(hi_end, bits), reached)
         seen.append(f)
-        if f < ZERO or f > ONE:
+        fn, fe = f.num, f.exp
+        if fn < 0 or fn > 1 << fe:
             raise ValueError("product factor %s outside [0, 1]" % (f,))
-        if f.is_zero():
+        if not fn:
             return Exact(ZERO)
-        if f != ONE:
-            if prec is None:
-                lo = hi = lo * f
-            else:
-                lo = (lo * f).round_down(prec)
-                hi = (hi * f).round_up(prec)
+        if fe:
+            lo *= fn
+            hi *= fn
+            e += fe
+            if prec is not None and e > prec:
+                lo >>= e - prec
+                hi = -((-hi) >> (e - prec))
+                e = prec
         count += 1

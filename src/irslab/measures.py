@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Iterator, Tuple, Union
 
 from irslab._backend import kernels
 from irslab.dyadic import (
@@ -281,14 +281,14 @@ def _grid_tail(count_done: int, radius: int) -> Dyadic:
     l0 = max(abs(p), abs(q))
     if l0 <= radius:
         return ONE
-    remaining_in_ring = (2 * l0 + 1) ** 2 - count_done
-    total = Dyadic(remaining_in_ring) * pow2(kernels.ring_start(l0 - radius))
+    # the terms are summed exactly in units of the finest one,
+    # 2^-ring_start(l0 + 7 - radius); consecutive ring terms shrink by more
+    # than half, so twice the ring l0+7 term closes the series
+    finest = kernels.ring_start(l0 + 7 - radius)
+    total = ((2 * l0 + 1) ** 2 - count_done) << (finest - kernels.ring_start(l0 - radius))
     for l in range(l0 + 1, l0 + 7):
-        total = total + Dyadic(8 * l) * pow2(kernels.ring_start(l - radius))
-    # consecutive ring terms shrink by more than half, so twice the next
-    # term closes the series
-    total = total + Dyadic(16 * (l0 + 7)) * pow2(kernels.ring_start(l0 + 7 - radius))
-    return total
+        total += (8 * l) << (finest - kernels.ring_start(l - radius))
+    return Dyadic(total + 16 * (l0 + 7), finest)
 
 
 def _coinduced_value(inner, words, target_width, factor_cap) -> ProbabilityValue:
@@ -465,14 +465,13 @@ def supported_in(mu: Measure, region: Region) -> bool:
     raise TypeError("unknown measure descriptor %r" % (mu,))
 
 
-def check_combination_identities(mu1: Measure, mu2: Measure, words, n: int = 3) -> dict:
+def combination_checks(mu1: Measure, mu2: Measure, words, n: int = 3) -> Iterator[dict]:
     """Predicate-level kernel/essential identities for the half-half convex
-    combination, plus kernel stability under intersection powers of mu1."""
+    combination, plus kernel stability under intersection powers of mu1:
+    one entry per word, judged as the word arrives."""
     half = Dyadic(1, 1)
     conv = Convex(((half, mu1), (half, mu2)))
     ipow = IntersectPower(n, mu1) if isinstance(mu1, CHAIN_TYPES) else None
-    entries = []
-    all_pass = True
     for w in words:
         k1 = kernel_contains(mu1, w)
         k2 = kernel_contains(mu2, w)
@@ -490,18 +489,23 @@ def check_combination_identities(mu1: Measure, mu2: Measure, words, n: int = 3) 
         if ipow is not None:
             kp = kernel_contains(ipow, w)
             ok_power = (kp is CertifiedBool.TRUE) == (k1 is CertifiedBool.TRUE)
-        ok = ok_kernel and ok_essential and ok_power
-        all_pass = all_pass and ok
-        entries.append(
-            {
-                "word": str(w),
-                "kernel_identity": ok_kernel,
-                "essential_identity": ok_essential,
-                "intersect_power_identity": ok_power,
-                "pass": ok,
-            }
-        )
-    return {"n_words": len(entries), "pass": all_pass, "checks": entries}
+        yield {
+            "word": str(w),
+            "kernel_identity": ok_kernel,
+            "essential_identity": ok_essential,
+            "intersect_power_identity": ok_power,
+            "pass": ok_kernel and ok_essential and ok_power,
+        }
+
+
+def check_combination_identities(mu1: Measure, mu2: Measure, words, n: int = 3) -> dict:
+    """combination_checks over a finite word list, with every entry kept."""
+    entries = list(combination_checks(mu1, mu2, words, n))
+    return {
+        "n_words": len(entries),
+        "pass": all(e["pass"] for e in entries),
+        "checks": entries,
+    }
 
 
 def mixing_defect(w1: Word, w2: Word, shift: Word, target_width: Dyadic = None) -> Enclosure:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, List
+from typing import Iterable, Iterator, List
 
 from irslab.dyadic import ONE, Dyadic, one_minus_pow2, pow2
 from irslab.measures import (
@@ -21,7 +21,7 @@ from irslab.measures import (
     IntersectPower,
     ParamFamily,
     Region,
-    check_combination_identities,
+    combination_checks,
     env_prob,
     essential,
     kernel_contains,
@@ -72,6 +72,59 @@ def commutator_pool(max_len: int) -> List[Word]:
     return [
         w for w in iter_reduced_words(max_len) if w.abelianization() == (0, 0)
     ]
+
+
+_STEPS = ((1, 1, 0), (-1, -1, 0), (2, 0, 1), (-2, 0, -1))  # letter, its (p, q)
+
+
+class CommutatorWords:
+    """commutator_pool(max_len) as a sequence that builds only the words it
+    is asked for: words[k] == commutator_pool(max_len)[k].  random.choice
+    draws the same index from it as from the list.
+
+    _walks[r][(p, q, x)] counts the reduced letter strings of length r with
+    exponent sums (p, q) that do not start with the inverse of letter x
+    (x = 0: any start), so word k is found one letter at a time."""
+
+    def __init__(self, max_len: int):
+        self._walks = [{(0, 0, x): 1 for x in (0, 1, -1, 2, -2)}]
+        for r in range(1, max_len + 1):
+            prev = self._walks[-1]
+            self._walks.append({
+                (p, q, x): n
+                for p in range(-r, r + 1)
+                for q in range(-r, r + 1)
+                for x in (0, 1, -1, 2, -2)
+                if (n := sum(prev.get((p - dp, q - dq, y), 0)
+                             for y, dp, dq in _STEPS if y != -x))
+            })
+        self._counts = [self._walks[n].get((0, 0, 0), 0) for n in range(1, max_len + 1)]
+
+    def __len__(self) -> int:
+        return sum(self._counts)
+
+    def __getitem__(self, k: int) -> Word:
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        n = 1
+        for count in self._counts:
+            if k < count:
+                break
+            k -= count
+            n += 1
+        letters = []
+        p = q = x = 0
+        for r in range(n - 1, -1, -1):
+            for y, dp, dq in _STEPS:
+                if y == -x:
+                    continue
+                count = self._walks[r].get((-p - dp, -q - dq, y), 0)
+                if k < count:
+                    break
+                k -= count
+            letters.append(y)
+            p, q, x = p + dp, q + dq, y
+        return Word._raw(tuple(letters))
 
 
 def random_reduced_word(rng: random.Random, max_len: int) -> Word:
@@ -126,7 +179,7 @@ def suite_invariance(
     intersect (invariance holds exactly; enclosures witness it at width)."""
     width = width if width is not None else pow2(21)
     rng = random.Random(seed)
-    pool = commutator_pool(max_len)
+    pool = CommutatorWords(max_len)
     checks = []
     n_fail = 0
     for _ in range(pairs):
@@ -234,17 +287,24 @@ def suite_chain_limits(n_max: int = 10) -> dict:
     }
 
 
+def _combination_words(sample_size: int, seed: int) -> Iterator[Word]:
+    """The suite's words, drawn as they are needed; equal seeds give equal
+    words."""
+    rng = random.Random(seed)
+    pool = CommutatorWords(6)
+    yield IDENTITY
+    yield COMMUTATOR
+    for _ in range(sample_size - 2):
+        if rng.random() < 0.5:
+            yield rng.choice(pool)
+        else:
+            yield random_reduced_word(rng, 8)
+
+
 def suite_combination(sample_size: int = 200, seed: int = DEFAULT_SEED) -> dict:
     """Kernel and essential identities for convex combinations, on the two
-    standard measure pairs."""
-    rng = random.Random(seed)
-    pool = commutator_pool(6)
-    words = [IDENTITY, COMMUTATOR]
-    while len(words) < sample_size:
-        if rng.random() < 0.5:
-            words.append(rng.choice(pool))
-        else:
-            words.append(random_reduced_word(rng, 8))
+    standard measure pairs.  Each pair draws the words afresh from the seed
+    and judges them one at a time, so memory stays flat in sample_size."""
     pairs = [
         ("geom_vs_dirac_trivial", MU_F, DiracTrivial()),
         ("geom_vs_param_quarter", MU_F, ParamFamily(Dyadic(1, 2))),
@@ -252,9 +312,13 @@ def suite_combination(sample_size: int = 200, seed: int = DEFAULT_SEED) -> dict:
     reports = {}
     all_ok = True
     for name, m1, m2 in pairs:
-        rep = check_combination_identities(m1, m2, words)
-        reports[name] = {"n_words": rep["n_words"], "pass": rep["pass"]}
-        all_ok = all_ok and rep["pass"]
+        n_words = 0
+        ok = True
+        for entry in combination_checks(m1, m2, _combination_words(sample_size, seed)):
+            n_words += 1
+            ok = ok and entry["pass"]
+        reports[name] = {"n_words": n_words, "pass": ok}
+        all_ok = all_ok and ok
     return {
         "suite": "combination",
         "params": {"sample_size": sample_size, "seed": seed},

@@ -214,6 +214,42 @@ def reference_certified_product(factors, tail_bound, target_width, factor_cap=10
         count += 1
 
 
+def dyadic_bracket_product(seen, it, tail_bound, target_width, factor_cap, bits, prec):
+    """dyadic._product with the bracket carried as two Dyadics, each
+    product rounded by round_down(prec) / round_up(prec)."""
+    lo = hi = ONE
+    count = 0
+    slack = pow2(bits - 1)
+    while True:
+        tb = tail_bound(count)
+        if tb > ONE:
+            tb = ONE
+        if tb.is_zero():
+            return Exact(lo) if lo == hi else None
+        reached = lo * tb + slack <= target_width
+        if reached and hi * tb + slack > target_width:
+            return None
+        if reached or count >= factor_cap or (f := next(it, None)) is None:
+            keep = ONE - tb
+            lo_end = (lo * keep).round_down(bits)
+            hi_end = hi.round_up(bits)
+            if lo_end != (hi * keep).round_down(bits) or hi_end != lo.round_up(bits):
+                return None
+            return Enclosure(lo_end, hi_end, reached)
+        seen.append(f)
+        if f < ZERO or f > ONE:
+            raise ValueError("product factor %s outside [0, 1]" % (f,))
+        if f.is_zero():
+            return Exact(ZERO)
+        if f != ONE:
+            if prec is None:
+                lo = hi = lo * f
+            else:
+                lo = (lo * f).round_down(prec)
+                hi = (hi * f).round_up(prec)
+        count += 1
+
+
 def dst_constant_interval():
     """Fraction interval pinning prod_{j>=1} (1 - 2^-j) via 40 exact
     factors and the tail inequality."""

@@ -300,6 +300,25 @@ def test_sample_memory_does_not_grow_with_seeds(tmp_path):
     assert large <= small + 256 * 1024, (small, large)
 
 
+def test_verify_combination_memory_does_not_grow_with_words(tmp_path):
+    # each word is drawn and judged as it comes, so ten times the words
+    # costs no more memory
+    def peak(n):
+        tracemalloc.start()
+        try:
+            code = main(["verify", "combination", "--n", str(n), "--seed", "5",
+                         "--out", str(tmp_path / "r.json")])
+            assert code == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200)  # fills the kernels' small memos
+    small, large = peak(200), peak(2000)
+    # holding the words and a dict per word would add about 0.8 MB at 2000
+    assert large <= small + 256 * 1024, (small, large)
+
+
 @pytest.mark.parametrize(
     "suite, n", [("invariance", MAX_INVARIANCE_PAIRS + 1), ("combination", 10**9)]
 )
@@ -307,8 +326,23 @@ def test_verify_n_cap_is_checked_before_any_work(suite, n, monkeypatch, tmp_path
     monkeypatch.setitem(cli.SUITES, suite, lambda **kw: pytest.fail("ran"))
     out = tmp_path / "r.json"
     assert main(["verify", suite, "--n", str(n), "--out", str(out)]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error: --n must lie in [1, ")
+    low = 2 if suite == "combination" else 1
+    assert capsys.readouterr().err.startswith("error: --n must lie in [%d, " % low)
     assert not out.exists()
+
+
+def test_verify_combination_needs_two_words(monkeypatch, tmp_path, capsys):
+    # the suite always checks IDENTITY and COMMUTATOR, so --n 1 cannot be honoured
+    monkeypatch.setitem(cli.SUITES, "combination", lambda **kw: pytest.fail("ran"))
+    out = tmp_path / "r.json"
+    assert main(["verify", "combination", "--n", "1", "--out", str(out)]) == EXIT_PARSE
+    assert "--n must lie in [2, " in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.undo()
+    code, rep = run_cli(["verify", "combination", "--n", "2"], out)
+    assert code == EXIT_OK
+    assert rep["result"]["params"]["sample_size"] == 2
+    assert {p["n_words"] for p in rep["result"]["pairs"].values()} == {2}
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from _helpers import dst_constant_interval, reference_certified_product
+from _helpers import (
+    dst_constant_interval,
+    dyadic_bracket_product,
+    reference_certified_product,
+)
 from irslab import dyadic
 from irslab.dyadic import (
     HALF,
@@ -255,6 +259,52 @@ def test_certified_product_matches_exact_loop():
         cap = rng.choice([1, 5, 10**6])
         got = certified_product(iter(factors), tail, width, cap)
         assert got == reference_certified_product(iter(factors), tail, width, cap), case
+
+
+def test_fixed_point_bracket_matches_the_dyadic_bracket():
+    """_product's integer bracket takes every decision the Dyadic bracket
+    rounded by round_down/round_up takes, at precisions far below the
+    factors' exponents as well as at certified_product's own."""
+    rng = random.Random(14)
+    outcomes = set()
+    for case in range(1500):
+        kind = ("chain", "family", "arbitrary")[case % 3]
+        factors = [_random_factor(rng, kind) for _ in range(rng.randint(0, 60))]
+        tail = _random_tail(rng)
+        width = rng.choice([pow2(rng.randint(0, 128)), Dyadic(rng.randint(1, 7), rng.randint(3, 100))])
+        cap = rng.choice([1, 5, 10**6])
+        bits = width.exp + 64
+        prec = rng.choice([None, bits + 64, rng.randint(1, 16), rng.randint(1, bits + 64)])
+        got_seen, ref_seen = [], []
+        got = dyadic._product(got_seen, iter(factors), tail, width, cap, bits, prec)
+        ref = dyadic_bracket_product(ref_seen, iter(factors), tail, width, cap, bits, prec)
+        assert got == ref, (case, prec)
+        assert got_seen == ref_seen, case
+        outcomes.add(type(got).__name__)
+    assert outcomes == {"Exact", "Enclosure", "NoneType"}
+
+
+def test_fixed_point_bracket_is_the_rounded_product():
+    """With the tail cut after the stream, _product returns Exact exactly
+    when both ends of its bracket agree; at a precision above every partial
+    product's exponent they agree on the exact product."""
+    rng = random.Random(41)
+    for case in range(300):
+        factors = [_random_factor(rng, ("chain", "family")[case % 2]) for _ in range(rng.randint(0, 12))]
+        exact = ONE
+        for f in factors:
+            exact = exact * f
+        n = len(factors)
+
+        def tail(count):
+            return ZERO if count >= n else ONE
+
+        for prec in (4, 64, 5000):
+            got = dyadic._product([], iter(factors), tail, pow2(20), 10**6, 84, prec)
+            ref = dyadic_bracket_product([], iter(factors), tail, pow2(20), 10**6, 84, prec)
+            assert got == ref, (case, prec)
+        if exact.exp <= 5000 or exact.is_zero():
+            assert dyadic._product([], iter(factors), tail, pow2(20), 10**6, 84, 5000) == Exact(exact)
 
 
 # At width 2^-20 the report rounds to 2^-84 and the bracket to 2^-148.  Each

@@ -27,6 +27,7 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import islice
 
 from _helpers import (
@@ -119,6 +120,27 @@ def test_grid_tail_dominates_skipped_ring_bounds():
             assert tail.num << (bits - tail.exp) >= exact + beyond, (count_done, radius)
             n_checks += 1
     assert n_checks > 38000
+
+
+def test_grid_tail_is_the_fraction_sum_of_its_terms():
+    """_grid_tail, summed as integers at its finest exponent, equals its
+    defining series in exact rationals: the rest of ring l0 and rings
+    l0+1 .. l0+6 at 2^-ring_start(l - radius) per coordinate, plus twice
+    the ring l0+7 term."""
+    for radius in range(31):
+        for count_done in range((2 * (radius + 8) + 1) ** 2 + 1):
+            p, q = kernels.spiral_point(count_done + 1)
+            l0 = max(abs(p), abs(q))
+            tail = _grid_tail(count_done, radius)
+            got = Fraction(tail.num, 1 << tail.exp)
+            if l0 <= radius:
+                assert got == 1, (count_done, radius)
+                continue
+            want = Fraction((2 * l0 + 1) ** 2 - count_done, 1 << kernels.ring_start(l0 - radius))
+            for l in range(l0 + 1, l0 + 7):
+                want += Fraction(8 * l, 1 << kernels.ring_start(l - radius))
+            want += Fraction(16 * (l0 + 7), 1 << kernels.ring_start(l0 + 7 - radius))
+            assert got == want, (count_done, radius)
 
 
 def test_depth_matches_linear_scan():

@@ -132,6 +132,20 @@ def test_word_hash_eq():
     assert len({Word.parse("ab"), Word.parse("ab"), Word.parse("ba")}) == 2
 
 
+def test_commutator_words_unrank_the_pool():
+    # seeded suites draw [F,F] words by position through CommutatorWords,
+    # so every position must hold the word commutator_pool puts there
+    from irslab.verify import CommutatorWords, commutator_pool
+
+    for max_len in range(9):
+        pool = commutator_pool(max_len)
+        words = CommutatorWords(max_len)
+        assert len(words) == len(pool)
+        assert [words[k] for k in range(len(pool))] == pool
+        with pytest.raises(IndexError):
+            words[len(pool)]
+
+
 def test_iter_reduced_words_keeps_breadth_first_order():
     # seeded suites draw from commutator_pool by position, so the order of
     # the prefix-and-tail enumeration must match the plain level-by-level one
