@@ -116,13 +116,18 @@ def spiral_index(p, q):
     return base + off
 
 
+def spiral_ring(i):
+    """Ring of spiral index i >= 1: the l with ring_start(l) <= i < ring_start(l + 1)."""
+    return (isqrt(i - 1) + 1) // 2
+
+
 def spiral_point(i):
     """Inverse of spiral_index; i >= 1."""
     if i < 1:
         raise ValueError("spiral index must be >= 1, got %r" % (i,))
     if i == 1:
         return (0, 0)
-    l = (isqrt(i - 1) + 1) // 2
+    l = spiral_ring(i)
     off = i - ((2 * l - 1) * (2 * l - 1) + 1)
     if off <= l:
         return (l, off)

@@ -25,6 +25,7 @@ from irslab import __version__
 from irslab._backend import BACKEND
 from irslab.dyadic import Dyadic, Exact, parse_target_width, pow2
 from irslab.measures import (
+    DEFAULT_FACTOR_CAP,
     INSTANCE_DESCRIPTION,
     MAX_POWER,
     CoinducedProduct,
@@ -413,9 +414,7 @@ def cmd_family(args) -> int:
     rows = [{"a": str(a), "value": v.to_json()} for a, v in zip(a_values, values)]
     not_reached = not all(v.width_reached for v in values)
     strictly_increasing = all(p.hi < c.lo for p, c in zip(values, values[1:]))
-    disjoint = not any(
-        u.interval().intersects(v.interval()) for u, v in itertools.combinations(values, 2)
-    )
+    disjoint = not any(u.intersects(v) for u, v in itertools.combinations(values, 2))
     report = _base_report(
         "family",
         {"a": args.a, "word": str(word), "width": args.width},
@@ -448,11 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate envelope probabilities")
-    p_eval.add_argument("--measure", default="mu_G", help="mu_F | mu_HF | mu_G | mu_aG:<a> | JSON | @file")
+    p_eval.add_argument("--measure", default="mu_G",
+                        help="mu_F | mu_HF | mu_G | mu_aF:<a> | mu_aG:<a> | JSON | @file")
     p_eval.add_argument("--word", action="append", default=None, help="event word (repeatable)")
     p_eval.add_argument("--joint", action="store_true", help="treat all words as one joint event")
     p_eval.add_argument("--width", default="1e-6", help="target enclosure width")
-    p_eval.add_argument("--factor-cap", type=int, default=10**6)
+    p_eval.add_argument("--factor-cap", type=int, default=DEFAULT_FACTOR_CAP)
     p_eval.add_argument("--allow-wide", action="store_true", help="exit 0 even when width was not reached")
     p_eval.add_argument("--out", help="write the JSON report here instead of stdout")
     p_eval.set_defaults(func=cmd_eval)

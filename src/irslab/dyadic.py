@@ -1,9 +1,10 @@
 """Exact dyadic rationals and certified interval enclosures.
 
-Every probability handled by the engine is either an exact dyadic
-(numerator over a power of two, kept in lowest terms) or a certified
-enclosure [lo, hi] whose endpoints are dyadic and which provably contains
-the true value.  Infinite products are enclosed with the tail inequality
+Every probability handled by the engine is a certified enclosure
+[lo, hi] whose endpoints are exact dyadics (numerator over a power of two,
+kept in lowest terms) and which provably contains the true value; an
+exactly known value is the enclosure with lo == hi.  Infinite products
+are enclosed with the tail inequality
 
     prod_{i>I} (1 - x_i)  >=  1 - sum_{i>I} x_i,
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 
 # an optionally signed decimal integer literal, as int() reads it
@@ -274,31 +275,33 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class Exact:
-    """An exactly known probability."""
+class Enclosure(Interval):
+    """A certified interval enclosure of a probability.
 
-    value: Dyadic
+    width_reached is False when a factor cap stopped refinement before the
+    requested width; the enclosure is still sound.
+    """
+
+    width_reached: bool = True
+
+    def is_exact(self) -> bool:
+        return False
+
+    def to_json(self) -> dict:
+        d = super().to_json()
+        d["width_reached"] = self.width_reached
+        return d
+
+
+class Exact(Enclosure):
+    """An exactly known probability: the one-point enclosure [value, value]."""
+
+    def __init__(self, value: Dyadic):
+        super().__init__(value, value)
 
     @property
-    def lo(self) -> Dyadic:
-        return self.value
-
-    @property
-    def hi(self) -> Dyadic:
-        return self.value
-
-    @property
-    def width_reached(self) -> bool:
-        return True
-
-    def width(self) -> Dyadic:
-        return ZERO
-
-    def midpoint(self) -> Dyadic:
-        return self.value
-
-    def interval(self) -> Interval:
-        return Interval(self.value, self.value)
+    def value(self) -> Dyadic:
+        return self.lo
 
     def is_exact(self) -> bool:
         return True
@@ -307,40 +310,7 @@ class Exact:
         return {"exact": str(self.value), "approx": self.value.as_float()}
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """A certified interval enclosure of a probability.
-
-    width_reached is False when a factor cap stopped refinement before the
-    requested width; the enclosure is still sound.
-    """
-
-    lo: Dyadic
-    hi: Dyadic
-    width_reached: bool = True
-
-    def width(self) -> Dyadic:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Dyadic:
-        return (self.lo + self.hi).halve()
-
-    def interval(self) -> Interval:
-        return Interval(self.lo, self.hi)
-
-    def is_exact(self) -> bool:
-        return False
-
-    def to_json(self) -> dict:
-        d = self.interval().to_json()
-        d["width_reached"] = self.width_reached
-        return d
-
-
-ProbabilityValue = Union[Exact, Enclosure]
-
-
-def value_from_json(d: dict) -> ProbabilityValue:
+def value_from_json(d: dict) -> Enclosure:
     if "exact" in d:
         return Exact(Dyadic.parse(d["exact"]))
     return Enclosure(
@@ -353,7 +323,7 @@ def certified_product(
     tail_bound: Callable[[int], Dyadic],
     target_width: Dyadic,
     factor_cap: int = 10**6,
-) -> ProbabilityValue:
+) -> Enclosure:
     """Enclose an infinite product of factors in [0, 1].
 
     tail_bound(I) must be a certified upper bound on

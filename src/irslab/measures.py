@@ -26,7 +26,6 @@ from irslab.dyadic import (
     Dyadic,
     Enclosure,
     Exact,
-    ProbabilityValue,
     certified_product,
     one_minus_pow2,
     pow2,
@@ -264,8 +263,7 @@ def _event_depth(words):
 def _support_radius(words) -> int:
     """Largest ring of a basis index in the words' y-forms.  Spiral indices
     grow ring by ring, so it is the ring of the largest index."""
-    p, q = kernels.spiral_point(max(rewrite_to_y(w).max_index() for w in words))
-    return max(abs(p), abs(q))
+    return kernels.spiral_ring(max(rewrite_to_y(w).max_index() for w in words))
 
 
 def _grid_tail(count_done: int, radius: int) -> Dyadic:
@@ -277,8 +275,7 @@ def _grid_tail(count_done: int, radius: int) -> Dyadic:
     ring l contributes at most 2^-ring_start(l - radius); rings at or
     below the radius carry no bound (returns 1 until they are consumed).
     """
-    p, q = kernels.spiral_point(count_done + 1)
-    l0 = max(abs(p), abs(q))
+    l0 = kernels.spiral_ring(count_done + 1)
     if l0 <= radius:
         return ONE
     # the terms are summed exactly in units of the finest one,
@@ -291,7 +288,7 @@ def _grid_tail(count_done: int, radius: int) -> Dyadic:
     return Dyadic(total + 16 * (l0 + 7), finest)
 
 
-def _coinduced_value(inner, words, target_width, factor_cap) -> ProbabilityValue:
+def _coinduced_value(inner, words, target_width, factor_cap) -> Enclosure:
     """Certified product of the per-coordinate factors of a co-induced
     measure."""
     radius = _support_radius(words)
@@ -303,26 +300,28 @@ def _coinduced_value(inner, words, target_width, factor_cap) -> ProbabilityValue
             return _grid_tail(done, radius)
     else:
         # point masses: factors are exactly one once the ring lower bound
-        # clears the atom level (and exactly zero inside if violated)
-        level = inner.k if isinstance(inner, DiracGamma) else None
+        # clears the atom level (and exactly zero inside if violated); the
+        # trivial subgroup's level is never cleared
+        level = inner.k if isinstance(inner, DiracGamma) else math.inf
 
-        def tail_bound(done, _level=level):
-            p, q = kernels.spiral_point(done + 1)
-            l0 = max(abs(p), abs(q))
-            if _level is not None and l0 > radius and kernels.ring_start(l0 - radius) >= _level:
+        def tail_bound(done):
+            l0 = kernels.spiral_ring(done + 1)
+            if l0 > radius and kernels.ring_start(l0 - radius) >= level:
                 return ZERO
             return ONE
 
     def factors():
-        # the event conjugated back through each transversal element a^p b^q
+        # the event conjugated back through each transversal element a^p b^q;
+        # its words are nontrivial commutator-subgroup words, so every
+        # conjugate depth is finite and at least 1
         walks = [kernels.conjugate_depths(w.letters) for w in words]
         for depths in zip(*walks):
-            yield chain_env_weight(inner, min(d if d else math.inf for d in depths))
+            yield chain_env_weight(inner, min(depths))
 
     return certified_product(factors(), tail_bound, target_width, factor_cap)
 
 
-def _combine_affine(parts) -> ProbabilityValue:
+def _combine_affine(parts) -> Enclosure:
     """Weighted combination of probability values (weights sum to 1)."""
     if all(isinstance(v, Exact) for _, v in parts):
         total = ZERO
@@ -343,7 +342,7 @@ def env_prob(
     words,
     target_width: Dyadic = None,
     factor_cap: int = DEFAULT_FACTOR_CAP,
-) -> ProbabilityValue:
+) -> Enclosure:
     """Probability that a mu-random subgroup contains every word of the
     (finite) event."""
     if target_width is None:
@@ -525,7 +524,7 @@ def mixing_defect(w1: Word, w2: Word, shift: Word, target_width: Dyadic = None) 
     first = env_prob(MU_G, (w1,), part_width)
     second = env_prob(MU_G, (moved,), part_width)
     reached = joint.width_reached and first.width_reached and second.width_reached
-    defect = (joint.interval() - first.interval() * second.interval()).abs()
+    defect = (joint - first * second).abs()
     hi = defect.hi if defect.hi < ONE else ONE
     return Enclosure(defect.lo, hi, reached)
 
@@ -636,8 +635,9 @@ _MEASURE_ALIASES = {"mu_F": MU_F, "mu_HF": MU_F, "mu_G": MU_G}
 
 
 def parse_measure(text: str) -> Measure:
-    """Aliases mu_F / mu_HF / mu_G, mu_aG:<a> for the family, or a JSON
-    descriptor (inline or @file)."""
+    """Aliases mu_F / mu_HF / mu_G, mu_aF:<a> and mu_aG:<a> for the family
+    chain measure and its co-induced measure, or a JSON descriptor (inline
+    or @file)."""
     import json
 
     text = text.strip()

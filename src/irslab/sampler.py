@@ -19,7 +19,7 @@ from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from irslab._backend import kernels
-from irslab.dyadic import ZERO, ONE, Dyadic, ProbabilityValue, pow2
+from irslab.dyadic import ZERO, ONE, Dyadic, Enclosure, pow2
 from irslab.measures import (
     MU_G,
     CoinducedProduct,
@@ -237,7 +237,7 @@ def z_score(frequency: Fraction, p: Fraction, n: int) -> float:
     return float(diff) / sigma
 
 
-def check_z_test_inputs(exact: Sequence[ProbabilityValue], n: int) -> None:
+def check_z_test_inputs(exact: Sequence[Enclosure], n: int) -> None:
     """Raise ValueError unless the z-tests of n samples against these
     probabilities are sound: n reaches MIN_SAMPLE_SEEDS and no enclosure
     is wider than a tenth of its binomial sigma."""
@@ -255,7 +255,7 @@ def check_z_test_inputs(exact: Sequence[ProbabilityValue], n: int) -> None:
 
 def chi_square_report(
     empirical: Sequence[Fraction],
-    exact: Sequence[ProbabilityValue],
+    exact: Sequence[Enclosure],
     n: int,
     labels: Optional[Sequence[str]] = None,
     z_threshold: float = 3.0,

@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, List
 
 from irslab.dyadic import ONE, Dyadic, one_minus_pow2, pow2
 from irslab.measures import (
+    DEFAULT_TARGET_WIDTH,
     MU_F,
     MU_G,
     CertifiedBool,
@@ -177,7 +178,7 @@ def suite_invariance(
 ) -> dict:
     """Envelope enclosures before and after conjugating the event must
     intersect (invariance holds exactly; enclosures witness it at width)."""
-    width = width if width is not None else pow2(21)
+    width = width if width is not None else DEFAULT_TARGET_WIDTH
     rng = random.Random(seed)
     pool = CommutatorWords(max_len)
     checks = []
@@ -188,7 +189,7 @@ def suite_invariance(
         moved = conjugate(g.inverse(), w)
         v1 = env_prob(MU_G, (w,), width)
         v2 = env_prob(MU_G, (moved,), width)
-        ok = v1.interval().intersects(v2.interval())
+        ok = v1.intersects(v2)
         n_fail += 0 if ok else 1
         checks.append(
             {
@@ -210,7 +211,7 @@ def suite_invariance(
 
 def suite_closure(width: Dyadic = None) -> dict:
     """Nontriviality and closure flags of the co-induced measure."""
-    width = width if width is not None else pow2(21)
+    width = width if width is not None else DEFAULT_TARGET_WIDTH
     ess_comm = essential(MU_G, COMMUTATOR, width)
     supp_comm = supported_in(MU_G, Region.COMMUTATOR)
     ess_a = essential(MU_G, A, width)
@@ -330,13 +331,13 @@ def suite_combination(sample_size: int = 200, seed: int = DEFAULT_SEED) -> dict:
 def suite_mixing(shift_exp: int = 10, width: Dyadic = None) -> dict:
     """Independence defect of the shifted pair must vanish below 1e-6
     while the unshifted (dependent) pair stays near p - p^2."""
-    width = width if width is not None else pow2(21)
+    width = width if width is not None else DEFAULT_TARGET_WIDTH
     shifted = mixing_defect(COMMUTATOR, COMMUTATOR, A ** shift_exp, width)
     dependent = mixing_defect(COMMUTATOR, COMMUTATOR, IDENTITY, width)
-    p = env_prob(MU_G, (COMMUTATOR,), pow2(24)).interval()
+    p = env_prob(MU_G, (COMMUTATOR,), pow2(24))
     reference = (p - p * p).abs()
     ok_shifted = shifted.hi.as_fraction() <= Fraction(1, 10**6)
-    ok_dependent = dependent.interval().intersects(reference) and abs(
+    ok_dependent = dependent.intersects(reference) and abs(
         float(dependent.midpoint().as_fraction() - reference.midpoint().as_fraction())
     ) <= 1e-4
     return {

@@ -73,7 +73,7 @@ def test_criterion_02_coinduced_product_enclosure():
     lo_ref, hi_ref = dst_constant_interval()
     ok = (
         v.width().as_fraction() <= ONE_MICRO
-        and v.interval().contains(Fraction("0.2887880951"))
+        and v.contains(Fraction("0.2887880951"))
         and v.lo.as_fraction() <= hi_ref
         and lo_ref <= v.hi.as_fraction()
         and elapsed < 1.0
@@ -162,7 +162,7 @@ def test_criterion_08_parametrized_family():
         ok = ok and prev.hi < cur.lo  # strictly increasing, disjoint enclosures
     v_half = values[3]
     v_mu_g = env_prob(MU_G, COMMUTATOR, WIDTH_1E6)
-    ok = ok and v_half.interval().intersects(v_mu_g.interval())
+    ok = ok and v_half.intersects(v_mu_g)
     verdict(8, ok, "family values strictly increasing, disjoint, matching "
             "2a*prod(1-2^-j); a=1/2 meets mu_G")
 

@@ -161,14 +161,14 @@ def test_certified_product_dst_constant():
             j += 1
 
     v = certified_product(factors(), lambda n: pow2(n), parse_target_width("1e-9"))
-    assert isinstance(v, Enclosure) and v.width_reached
+    assert isinstance(v, Enclosure) and not v.is_exact() and v.width_reached
     assert v.width().as_fraction() <= Fraction(1, 10**9)
     # the enclosure and the oracle interval must overlap ...
     assert v.lo.as_fraction() <= hi_ref and lo_ref <= v.hi.as_fraction()
     # ... and the enclosure sits inside the stated digits
     assert Fraction("0.288788094") <= v.lo.as_fraction()
     assert v.hi.as_fraction() <= Fraction("0.288788096")
-    assert v.interval().contains(Fraction("0.2887880951"))
+    assert v.contains(Fraction("0.2887880951"))
 
 
 def test_certified_product_finite_tail_soundness():
@@ -208,7 +208,7 @@ def test_certified_product_factor_cap_flag():
             j += 1
 
     v = certified_product(factors(), lambda n: pow2(n), pow2(40), factor_cap=5)
-    assert isinstance(v, Enclosure)
+    assert isinstance(v, Enclosure) and not v.is_exact()
     assert not v.width_reached
     assert v.lo <= v.hi
     # still sound
@@ -384,3 +384,18 @@ def test_probability_value_json():
     assert back == enc
     assert enc.midpoint() == HALF
     assert enc.width() == HALF
+
+
+def test_exact_is_the_one_point_enclosure():
+    x = Dyadic(3, 2)
+    e = Exact(x)
+    assert isinstance(e, Enclosure) and e.is_exact() and e.width_reached
+    assert (e.lo, e.hi, e.value) == (x, x, x)
+    assert e.width() == ZERO and e.midpoint() == x
+    assert e.contains(x) and e.intersects(Interval(ZERO, x))
+    # the kind of value is part of its identity, and of its report
+    assert e != Enclosure(x, x) and Enclosure(x, x) != e
+    assert e == Exact(Dyadic(6, 3))
+    assert Enclosure(x, x).to_json() != e.to_json()
+    with pytest.raises(ValueError):
+        Enclosure(ONE, ZERO)

@@ -59,6 +59,7 @@ def test_spiral_round_trip_on_ring_2_pow_22():
         j = kernels.spiral_index(p, q)
         assert kernels.ring_start(big) <= j < kernels.ring_start(big + 1)
         assert kernels.spiral_point(j) == (p, q)
+        assert kernels.spiral_ring(j) == big
 
 
 def test_negation_is_ring_preserving_involution():
@@ -77,10 +78,13 @@ def test_ring_partition_up_to_100():
         assert ring_start(l) == (2 * l - 1) ** 2 + 1
         assert ring_size(l) == 8 * l
         assert ring_start(l) + ring_size(l) == ring_start(l + 1)
+        assert kernels.spiral_ring(ring_start(l)) == l
+        assert kernels.spiral_ring(ring_start(l) - 1) == l - 1
     # every index sits on the ring its start interval says it does
     for i in range(1, 2000):
         l = point(i).ring
         assert ring_start(l) <= i < ring_start(l + 1)
+        assert kernels.spiral_ring(i) == l
 
 
 def test_index_growth_bound():

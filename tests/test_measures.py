@@ -141,20 +141,20 @@ def test_coinduced_value_matches_direct_product_oracle():
     assert v.width().as_fraction() <= Fraction(1, 10**6)
     lo_ref, hi_ref = dst_constant_interval()
     assert v.lo.as_fraction() <= hi_ref and lo_ref <= v.hi.as_fraction()
-    assert v.interval().contains(Fraction("0.2887880951"))
+    assert v.contains(Fraction("0.2887880951"))
     # co-inducing an induced average gives the same value
     induced = descriptor_from_json(
         {"type": "coinduced_product", "inner": induced_json((IDENTITY, COMMUTATOR), MU_F)}
     )
     v2 = env_prob(induced, COMMUTATOR, WIDTH6)
-    assert v2.interval().intersects(v.interval())
+    assert v2.intersects(v)
 
 
 def test_coinduced_single_syllable_words_share_the_constant():
     # the shifted support is still a bijective relabeling of the grid
     for word in (Y2_WORD, expand(y(5)), expand(y(1, 2))):
         v = env_prob(MU_G, word, WIDTH6)
-        assert v.interval().contains(Fraction("0.2887880951"))
+        assert v.contains(Fraction("0.2887880951"))
 
 
 def test_coinduced_param_family_closed_form():
@@ -170,7 +170,7 @@ def test_coinduced_param_family_closed_form():
 
         oracle = certified_product(factors(), lambda n: pow2(max(n, 2)), pow2(30))
         got = env_prob(family_measure(a), COMMUTATOR, pow2(30))
-        assert got.interval().intersects(oracle.interval())
+        assert got.intersects(oracle)
         # equivalently 2a * prod_{j>=1}(1 - 2^-j)
         lo_ref, hi_ref = dst_constant_interval()
         two_a = 2 * a.as_fraction()
@@ -378,7 +378,7 @@ def test_invariance_spot_checks():
         w = random_commutator_word(rng, 6) if rng.random() < 0.7 else random_word(rng, 6)
         v1 = env_prob(MU_G, w, WIDTH6)
         v2 = env_prob(MU_G, conjugate(g.inverse(), w), WIDTH6)
-        assert v1.interval().intersects(v2.interval())
+        assert v1.intersects(v2)
 
 
 def test_faithfulness_small_sweep():
@@ -416,7 +416,7 @@ def test_param_family_agrees_with_geom_at_half():
         assert env_prob(fam, w) == env_prob(MU_F, w)
     vg = env_prob(MU_G, COMMUTATOR, WIDTH6)
     vf = env_prob(family_measure(HALF), COMMUTATOR, WIDTH6)
-    assert vg.interval().intersects(vf.interval())
+    assert vg.intersects(vf)
 
 
 def test_monotone_event_law():
@@ -458,6 +458,7 @@ def test_parse_measure():
     assert parse_measure("mu_G") == MU_G
     assert MU_G == CoinducedProduct(GeomGamma())
     assert parse_measure("mu_aG:1/2^2") == family_measure(Dyadic(1, 2))
+    assert parse_measure("mu_aF:1/4") == ParamFamily(Dyadic(1, 2))
     assert parse_measure('{"type": "geom_gamma"}') == MU_F
     with pytest.raises(ValueError):
         parse_measure("mu_aG:3/4")

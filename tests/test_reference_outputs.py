@@ -1,0 +1,42 @@
+"""The benchmark's default-seed outputs, reproduced in-process.
+
+perfbench/reference.json records, for the seed-1 inputs of each workload,
+the 11 enclosures of enclose, the SHA-256 digests of both sample CSVs and
+faithful's word count and depth histogram.  Every certified value and
+seeded sample is meant to stay bit-identical, so this runs those commands
+through the CLI and compares what they write with the record."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from irslab import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _workloads() -> dict:
+    path = PERFBENCH / "workloads.py"
+    module = {"__name__": "workloads"}
+    exec(compile(path.read_text(), str(path), "exec"), module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["enclose", "sample", "verify"])
+def test_default_seed_outputs_match_the_reference(workload, tmp_path):
+    wl = _workloads()
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    commands = wl["make_commands"](workload, reference["inputs"][workload])
+    if workload == "verify":
+        # the record holds faithful's counts only
+        commands = [c for c in commands if c["key"] == "faithful"]
+    outputs = {}
+    for command in commands:
+        key, argv = command["key"], command["argv"]
+        paths = {flag: str(tmp_path / (key + "." + flag[2:])) for flag in wl["output_flags"](argv)}
+        rc = cli.main(argv + [x for item in paths.items() for x in item])
+        report = json.loads(Path(paths["--out"]).read_text())
+        assert rc in wl["allowed_exit_codes"](key, report), key
+        outputs[key] = {"report": report, "csv": paths.get("--csv")}
+    assert wl["reference_entry"](workload, outputs) == reference[workload]
