@@ -30,7 +30,6 @@ from irslab.measures import (  # noqa: F401
     Pushforward,
     Region,
     chain_env_weight,
-    check_combination_identities,
     env_prob,
     essential,
     family_measure,

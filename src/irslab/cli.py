@@ -28,7 +28,6 @@ from irslab.measures import (
     DEFAULT_FACTOR_CAP,
     INSTANCE_DESCRIPTION,
     MAX_POWER,
-    CoinducedProduct,
     env_prob,
     family_measure,
     descriptor_to_json,
@@ -40,6 +39,7 @@ from irslab.sampler import (
     check_z_test_inputs,
     chi_square_report,
     membership_matrix,
+    sampled_inner,
     word_window,
 )
 from irslab.verify import SUITES, DEFAULT_SEED
@@ -328,13 +328,15 @@ def _suite_kwargs(args) -> dict:
 
 def cmd_sample(args) -> int:
     measure = _parse_measure(args.measure)
+    try:
+        sampled_inner(measure)
+    except ValueError as exc:
+        raise CliError("--measure: %s" % (exc,)) from None
     words = _parse_words(args.word)
     if len(words) > MAX_SAMPLE_WORDS:
         raise CliError(
             "--word may be given at most %d times, got %d" % (MAX_SAMPLE_WORDS, len(words))
         )
-    if not isinstance(measure, CoinducedProduct):
-        raise CliError("sampling requires a co-induced measure")
     _check_range("--n", args.n, MIN_SAMPLE_SEEDS, MAX_SAMPLE_SEEDS)
     _check_range("--tolerance-exp", args.tolerance_exp, 1, MAX_TOLERANCE_EXP)
     n = args.n if args.n is not None else 10000
@@ -397,16 +399,18 @@ def cmd_sample(args) -> int:
 
 
 def cmd_family(args) -> int:
-    try:
-        width = _parse_width(args.width)
-        word = Word.parse(args.word[0]) if args.word else None
-        a_values = [Dyadic.parse(t) for t in args.a]
-    except (ValueError, IndexError) as exc:
-        raise CliError(str(exc)) from None
-    if word is None:
+    if not args.word:
         raise CliError("--word is required")
-    if not a_values:
+    if len(args.word) > 1:
+        raise CliError("--word may be given once for family, got %d" % len(args.word))
+    if not args.a:
         raise CliError("at least one --a is required")
+    width = _parse_width(args.width)
+    try:
+        word = Word.parse(args.word[0])
+        a_values = [Dyadic.parse(t) for t in args.a]
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     try:
         values = [env_prob(family_measure(a), (word,), width) for a in a_values]
     except ValueError as exc:

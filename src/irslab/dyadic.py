@@ -172,18 +172,6 @@ class Dyadic:
     def halve(self) -> "Dyadic":
         return Dyadic(self.num, self.exp + 1)
 
-    def round_down(self, bits: int) -> "Dyadic":
-        """Largest multiple of 2^-bits that is <= self."""
-        if self.exp <= bits:
-            return self
-        return Dyadic(self.num >> (self.exp - bits), bits)
-
-    def round_up(self, bits: int) -> "Dyadic":
-        """Smallest multiple of 2^-bits that is >= self."""
-        if self.exp <= bits:
-            return self
-        return Dyadic(-((-self.num) >> (self.exp - bits)), bits)
-
 
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
@@ -310,19 +298,15 @@ class Exact(Enclosure):
         return {"exact": str(self.value), "approx": self.value.as_float()}
 
 
-def value_from_json(d: dict) -> Enclosure:
-    if "exact" in d:
-        return Exact(Dyadic.parse(d["exact"]))
-    return Enclosure(
-        Dyadic.parse(d["lo"]), Dyadic.parse(d["hi"]), bool(d.get("width_reached", True))
-    )
+# factors a certified product may consume before it stops, flagged
+DEFAULT_FACTOR_CAP = 10**6
 
 
 def certified_product(
     factors: Iterable[Dyadic],
     tail_bound: Callable[[int], Dyadic],
     target_width: Dyadic,
-    factor_cap: int = 10**6,
+    factor_cap: int = DEFAULT_FACTOR_CAP,
 ) -> Enclosure:
     """Enclose an infinite product of factors in [0, 1].
 
@@ -367,9 +351,10 @@ def _product(seen, it, tail_bound, target_width, factor_cap, bits, prec):
     None).  Appends each factor it pulls to seen; returns None when the
     bracket's ends disagree on a decision.
 
-    The bracket is two integers over one scale, P in [lo, hi] / 2^e.  The
-    ends are the values round_down(prec) and round_up(prec) give, and
-    Dyadics are built only for the result."""
+    The bracket is two integers over one scale, P in [lo, hi] / 2^e.  Each
+    product of an end with a factor is rounded to a multiple of 2^-prec:
+    lo to its floor and hi to its ceiling.  Dyadics are built only for the
+    result."""
     lo = hi = 1
     e = 0
     count = 0

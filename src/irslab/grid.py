@@ -39,9 +39,6 @@ class GridPoint(NamedTuple):
         return "%d,%d" % (self.p, self.q)
 
 
-ORIGIN = GridPoint(0, 0)
-
-
 def idx(x) -> int:
     """Spiral index of a grid point; bijective with point()."""
     p, q = x
@@ -62,10 +59,6 @@ def ring_start(l: int) -> int:
     This lower bound drives the certified tails of the infinite products.
     """
     return kernels.ring_start(l)
-
-
-def ring_size(l: int) -> int:
-    return 8 * l if l >= 1 else 1
 
 
 def transversal_word(x) -> Word:

@@ -21,6 +21,7 @@ from typing import Iterator, Tuple, Union
 
 from irslab._backend import kernels
 from irslab.dyadic import (
+    DEFAULT_FACTOR_CAP,
     ZERO,
     ONE,
     Dyadic,
@@ -39,7 +40,6 @@ FAMILY_STEP = 2
 FAMILY_HEAD_MASS = Dyadic(3, 2)
 
 DEFAULT_TARGET_WIDTH = pow2(21)
-DEFAULT_FACTOR_CAP = 10**6
 # an exact power value has n times the bits of the chain CDF, so the
 # report of a deep word grows with n; verify chain-limits evaluates and
 # prints every power up to its --n, and took 0.12 s at 1000
@@ -413,8 +413,6 @@ def kernel_contains(mu: Measure, w: Word, target_width: Dyadic = None) -> Certif
         return CertifiedBool.FALSE
     if not isinstance(v, Exact):
         v = env_prob(mu, event, target_width)
-    if isinstance(v, Exact):
-        return CertifiedBool.TRUE if v.value == ONE else CertifiedBool.FALSE
     if v.hi < ONE:
         return CertifiedBool.FALSE
     if v.lo == ONE:
@@ -425,8 +423,6 @@ def kernel_contains(mu: Measure, w: Word, target_width: Dyadic = None) -> Certif
 def essential(mu: Measure, w: Word, target_width: Dyadic = None) -> CertifiedBool:
     """Whether w is essential for mu, i.e. mu(Env w) > 0."""
     v = env_prob(mu, (w,), target_width)
-    if isinstance(v, Exact):
-        return CertifiedBool.TRUE if v.value > ZERO else CertifiedBool.FALSE
     if v.lo > ZERO:
         return CertifiedBool.TRUE
     if v.hi.is_zero():
@@ -495,16 +491,6 @@ def combination_checks(mu1: Measure, mu2: Measure, words, n: int = 3) -> Iterato
             "intersect_power_identity": ok_power,
             "pass": ok_kernel and ok_essential and ok_power,
         }
-
-
-def check_combination_identities(mu1: Measure, mu2: Measure, words, n: int = 3) -> dict:
-    """combination_checks over a finite word list, with every entry kept."""
-    entries = list(combination_checks(mu1, mu2, words, n))
-    return {
-        "n_words": len(entries),
-        "pass": all(e["pass"] for e in entries),
-        "checks": entries,
-    }
 
 
 def mixing_defect(w1: Word, w2: Word, shift: Word, target_width: Dyadic = None) -> Enclosure:

@@ -19,7 +19,7 @@ from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from irslab._backend import kernels
-from irslab.dyadic import ZERO, ONE, Dyadic, Enclosure, pow2
+from irslab.dyadic import Dyadic, Enclosure, pow2
 from irslab.measures import (
     MU_G,
     CoinducedProduct,
@@ -28,7 +28,6 @@ from irslab.measures import (
     ParamFamily,
     _grid_tail,
     _support_radius,
-    chain_env_weight,
 )
 from irslab.words import Word
 
@@ -37,31 +36,17 @@ DEFAULT_TOLERANCE_EXP = 60
 # fewest seeds for which the z-tests' normal approximation is used
 MIN_SAMPLE_SEEDS = 100
 
-# 0.9973 quantiles (the two-sided 3-sigma level) of chi-square, df 1..15
-_CHI2_Q9973 = [
-    8.999861956749672,
-    11.82900701194368,
-    14.1562525005409,
-    16.251171152210564,
-    18.205136741736066,
-    20.061901972375512,
-    21.84639107125362,
-    23.574394426213484,
-    25.256663611356526,
-    26.900911788614067,
-    28.512896011076947,
-    30.097049086891978,
-    31.656870891079826,
-    33.19518240734935,
-    34.714297143777436,
-]
 
-
-def _unwrap_inner(mu: Measure):
-    """Chain inner of a co-induced descriptor."""
+def sampled_inner(mu: Measure):
+    """The chain inner whose levels a sample of mu draws; ValueError unless
+    mu is co-induced over GeomGamma or ParamFamily."""
     if not isinstance(mu, CoinducedProduct):
-        raise ValueError("sampling is defined for co-induced descriptors only")
-    inner = mu.inner
+        raise ValueError("sampling requires a co-induced measure")
+    return _drawable(mu.inner)
+
+
+def _drawable(inner):
+    """inner, once checked to be a chain measure whose levels can be drawn."""
     if not isinstance(inner, (GeomGamma, ParamFamily)):
         raise ValueError(
             "sampling supports GeomGamma or ParamFamily coordinates, got %r"
@@ -111,11 +96,7 @@ class SampledSubgroup:
     def __init__(self, inner, seed: int, tolerance_exp: int = DEFAULT_TOLERANCE_EXP):
         if tolerance_exp < 1:
             raise ValueError("tolerance exponent must be >= 1")
-        if not isinstance(inner, (GeomGamma, ParamFamily)):
-            raise ValueError(
-                "coordinates can be drawn for GeomGamma or ParamFamily only"
-            )
-        self.inner = inner
+        self.inner = _drawable(inner)
         self.seed = seed & kernels.MASK64
         self.tolerance_exp = tolerance_exp
         self.resolved: Dict[int, int] = {}
@@ -170,7 +151,7 @@ class SampledSubgroup:
 
 def sample(mu: Measure, seed: int, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> SampledSubgroup:
     """Draw the random subgroup determined by (mu, seed)."""
-    return SampledSubgroup(_unwrap_inner(mu), seed, tolerance_exp)
+    return SampledSubgroup(sampled_inner(mu), seed, tolerance_exp)
 
 
 def membership_window(radius: int, tolerance_exp: int) -> int:
@@ -205,7 +186,7 @@ def membership_matrix(
 ) -> Iterator[List[bool]]:
     """Yield, seed by seed, whether each word lies in the subgroup sampled
     from (mu, seed)."""
-    inner = _unwrap_inner(mu)
+    inner = sampled_inner(mu)
     cells: list = []  # per word: its fixed answer, or its profile to scan
     for w in words:
         if w.is_identity():
@@ -282,51 +263,3 @@ def chi_square_report(
             }
         )
     return {"n": n, "z_threshold": z_threshold, "pass": all_pass, "cells": rows}
-
-
-def coordinate_chi_square(
-    seeds: Iterable[int],
-    coordinate: int = 1,
-    inner=None,
-    max_bin: int = 10,
-) -> dict:
-    """Goodness of fit of the sampled chain level at one coordinate against
-    its exact law, at the 3-sigma-equivalent chi-square level."""
-    if inner is None:
-        inner = GeomGamma()
-    if not isinstance(inner, (GeomGamma, ParamFamily)):
-        raise ValueError("sampleable chain inner required")
-    if not 1 <= max_bin <= len(_CHI2_Q9973):
-        raise ValueError("max_bin must lie in 1..%d, got %r" % (len(_CHI2_Q9973), max_bin))
-    counts: Dict[int, int] = {}
-    n = 0
-    for seed in seeds:
-        s = SampledSubgroup(inner, seed)
-        k = s.coordinate(coordinate)
-        bin_k = min(k, max_bin + 1)
-        counts[bin_k] = counts.get(bin_k, 0) + 1
-        n += 1
-    stat = 0.0
-    prev_cdf = ZERO
-    for k in range(1, max_bin + 2):
-        if k <= max_bin:
-            cdf = chain_env_weight(inner, k)
-            p = cdf - prev_cdf
-            prev_cdf = cdf
-        else:
-            p = ONE - prev_cdf
-        expected = float(p.as_fraction()) * n
-        observed = counts.get(k, 0)
-        if expected > 0:
-            stat += (observed - expected) ** 2 / expected
-        elif observed:
-            stat = math.inf
-    df = max_bin  # max_bin + 1 cells
-    threshold = _CHI2_Q9973[df - 1]
-    return {
-        "n": n,
-        "df": df,
-        "statistic": stat,
-        "threshold": threshold,
-        "pass": stat <= threshold,
-    }

@@ -68,20 +68,14 @@ def iter_reduced_words(max_len: int) -> Iterable[Word]:
                 yield Word._raw(prefix + tail)
 
 
-def commutator_pool(max_len: int) -> List[Word]:
-    """Nontrivial commutator-subgroup words of length <= max_len."""
-    return [
-        w for w in iter_reduced_words(max_len) if w.abelianization() == (0, 0)
-    ]
-
-
 _STEPS = ((1, 1, 0), (-1, -1, 0), (2, 0, 1), (-2, 0, -1))  # letter, its (p, q)
 
 
 class CommutatorWords:
-    """commutator_pool(max_len) as a sequence that builds only the words it
-    is asked for: words[k] == commutator_pool(max_len)[k].  random.choice
-    draws the same index from it as from the list.
+    """The nontrivial [F,F] words of length <= max_len, shortest first and
+    in letter order a, A, b, B within each length, as a sequence that
+    builds only the words it is asked for.  random.choice draws the same
+    index from it as from the list of those words.
 
     _walks[r][(p, q, x)] counts the reduced letter strings of length r with
     exponent sums (p, q) that do not start with the inverse of letter x

@@ -7,31 +7,9 @@ empty string denoting the identity.
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable, Iterator
 
 from irslab._backend import kernels
-
-
-class Generator(enum.IntEnum):
-    """The four generator letters, as their kernel-level integer codes."""
-
-    A = 1
-    B = 2
-    A_INV = -1
-    B_INV = -2
-
-    @property
-    def base(self) -> str:
-        return "a" if abs(self.value) == 1 else "b"
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.value > 0 else -1
-
-    @property
-    def inverse(self) -> "Generator":
-        return Generator(-self.value)
 
 
 _CHAR_TO_LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
@@ -69,10 +47,6 @@ class Word:
     @property
     def letters(self) -> tuple:
         return self._letters
-
-    @property
-    def generators(self) -> tuple:
-        return tuple(Generator(x) for x in self._letters)
 
     def is_identity(self) -> bool:
         return not self._letters
@@ -123,26 +97,9 @@ B = Word((2,))
 COMMUTATOR = Word((1, 2, -1, -2))  # [a,b] = a b a^-1 b^-1
 
 
-def reduce(letters: Iterable[int]) -> Word:
-    """Freely reduce a raw generator sequence."""
-    return Word(letters)
-
-
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
-
-
 def conjugate(g: Word, w: Word) -> Word:
     """g w g^-1."""
     return Word._raw(kernels.conj_word(g.letters, w.letters))
-
-
-def abelianize(w: Word) -> tuple:
-    return w.abelianization()
 
 
 def commutator(u: Word, v: Word) -> Word:

@@ -57,10 +57,6 @@ class YWord:
     def is_identity(self) -> bool:
         return not self._syllables
 
-    def support(self) -> tuple:
-        """Sorted distinct basis indices appearing in the word."""
-        return tuple(sorted({i for i, _ in self._syllables}))
-
     def max_index(self) -> int:
         return max((i for i, _ in self._syllables), default=0)
 
@@ -144,12 +140,6 @@ def depth(w: Word):
     if not letters:
         return math.inf
     return kernels.depth_syllables(kernels.rewrite_syllables(letters))
-
-
-def depth_of_y(v: YWord):
-    if v.is_identity():
-        return math.inf
-    return kernels.depth_syllables(v.syllables)
 
 
 def in_gamma(w: Word, k: int) -> bool:

@@ -7,7 +7,9 @@ from math import inf
 
 from irslab._backend import kernels
 
-from irslab.dyadic import ONE, ZERO, Dyadic, Enclosure, Exact, pow2
+from irslab.dyadic import DEFAULT_FACTOR_CAP, ONE, ZERO, Dyadic, Enclosure, Exact, pow2
+from irslab.measures import GeomGamma, chain_env_weight, combination_checks
+from irslab.sampler import SampledSubgroup
 from irslab.words import Word
 from irslab.ywords import YWord
 
@@ -59,6 +61,12 @@ def iter_reduced(max_len: int):
                 nxt.append(nw)
                 yield Word._raw(nw)
         frontier = nxt
+
+
+def commutator_pool(max_len: int):
+    """Nontrivial commutator-subgroup words of length <= max_len, in the
+    order of iter_reduced."""
+    return [w for w in iter_reduced(max_len) if w.abelianization() == (0, 0)]
 
 
 def linear_scan_depth(sylls) -> int:
@@ -177,7 +185,21 @@ def partial_product_interval(exps, tail: Fraction):
     return prod * (1 - tail), prod
 
 
-def reference_certified_product(factors, tail_bound, target_width, factor_cap=10**6):
+def round_down(d: Dyadic, bits: int) -> Dyadic:
+    """Largest multiple of 2^-bits that is <= d."""
+    if d.exp <= bits:
+        return d
+    return Dyadic(d.num >> (d.exp - bits), bits)
+
+
+def round_up(d: Dyadic, bits: int) -> Dyadic:
+    """Smallest multiple of 2^-bits that is >= d."""
+    if d.exp <= bits:
+        return d
+    return Dyadic(-((-d.num) >> (d.exp - bits)), bits)
+
+
+def reference_certified_product(factors, tail_bound, target_width, factor_cap=DEFAULT_FACTOR_CAP):
     """certified_product with the partial product kept exact throughout."""
     it = iter(factors)
     prod = ONE
@@ -185,8 +207,8 @@ def reference_certified_product(factors, tail_bound, target_width, factor_cap=10
     bits = target_width.exp + 64
 
     def enclose(tb: Dyadic, reached: bool) -> Enclosure:
-        lo = (prod * (ONE - tb)).round_down(bits)
-        hi = prod.round_up(bits)
+        lo = round_down(prod * (ONE - tb), bits)
+        hi = round_up(prod, bits)
         if lo < ZERO:
             lo = ZERO
         return Enclosure(lo, hi, reached)
@@ -216,7 +238,7 @@ def reference_certified_product(factors, tail_bound, target_width, factor_cap=10
 
 def dyadic_bracket_product(seen, it, tail_bound, target_width, factor_cap, bits, prec):
     """dyadic._product with the bracket carried as two Dyadics, each
-    product rounded by round_down(prec) / round_up(prec)."""
+    product rounded by round_down / round_up at prec."""
     lo = hi = ONE
     count = 0
     slack = pow2(bits - 1)
@@ -231,9 +253,9 @@ def dyadic_bracket_product(seen, it, tail_bound, target_width, factor_cap, bits,
             return None
         if reached or count >= factor_cap or (f := next(it, None)) is None:
             keep = ONE - tb
-            lo_end = (lo * keep).round_down(bits)
-            hi_end = hi.round_up(bits)
-            if lo_end != (hi * keep).round_down(bits) or hi_end != lo.round_up(bits):
+            lo_end = round_down(lo * keep, bits)
+            hi_end = round_up(hi, bits)
+            if lo_end != round_down(hi * keep, bits) or hi_end != round_up(lo, bits):
                 return None
             return Enclosure(lo_end, hi_end, reached)
         seen.append(f)
@@ -245,8 +267,8 @@ def dyadic_bracket_product(seen, it, tail_bound, target_width, factor_cap, bits,
             if prec is None:
                 lo = hi = lo * f
             else:
-                lo = (lo * f).round_down(prec)
-                hi = (hi * f).round_up(prec)
+                lo = round_down(lo * f, prec)
+                hi = round_up(hi * f, prec)
         count += 1
 
 
@@ -329,3 +351,74 @@ def scalar_member_scan(draw, depths) -> bool:
         if d and draw(i) > d:
             return False
     return True
+
+
+def check_combination_identities(mu1, mu2, words, n: int = 3) -> dict:
+    """combination_checks over a finite word list, with every entry kept."""
+    entries = list(combination_checks(mu1, mu2, words, n))
+    return {
+        "n_words": len(entries),
+        "pass": all(e["pass"] for e in entries),
+        "checks": entries,
+    }
+
+
+# 0.9973 quantiles (the two-sided 3-sigma level) of chi-square, df 1..15
+CHI2_Q9973 = [
+    8.999861956749672,
+    11.82900701194368,
+    14.1562525005409,
+    16.251171152210564,
+    18.205136741736066,
+    20.061901972375512,
+    21.84639107125362,
+    23.574394426213484,
+    25.256663611356526,
+    26.900911788614067,
+    28.512896011076947,
+    30.097049086891978,
+    31.656870891079826,
+    33.19518240734935,
+    34.714297143777436,
+]
+
+
+def coordinate_chi_square(seeds, coordinate: int = 1, inner=None, max_bin: int = 10) -> dict:
+    """Goodness of fit of the sampled chain level at one coordinate against
+    its exact law, at the 3-sigma-equivalent chi-square level.  The levels
+    come from SampledSubgroup, which rejects an inner it cannot draw."""
+    if inner is None:
+        inner = GeomGamma()
+    if not 1 <= max_bin <= len(CHI2_Q9973):
+        raise ValueError("max_bin must lie in 1..%d, got %r" % (len(CHI2_Q9973), max_bin))
+    counts = {}
+    n = 0
+    for seed in seeds:
+        k = SampledSubgroup(inner, seed).coordinate(coordinate)
+        bin_k = min(k, max_bin + 1)
+        counts[bin_k] = counts.get(bin_k, 0) + 1
+        n += 1
+    stat = 0.0
+    prev_cdf = ZERO
+    for k in range(1, max_bin + 2):
+        if k <= max_bin:
+            cdf = chain_env_weight(inner, k)
+            p = cdf - prev_cdf
+            prev_cdf = cdf
+        else:
+            p = ONE - prev_cdf
+        expected = float(p.as_fraction()) * n
+        observed = counts.get(k, 0)
+        if expected > 0:
+            stat += (observed - expected) ** 2 / expected
+        elif observed:
+            stat = inf
+    df = max_bin  # max_bin + 1 cells
+    threshold = CHI2_Q9973[df - 1]
+    return {
+        "n": n,
+        "df": df,
+        "statistic": stat,
+        "threshold": threshold,
+        "pass": stat <= threshold,
+    }

@@ -8,7 +8,13 @@ import random
 import time
 from fractions import Fraction
 
-from _helpers import dst_constant_interval, random_commutator_word, random_yword
+from _helpers import (
+    check_combination_identities,
+    commutator_pool,
+    dst_constant_interval,
+    random_commutator_word,
+    random_yword,
+)
 from irslab.cli import EXIT_OK, main
 from irslab.dyadic import Dyadic, Exact, parse_target_width
 from irslab.measures import (
@@ -20,7 +26,6 @@ from irslab.measures import (
     IntersectPower,
     ParamFamily,
     Region,
-    check_combination_identities,
     env_prob,
     essential,
     family_measure,
@@ -28,7 +33,6 @@ from irslab.measures import (
     supported_in,
 )
 from irslab.verify import (
-    commutator_pool,
     random_reduced_word,
     suite_faithful,
     suite_invariance,

@@ -405,6 +405,22 @@ def test_family_rejects_boundary(tmp_path):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["family", "--a", "1/4", "--word", "abAB", "--word", "aabABA"],
+        ["family", "--word", "abAB"],
+    ],
+)
+def test_family_rejects_bad_flags_before_any_work(args, monkeypatch, tmp_path, capsys):
+    # family evaluates one word, at one or more values of --a
+    monkeypatch.setattr(cli, "env_prob", lambda *args, **kw: pytest.fail("evaluated"))
+    out = tmp_path / "r.json"
+    assert main(args + ["--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_config_file_merging(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"measure": "mu_F", "word": ["abAB"]}))
@@ -445,6 +461,14 @@ def test_config_file_merging(tmp_path):
         argv = [] if "word" in bad else ["--word", "abAB"]
         assert main(["--config", str(cfg), "eval", "--out", str(out)] + argv) == EXIT_PARSE
         assert not out.exists()
+    # family's --word is a list in a config too, of exactly one word
+    cfg.write_text(json.dumps({"word": ["abAB"]}))
+    assert main(["--config", str(cfg), "family", "--a", "1/4", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["config"]["word"] == "abAB"
+    out.unlink()
+    cfg.write_text(json.dumps({"word": ["abAB", "aabABA"]}))
+    assert main(["--config", str(cfg), "family", "--a", "1/4", "--out", str(out)]) == EXIT_PARSE
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -559,6 +583,16 @@ def test_verify_bad_width_is_parse_error():
 
 def test_sample_missing_measure_file_is_parse_error():
     assert main(["sample", "--n", "200", "--word", "abAB", "--measure", "@/nonexistent.json"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("inner", ['{"type":"dirac_gamma","k":2}', '{"type":"dirac_trivial"}'])
+def test_sample_rejects_an_inner_it_cannot_draw(inner, tmp_path, capsys):
+    out, csv_path = tmp_path / "r.json", tmp_path / "m.csv"
+    measure = '{"type":"coinduced_product","inner":%s}' % inner
+    args = ["sample", "--measure", measure, "--word", "abAB", "--n", "100"]
+    assert main(args + ["--out", str(out), "--csv", str(csv_path)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: --measure: ")
+    assert not out.exists() and not csv_path.exists()
 
 
 def test_sample_family_measure(tmp_path):

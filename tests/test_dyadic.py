@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -10,6 +11,8 @@ from _helpers import (
     dst_constant_interval,
     dyadic_bracket_product,
     reference_certified_product,
+    round_down,
+    round_up,
 )
 from irslab import dyadic
 from irslab.dyadic import (
@@ -25,7 +28,6 @@ from irslab.dyadic import (
     one_minus_pow2,
     parse_target_width,
     pow2,
-    value_from_json,
 )
 
 dyadic_st = st.builds(
@@ -111,12 +113,12 @@ def test_not_dyadic_carries_the_text_and_the_value():
 
 def test_rounding():
     d = Dyadic(5, 4)  # 0.3125
-    assert d.round_down(2) == Dyadic(1, 2)
-    assert d.round_up(2) == Dyadic(2, 2)
-    assert d.round_down(8) == d
+    assert round_down(d, 2) == Dyadic(1, 2)
+    assert round_up(d, 2) == Dyadic(2, 2)
+    assert round_down(d, 8) == d
     neg = Dyadic(-5, 4)
-    assert neg.round_down(2) == Dyadic(-2, 2)
-    assert neg.round_up(2) == Dyadic(-1, 2)
+    assert round_down(neg, 2) == Dyadic(-2, 2)
+    assert round_up(neg, 2) == Dyadic(-1, 2)
 
 
 def test_one_minus_pow2():
@@ -216,6 +218,16 @@ def test_certified_product_factor_cap_flag():
     assert v.lo.as_fraction() <= lo_ref and hi_ref <= v.hi.as_fraction()
 
 
+def test_factor_cap_default_is_stated_once():
+    from irslab import cli, measures
+
+    cap = dyadic.DEFAULT_FACTOR_CAP
+    assert inspect.signature(certified_product).parameters["factor_cap"].default == cap
+    assert inspect.signature(measures.env_prob).parameters["factor_cap"].default == cap
+    assert measures.DEFAULT_FACTOR_CAP is cap
+    assert cli.build_parser().parse_args(["eval"]).factor_cap == cap
+
+
 def test_certified_product_rejects_bad_factors():
     with pytest.raises(ValueError):
         certified_product(iter([Dyadic(3, 1)]), lambda n: ONE, pow2(4))
@@ -263,7 +275,7 @@ def test_certified_product_matches_exact_loop():
 
 def test_fixed_point_bracket_matches_the_dyadic_bracket():
     """_product's integer bracket takes every decision the Dyadic bracket
-    rounded by round_down/round_up takes, at precisions far below the
+    rounded by the round_down/round_up oracles takes, at precisions far below the
     factors' exponents as well as at certified_product's own."""
     rng = random.Random(14)
     outcomes = set()
@@ -378,10 +390,14 @@ def test_interval_ops():
 def test_probability_value_json():
     e = Exact(Dyadic(3, 2))
     assert e.to_json() == {"exact": "3/2^2", "approx": 0.75}
-    assert value_from_json(e.to_json()) == e
     enc = Enclosure(Dyadic(1, 2), Dyadic(3, 2), False)
-    back = value_from_json(enc.to_json())
-    assert back == enc
+    assert enc.to_json() == {
+        "lo": "1/2^2",
+        "hi": "3/2^2",
+        "lo_approx": 0.25,
+        "hi_approx": 0.75,
+        "width_reached": False,
+    }
     assert enc.midpoint() == HALF
     assert enc.width() == HALF
 

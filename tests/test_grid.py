@@ -3,11 +3,9 @@ import pytest
 from irslab import _purekernels as kernels
 from irslab.grid import (
     GridPoint,
-    ORIGIN,
     coset,
     idx,
     point,
-    ring_size,
     ring_start,
     transversal_word,
     transversal_word_at,
@@ -25,7 +23,7 @@ def test_idx_examples():
 
 
 def test_point_examples():
-    assert point(1) == ORIGIN
+    assert point(1) == GridPoint(0, 0)
     assert point(5) == GridPoint(-1, 1)
     assert point(10) == GridPoint(2, 0)
     with pytest.raises(ValueError):
@@ -73,11 +71,11 @@ def test_negation_is_ring_preserving_involution():
 
 
 def test_ring_partition_up_to_100():
-    assert ring_start(0) == 1 and ring_size(0) == 1
+    # ring 0 is the origin alone, and ring l >= 1 holds 8l points
+    assert ring_start(0) == 1 and ring_start(1) == 2
     for l in range(1, 101):
         assert ring_start(l) == (2 * l - 1) ** 2 + 1
-        assert ring_size(l) == 8 * l
-        assert ring_start(l) + ring_size(l) == ring_start(l + 1)
+        assert ring_start(l) + 8 * l == ring_start(l + 1)
         assert kernels.spiral_ring(ring_start(l)) == l
         assert kernels.spiral_ring(ring_start(l) - 1) == l - 1
     # every index sits on the ring its start interval says it does

@@ -32,6 +32,7 @@ from itertools import islice
 
 from _helpers import (
     _reference_rewrite_from,
+    commutator_pool,
     linear_scan_depth,
     random_reduced_letters,
     random_yword,
@@ -40,7 +41,6 @@ from _helpers import (
 from irslab._backend import kernels
 from irslab.grid import transversal_word
 from irslab.measures import _grid_tail, _support_radius
-from irslab.verify import commutator_pool
 from irslab.words import COMMUTATOR, Word, conjugate
 from irslab.ywords import YWord, depth, expand, y
 

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from _helpers import dst_constant_interval, iter_reduced, random_commutator_word, random_word
+from _helpers import (
+    check_combination_identities,
+    dst_constant_interval,
+    iter_reduced,
+    random_commutator_word,
+    random_word,
+)
 from irslab.dyadic import HALF, ONE, ZERO, Dyadic, Exact, certified_product, one_minus_pow2, pow2
 from irslab.grid import idx, point
 from irslab.measures import (
@@ -24,7 +30,6 @@ from irslab.measures import (
     Pushforward,
     Region,
     chain_env_weight,
-    check_combination_identities,
     descriptor_from_json,
     descriptor_to_json,
     env_prob,
@@ -287,6 +292,30 @@ def _kernel_verdict_by_definition(mu, w):
     return CertifiedBool.TRUE if v.lo == ONE else CertifiedBool.UNKNOWN
 
 
+def _essential_verdict_by_definition(mu, w):
+    """mu(Env w) > 0, read off one full evaluation."""
+    v = env_prob(mu, (w,))
+    if isinstance(v, Exact):
+        return CertifiedBool.TRUE if v.value > ZERO else CertifiedBool.FALSE
+    if v.lo > ZERO:
+        return CertifiedBool.TRUE
+    return CertifiedBool.FALSE if v.hi == ZERO else CertifiedBool.UNKNOWN
+
+
+# descriptors and words on which the predicates meet their definitions;
+# the point masses take exact values 0 and 1
+VERDICT_DESCRIPTORS = [
+    MU_G,
+    Pushforward(A, MU_G),
+    Convex(((HALF, MU_F), (HALF, DiracTrivial()))),
+    family_measure(Dyadic(1, 2)),
+    IntersectPower(3, MU_F),
+    DiracGamma(3),
+    DiracTrivial(),
+]
+VERDICT_WORDS = [IDENTITY] + list(iter_reduced(5)) + [expand(y(5)), expand(y(2, 3))]
+
+
 def test_kernel_contains_examples():
     assert kernel_contains(MU_F, IDENTITY) is CertifiedBool.TRUE
     assert kernel_contains(MU_F, COMMUTATOR) is CertifiedBool.FALSE
@@ -294,17 +323,8 @@ def test_kernel_contains_examples():
     assert kernel_contains(MU_G, A) is CertifiedBool.FALSE
     assert kernel_contains(DiracGamma(3), expand(y(5))) is CertifiedBool.TRUE
     # the cheap probe and the word-class exit agree with the definition
-    descriptors = [
-        MU_G,
-        Pushforward(A, MU_G),
-        Convex(((HALF, MU_F), (HALF, DiracTrivial()))),
-        family_measure(Dyadic(1, 2)),
-        IntersectPower(3, MU_F),
-        DiracGamma(3),
-    ]
-    words = [IDENTITY] + list(iter_reduced(5)) + [expand(y(5)), expand(y(2, 3))]
-    for mu in descriptors:
-        for w in words:
+    for mu in VERDICT_DESCRIPTORS:
+        for w in VERDICT_WORDS:
             assert kernel_contains(mu, w) is _kernel_verdict_by_definition(mu, w), (mu, str(w))
 
 
@@ -314,6 +334,15 @@ def test_essential_examples():
     v = env_prob(MU_F, expand(y(5)))
     assert v == Exact(one_minus_pow2(5))
     assert essential(MU_F, expand(y(5))) is CertifiedBool.TRUE
+    assert essential(DiracGamma(3), expand(y(2))) is CertifiedBool.FALSE
+    assert essential(DiracTrivial(), IDENTITY) is CertifiedBool.TRUE
+    verdicts = set()
+    for mu in VERDICT_DESCRIPTORS:
+        for w in VERDICT_WORDS:
+            verdict = _essential_verdict_by_definition(mu, w)
+            assert essential(mu, w) is verdict, (mu, str(w))
+            verdicts.add(verdict)
+    assert verdicts == {CertifiedBool.TRUE, CertifiedBool.FALSE}
 
 
 def test_supported_in():

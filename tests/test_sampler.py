@@ -6,7 +6,9 @@ from itertools import islice
 import pytest
 
 from _helpers import (
+    CHI2_Q9973,
     MASK64,
+    coordinate_chi_square,
     dyadic_param_coordinate,
     iter_reduced,
     reference_geometric_coordinate,
@@ -17,11 +19,9 @@ from irslab import _purekernels
 from irslab.dyadic import Dyadic, Enclosure, Exact
 from irslab.measures import MU_G, GeomGamma, ParamFamily, family_measure
 from irslab.sampler import (
-    _CHI2_Q9973,
     SampledSubgroup,
     _param_coordinate,
     chi_square_report,
-    coordinate_chi_square,
     depth_profile,
     membership_matrix,
     membership_window,
@@ -542,5 +542,5 @@ def test_coordinate_chi_square_rejects_bins_without_a_threshold(max_bin):
 def test_coordinate_chi_square_takes_every_tabulated_bin(max_bin):
     rep = coordinate_chi_square(range(2000), max_bin=max_bin)
     assert rep["df"] == max_bin
-    assert rep["threshold"] == _CHI2_Q9973[max_bin - 1]
+    assert rep["threshold"] == CHI2_Q9973[max_bin - 1]
     assert rep["pass"], rep

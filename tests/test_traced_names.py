@@ -1,15 +1,20 @@
-"""The benchmark's tracer wraps irslab functions by name; every name it
-lists must exist, or a traced benchmark run fails on a missing attribute."""
+"""The benchmark's tracer wraps irslab functions by name, and its runner
+and checks import irslab names; every such name must exist, or a benchmark
+run fails on a missing attribute."""
 
+import ast
 import importlib
 from itertools import islice
 from pathlib import Path
+
+import pytest
 
 from irslab._backend import kernels
 from irslab.sampler import membership_matrix
 from irslab.words import Word
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERTRACE = PERFBENCH / "layertrace.py"
 
 
 def test_traced_targets_exist():
@@ -21,6 +26,35 @@ def test_traced_targets_exist():
     for layer, module_name, cls_name, attr in trace["METHOD_TARGETS"]:
         cls = getattr(importlib.import_module(module_name), cls_name)
         assert attr in cls.__dict__, "%s.%s.%s" % (layer, cls_name, attr)
+
+
+def _perfbench_imports():
+    """(file, module, name) for every import of irslab in perfbench/*.py,
+    function-local ones included; name is None for a plain import."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "irslab":
+                        yield path.name, alias.name, None
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "irslab":
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def test_perfbench_imports_resolve():
+    found = set()
+    for filename, module, name in _perfbench_imports():
+        statement = "import %s" % module if name is None else "from %s import %s" % (module, name)
+        try:
+            exec(statement, {})
+        except ImportError as exc:
+            pytest.fail("%s: %s: %s" % (filename, statement, exc))
+        found.add((filename, module, name))
+    # the sample check's imports run only inside the benchmark
+    assert ("workloads.py", "irslab.grid", "transversal_word_at") in found
+    assert ("workloads.py", "irslab.sampler", "membership_window") in found
+    assert ("worker.py", "irslab._backend", "BACKEND") in found
 
 
 def test_conjugate_depths_calls_traced_kernels_by_module_name(monkeypatch):

@@ -10,7 +10,6 @@ from irslab.ywords import (
     NotInCommutatorSubgroup,
     YWord,
     depth,
-    depth_of_y,
     expand,
     in_gamma,
     phi_k,
@@ -133,7 +132,7 @@ def test_depth_bounded_by_max_index():
         v = random_yword(rng, max_syllables=8, max_index=25)
         if v.is_identity():
             continue
-        assert 1 <= depth_of_y(v) <= 1 + v.max_index()
+        assert 1 <= depth(expand(v)) <= 1 + v.max_index()
 
 
 def test_yword_normal_form_invariants():
