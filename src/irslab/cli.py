@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import itertools
 import json
 import math
@@ -276,13 +277,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite = SUITES.get(args.suite)
-    if suite is None:
-        raise CliError("unknown suite %r (choose from %s)" % (args.suite, sorted(SUITES)))
-    try:
-        kwargs = _suite_kwargs(args)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    suite = SUITES[args.suite]
+    kwargs = _suite_kwargs(args, suite)
     started = time.perf_counter()
     result = suite(**kwargs)
     elapsed = time.perf_counter() - started
@@ -293,36 +289,42 @@ def cmd_verify(args) -> int:
     return EXIT_OK if result["pass"] else EXIT_FAIL
 
 
-def _suite_kwargs(args) -> dict:
-    _check_range("--n", args.n, 1)
-    _check_range("--max-len", args.max_len, 1, MAX_WORD_LEN)
-    _check_range("--shift", args.shift, -MAX_SHIFT_EXP, MAX_SHIFT_EXP)
-    kwargs = {}
-    if args.suite == "faithful":
-        kwargs["max_len"] = args.max_len if args.max_len is not None else 8
-    elif args.suite == "invariance":
-        _check_range("--n", args.n, 1, MAX_INVARIANCE_PAIRS)
-        kwargs["pairs"] = args.n if args.n is not None else 100
-        kwargs["max_len"] = args.max_len if args.max_len is not None else 6
-        kwargs["seed"] = args.seed if args.seed is not None else DEFAULT_SEED
-        if args.width is not None:
-            kwargs["width"] = _parse_width(args.width)
-    elif args.suite == "chain-limits":
-        _check_range("--n", args.n, 1, MAX_POWER)
-        kwargs["n_max"] = args.n if args.n is not None else 10
-    elif args.suite == "combination":
-        # the suite always checks IDENTITY and COMMUTATOR, so --n 1 would
-        # report one word and check two
-        _check_range("--n", args.n, 2, MAX_COMBINATION_WORDS)
-        kwargs["sample_size"] = args.n if args.n is not None else 200
-        kwargs["seed"] = args.seed if args.seed is not None else DEFAULT_SEED
-    elif args.suite == "mixing":
-        kwargs["shift_exp"] = args.shift if args.shift is not None else 10
-        if args.width is not None:
-            kwargs["width"] = _parse_width(args.width)
-    elif args.suite == "closure":
-        if args.width is not None:
-            kwargs["width"] = _parse_width(args.width)
+# the flags each verify suite reads, as flag -> (suite parameter, lowest,
+# highest); --width takes a target width in place of a range.  combination
+# always checks IDENTITY and COMMUTATOR, so --n 1 would report one word and
+# check two.
+_ANY_SEED = ("seed", -math.inf, math.inf)
+_WIDTH = ("width", None, None)
+VERIFY_FLAGS = {
+    "faithful": {"--max-len": ("max_len", 1, MAX_WORD_LEN)},
+    "invariance": {"--n": ("pairs", 1, MAX_INVARIANCE_PAIRS), "--seed": _ANY_SEED,
+                   "--max-len": ("max_len", 1, MAX_WORD_LEN), "--width": _WIDTH},
+    "closure": {"--width": _WIDTH},
+    "chain-limits": {"--n": ("n_max", 1, MAX_POWER)},
+    "combination": {"--n": ("sample_size", 2, MAX_COMBINATION_WORDS), "--seed": _ANY_SEED},
+    "mixing": {"--shift": ("shift_exp", -MAX_SHIFT_EXP, MAX_SHIFT_EXP), "--width": _WIDTH},
+}
+
+
+def _suite_kwargs(args, suite) -> dict:
+    """The suite's signature defaults but None (an unset width, which the
+    report does not echo), overridden by the flags given in argv or the
+    config; a flag the suite does not read is refused."""
+    kwargs = {name: p.default for name, p in inspect.signature(suite).parameters.items()
+              if p.default is not None and p.default is not p.empty}
+    reads = VERIFY_FLAGS[args.suite]
+    for flag in sorted(set().union(*VERIFY_FLAGS.values())):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if flag not in reads:
+            raise CliError("%s is not read by verify %s" % (flag, args.suite))
+        param, low, high = reads[flag]
+        if flag == "--width":
+            value = _parse_width(value)
+        else:
+            _check_range(flag, value, low, high)
+        kwargs[param] = value
     return kwargs
 
 

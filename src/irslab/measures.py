@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Tuple, Union
 
 from irslab._backend import kernels
@@ -94,12 +94,25 @@ class EnvEvent:
 # descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+KINDS: dict = {}  # JSON tag -> descriptor class, each entered by @_kind
+
+
+def _kind(tag: str):
+    """Make the class a frozen descriptor dataclass with this JSON tag."""
+
+    def declare(cls):
+        KINDS[tag] = cls = dataclass(frozen=True)(cls)
+        return cls
+
+    return declare
+
+
+@_kind("geom_gamma")
 class GeomGamma:
     """Weight 2^-k on the k-th chain subgroup, k >= 1."""
 
 
-@dataclass(frozen=True)
+@_kind("param_family")
 class ParamFamily:
     """Head-reweighted chain measure: weight a on level 1, 3/4 - a on
     level 2, and 2^-k on levels k >= 3; requires 0 < a < 3/4 dyadic.
@@ -114,12 +127,12 @@ class ParamFamily:
             raise ValueError("parameter a must satisfy 0 < a < 3/4, got %s" % (self.a,))
 
 
-@dataclass(frozen=True)
+@_kind("dirac_trivial")
 class DiracTrivial:
     """Point mass on the trivial subgroup."""
 
 
-@dataclass(frozen=True)
+@_kind("dirac_gamma")
 class DiracGamma:
     """Point mass on the k-th chain subgroup."""
 
@@ -133,13 +146,13 @@ class DiracGamma:
 CHAIN_TYPES = (GeomGamma, ParamFamily, DiracTrivial, DiracGamma)
 
 
-@dataclass(frozen=True)
+@_kind("pushforward")
 class Pushforward:
     g: Word
     inner: "Measure"
 
 
-@dataclass(frozen=True)
+@_kind("convex")
 class Convex:
     """Convex combination; dyadic weights must sum exactly to one."""
 
@@ -155,7 +168,7 @@ class Convex:
             raise ValueError("convex weights sum to %s, not 1" % (total,))
 
 
-@dataclass(frozen=True)
+@_kind("coinduced_product")
 class CoinducedProduct:
     """Intersection of the pushforwards of the inner measure over the full
     grid transversal.  Supported inners are the chain atoms; each carries a
@@ -172,46 +185,34 @@ class CoinducedProduct:
 
 
 @dataclass(frozen=True)
-class IntersectPower:
+class _Power:
+    """n independent copies of a chain measure, 1 <= n <= MAX_POWER."""
+
+    n: int
+    inner: "Measure"
+
+    def __post_init__(self):
+        if not 1 <= self.n <= MAX_POWER:
+            raise ValueError("power must lie in [1, %d], got %r" % (MAX_POWER, self.n))
+        if not isinstance(self.inner, CHAIN_TYPES):
+            raise ValueError("powers are defined over chain measures only, got %r"
+                             % (type(self.inner).__name__,))
+
+
+@_kind("intersect_power")
+class IntersectPower(_Power):
     """Intersection of n independent copies; chain measures only, where
     the intersection of chain atoms is the atom of maximal level."""
 
-    n: int
-    inner: "Measure"
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_POWER:
-            raise ValueError("power must lie in [1, %d], got %r" % (MAX_POWER, self.n))
-        if not isinstance(self.inner, CHAIN_TYPES):
-            raise ValueError("intersection powers are defined over chain measures only")
-
-
-@dataclass(frozen=True)
-class GeneratePower:
+@_kind("generate_power")
+class GeneratePower(_Power):
     """Subgroup generated by n independent copies; chain measures only,
     where the join of chain atoms is the atom of minimal level."""
 
-    n: int
-    inner: "Measure"
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_POWER:
-            raise ValueError("power must lie in [1, %d], got %r" % (MAX_POWER, self.n))
-        if not isinstance(self.inner, CHAIN_TYPES):
-            raise ValueError("generation powers are defined over chain measures only")
-
-
-Measure = Union[
-    GeomGamma,
-    ParamFamily,
-    DiracTrivial,
-    DiracGamma,
-    Pushforward,
-    Convex,
-    CoinducedProduct,
-    IntersectPower,
-    GeneratePower,
-]
+Measure = Union[tuple(KINDS.values())]
+_TAGS = {cls: tag for tag, cls in KINDS.items()}
 
 MU_F = GeomGamma()
 MU_G = CoinducedProduct(MU_F)
@@ -323,18 +324,13 @@ def _coinduced_value(inner, words, target_width, factor_cap) -> Enclosure:
 
 def _combine_affine(parts) -> Enclosure:
     """Weighted combination of probability values (weights sum to 1)."""
-    if all(isinstance(v, Exact) for _, v in parts):
-        total = ZERO
-        for w, v in parts:
-            total = total + w * v.value
-        return Exact(total)
     lo = hi = ZERO
-    reached = True
     for w, v in parts:
         lo = lo + w * v.lo
         hi = hi + w * v.hi
-        reached = reached and v.width_reached
-    return Enclosure(lo, hi, reached)
+    if all(isinstance(v, Exact) for _, v in parts):
+        return Exact(lo)
+    return Enclosure(lo, hi, all(v.width_reached for _, v in parts))
 
 
 def env_prob(
@@ -445,19 +441,15 @@ def supported_in(mu: Measure, region: Region) -> bool:
     concentrates on the trivial subgroup, yet its constituents do not lie
     in it and the answer stays False.  Sound in the True direction on the
     whole grammar."""
-    if region is Region.WHOLE:
+    if type(mu) not in _TAGS:
+        raise TypeError("unknown measure descriptor %r" % (mu,))
+    if region is Region.WHOLE or isinstance(mu, DiracTrivial):
         return True
-    if isinstance(mu, DiracTrivial):
-        return True
-    if isinstance(mu, (GeomGamma, ParamFamily, DiracGamma)):
+    if isinstance(mu, CHAIN_TYPES):
         return region is Region.COMMUTATOR
-    if isinstance(mu, Pushforward):
-        return supported_in(mu.inner, region)
     if isinstance(mu, Convex):
         return all(supported_in(inner, region) for _, inner in mu.parts)
-    if isinstance(mu, (CoinducedProduct, IntersectPower, GeneratePower)):
-        return supported_in(mu.inner, region)
-    raise TypeError("unknown measure descriptor %r" % (mu,))
+    return supported_in(mu.inner, region)
 
 
 def combination_checks(mu1: Measure, mu2: Measure, words, n: int = 3) -> Iterator[dict]:
@@ -520,36 +512,28 @@ def mixing_defect(w1: Word, w2: Word, shift: Word, target_width: Dyadic = None) 
 # ---------------------------------------------------------------------------
 
 def descriptor_to_json(mu: Measure) -> dict:
-    if isinstance(mu, GeomGamma):
-        return {"type": "geom_gamma"}
-    if isinstance(mu, ParamFamily):
-        return {"type": "param_family", "a": str(mu.a)}
-    if isinstance(mu, DiracTrivial):
-        return {"type": "dirac_trivial"}
-    if isinstance(mu, DiracGamma):
-        return {"type": "dirac_gamma", "k": mu.k}
-    if isinstance(mu, Pushforward):
-        return {"type": "pushforward", "g": str(mu.g), "inner": descriptor_to_json(mu.inner)}
-    if isinstance(mu, Convex):
-        return {
-            "type": "convex",
-            "parts": [
-                {"weight": str(w), "inner": descriptor_to_json(inner)}
-                for w, inner in mu.parts
-            ],
-        }
-    if isinstance(mu, CoinducedProduct):
-        return {"type": "coinduced_product", "inner": descriptor_to_json(mu.inner)}
-    if isinstance(mu, IntersectPower):
-        return {"type": "intersect_power", "n": mu.n, "inner": descriptor_to_json(mu.inner)}
-    if isinstance(mu, GeneratePower):
-        return {"type": "generate_power", "n": mu.n, "inner": descriptor_to_json(mu.inner)}
-    raise TypeError("unknown measure descriptor %r" % (mu,))
+    """Each field coded by its name: a, weight (dyadics) and g (a word) as
+    text, k and n as integers, inner and parts as nested objects.  Nesting
+    recurses through this function alone, one frame per level."""
+    if type(mu) not in _TAGS:
+        raise TypeError("unknown measure descriptor %r" % (mu,))
+    data = {"type": _TAGS[type(mu)]}
+    for f in fields(mu):
+        value = getattr(mu, f.name)
+        if f.name == "inner":
+            value = descriptor_to_json(value)
+        elif f.name == "parts":
+            value = [{"weight": str(w), "inner": descriptor_to_json(inner)} for w, inner in value]
+        elif f.name not in ("k", "n"):
+            value = str(value)
+        data[f.name] = value
+    return data
 
 
 def descriptor_from_json(data: dict) -> Measure:
     """The descriptor a JSON object encodes; a malformed one (not an
-    object, a missing key, a value of the wrong type) raises ValueError."""
+    object, a missing or unread key, a value of the wrong type) raises
+    ValueError."""
     try:
         return _descriptor_fields(data)
     except KeyError as exc:
@@ -559,33 +543,18 @@ def descriptor_from_json(data: dict) -> Measure:
 
 
 def _descriptor_fields(data: dict, depth: int = 0) -> Measure:
+    """The inverse of descriptor_to_json, at the given nesting depth."""
     if depth > MAX_DESCRIPTOR_DEPTH:
         raise ValueError("a measure descriptor may nest at most %d levels" % MAX_DESCRIPTOR_DEPTH)
     if not isinstance(data, dict):
         raise ValueError("a measure descriptor must be a JSON object, got %s"
                          % (type(data).__name__,))
     kind = data.get("type")
-    if kind == "geom_gamma":
-        return GeomGamma()
-    if kind == "param_family":
-        return ParamFamily(Dyadic.parse(data["a"]))
-    if kind == "dirac_trivial":
-        return DiracTrivial()
-    if kind == "dirac_gamma":
-        return DiracGamma(_descriptor_int(data, "k"))
-    if kind == "pushforward":
-        return Pushforward(Word.parse(data["g"]), _descriptor_fields(data["inner"], depth + 1))
-    if kind == "convex":
-        return Convex(
-            tuple(
-                (Dyadic.parse(p["weight"]), _descriptor_fields(p["inner"], depth + 1))
-                for p in data["parts"]
-            )
-        )
     if kind == "induced_finite":
         # an average of pushforwards over representatives in the commutator
         # subgroup, where each chain subgroup is normal: every pushforward,
         # hence the average, is the chain inner itself
+        _refuse_unread(data, ("type", "reps", "inner"), kind)
         reps = [Word.parse(r) for r in data["reps"]]
         if not reps or len(reps) & (len(reps) - 1):
             raise ValueError("representative count must be a power of two, got %d" % len(reps))
@@ -596,19 +565,46 @@ def _descriptor_fields(data: dict, depth: int = 0) -> Measure:
         if not isinstance(inner, CHAIN_TYPES):
             raise ValueError("induced averages are supported over chain measures only")
         return inner
-    if kind == "coinduced_product":
-        return CoinducedProduct(_descriptor_fields(data["inner"], depth + 1))
-    if kind == "intersect_power":
-        return IntersectPower(_descriptor_int(data, "n"), _descriptor_fields(data["inner"], depth + 1))
-    if kind == "generate_power":
-        return GeneratePower(_descriptor_int(data, "n"), _descriptor_fields(data["inner"], depth + 1))
-    raise ValueError("unknown measure type %r" % (kind,))
+    cls = KINDS.get(kind)
+    if cls is None:
+        raise ValueError("unknown measure type %r" % (kind,))
+    names = [f.name for f in fields(cls)]
+    _refuse_unread(data, ["type"] + names, kind)
+    values = []
+    for name in names:
+        value = data[name]
+        if name == "inner":
+            value = _descriptor_fields(value, depth + 1)
+        elif name == "parts":
+            value = tuple(_convex_part(part, depth) for part in value)
+        elif name in ("k", "n"):
+            value = _descriptor_int(name, value)
+        elif name == "g":
+            value = Word.parse(value)
+        else:
+            value = Dyadic.parse(value)
+        values.append(value)
+    return cls(*values)
 
 
-def _descriptor_int(data: dict, key: str) -> int:
-    """data[key] as an int: a JSON integer (not a boolean) or an integer
-    string; any other value, 2.5 or 1e400 among them, raises ValueError."""
-    value = data[key]
+def _convex_part(part: dict, depth: int) -> tuple:
+    _refuse_unread(part, ("weight", "inner"), "a convex part")
+    return Dyadic.parse(part["weight"]), _descriptor_fields(part["inner"], depth + 1)
+
+
+def _refuse_unread(data: dict, keys, what: str) -> None:
+    """Reject a value that is not a JSON object, or one with a key outside
+    keys, which nothing would read."""
+    if not isinstance(data, dict):
+        raise ValueError("%s must be a JSON object, got %s" % (what, type(data).__name__))
+    unread = sorted(set(data).difference(keys))
+    if unread:
+        raise ValueError("%s does not read the key %s" % (what, ", ".join(map(repr, unread))))
+
+
+def _descriptor_int(key: str, value) -> int:
+    """A JSON integer (not a boolean) or an integer string; any other
+    value, 2.5 or 1e400 among them, raises ValueError."""
     if isinstance(value, str):
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):

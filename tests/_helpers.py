@@ -422,3 +422,20 @@ def coordinate_chi_square(seeds, coordinate: int = 1, inner=None, max_bin: int =
         "threshold": threshold,
         "pass": stat <= threshold,
     }
+
+
+# One descriptor of each kind as reports echo it under config.measure
+# (json.dumps with sorted keys), keyed by its JSON tag.
+DESCRIPTOR_JSON = {
+    "geom_gamma": '{"type": "geom_gamma"}',
+    "param_family": '{"a": "3/2^3", "type": "param_family"}',
+    "dirac_trivial": '{"type": "dirac_trivial"}',
+    "dirac_gamma": '{"k": 4, "type": "dirac_gamma"}',
+    "pushforward": '{"g": "aB", "inner": {"type": "geom_gamma"}, "type": "pushforward"}',
+    "convex": '{"parts": [{"inner": {"inner": {"type": "geom_gamma"}, "type": "coinduced_product"}, '
+              '"weight": "3/2^2"}, {"inner": {"k": 1, "type": "dirac_gamma"}, "weight": "1/2^2"}], '
+              '"type": "convex"}',
+    "coinduced_product": '{"inner": {"a": "1/2^2", "type": "param_family"}, "type": "coinduced_product"}',
+    "intersect_power": '{"inner": {"type": "geom_gamma"}, "n": 3, "type": "intersect_power"}',
+    "generate_power": '{"inner": {"type": "dirac_trivial"}, "n": 2, "type": "generate_power"}',
+}

@@ -1,4 +1,6 @@
+import inspect
 import json
+import math
 import subprocess
 import sys
 import time
@@ -6,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from _helpers import DESCRIPTOR_JSON
 from irslab import cli
 from irslab.cli import (
     EXIT_FAIL,
@@ -18,6 +21,8 @@ from irslab.cli import (
     MAX_MEMBERSHIP_WINDOW,
     MAX_SAMPLE_WORDS,
     MAX_TOLERANCE_EXP,
+    SUITES,
+    VERIFY_FLAGS,
     main,
 )
 from irslab.dyadic import Dyadic, one_minus_pow2
@@ -331,6 +336,94 @@ def test_verify_n_cap_is_checked_before_any_work(suite, n, monkeypatch, tmp_path
     assert not out.exists()
 
 
+# one in-range value of every verify flag
+VERIFY_FLAG_VALUES = {"--max-len": "3", "--n": "4", "--seed": "6", "--shift": "5",
+                      "--width": "1/2^10"}
+
+
+@pytest.mark.parametrize("source", ["argv", "config"])
+@pytest.mark.parametrize("flag", sorted(VERIFY_FLAG_VALUES))
+@pytest.mark.parametrize("suite", sorted(VERIFY_FLAGS))
+def test_verify_reads_only_its_suite_flags(suite, flag, source, monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return {"pass": True}
+
+    record.__wrapped__ = cli.SUITES[suite]  # its signature, as a traced suite's
+    monkeypatch.setitem(cli.SUITES, suite, record)
+    out, cfg = tmp_path / "r.json", tmp_path / "cfg.json"
+    value = VERIFY_FLAG_VALUES[flag]
+    if source == "argv":
+        argv = ["verify", suite, flag, value]
+    else:
+        cfg.write_text(json.dumps({flag[2:]: value}))
+        argv = ["--config", str(cfg), "verify", suite]
+    code = main(argv + ["--out", str(out)])
+    if flag in VERIFY_FLAGS[suite]:
+        param = VERIFY_FLAGS[suite][flag][0]
+        assert code == EXIT_OK
+        assert str(calls[0][param]) == value
+        assert json.loads(out.read_text())["config"][param] == value
+    else:
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == "error: %s is not read by verify %s\n" % (flag, suite)
+        assert not calls and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "suite, echo",
+    [
+        ("faithful", {"max_len": "8"}),
+        ("invariance", {"pairs": "100", "max_len": "6", "seed": "20240801"}),
+        ("closure", {}),
+        ("chain-limits", {"n_max": "10"}),
+        ("combination", {"sample_size": "200", "seed": "20240801"}),
+        ("mixing", {"shift_exp": "10"}),
+    ],
+)
+def test_verify_passes_and_echoes_the_suite_defaults(suite, echo, monkeypatch, tmp_path):
+    # a default of None (the width) is neither passed nor echoed
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return {"pass": True}
+
+    record.__wrapped__ = cli.SUITES[suite]
+    monkeypatch.setitem(cli.SUITES, suite, record)
+    code, rep = run_cli(["verify", suite], tmp_path / "r.json")
+    assert code == EXIT_OK
+    assert rep["config"] == {"suite": suite, **echo}
+    assert {k: str(v) for k, v in calls[0].items()} == echo
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [(suite, flag) for suite, flags in sorted(VERIFY_FLAGS.items())
+     for flag, (_, low, _) in sorted(flags.items()) if low not in (None, -math.inf)],
+)
+def test_verify_flag_ranges_are_checked_before_any_work(suite, flag, monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(cli.SUITES, suite, lambda **kw: pytest.fail("ran"))
+    _, low, high = VERIFY_FLAGS[suite][flag]
+    out = tmp_path / "r.json"
+    for value in (low - 1, high + 1):
+        assert main(["verify", suite, flag, str(value), "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: %s must lie in [%d, %d]" % (flag, low, high))
+        assert not out.exists()
+
+
+def test_verify_flags_match_the_suite_parameters():
+    for suite, flags in VERIFY_FLAGS.items():
+        params = inspect.signature(SUITES[suite]).parameters
+        assert sorted(param for param, _, _ in flags.values()) == sorted(params), suite
+    cli.build_parser()
+    options = {action.option_strings[-1] for action in cli._SUBPARSERS["verify"]._actions
+               if action.option_strings} - {"--help", "--out"}
+    assert options == set().union(*VERIFY_FLAGS.values())
+
+
 def test_verify_combination_needs_two_words(monkeypatch, tmp_path, capsys):
     # the suite always checks IDENTITY and COMMUTATOR, so --n 1 cannot be honoured
     monkeypatch.setitem(cli.SUITES, "combination", lambda **kw: pytest.fail("ran"))
@@ -583,6 +676,17 @@ def test_verify_bad_width_is_parse_error():
 
 def test_sample_missing_measure_file_is_parse_error():
     assert main(["sample", "--n", "200", "--word", "abAB", "--measure", "@/nonexistent.json"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("kind", sorted(DESCRIPTOR_JSON))
+def test_eval_refuses_a_descriptor_key_nothing_reads(kind, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "env_prob", lambda *args, **kw: pytest.fail("evaluated"))
+    data = json.loads(DESCRIPTOR_JSON[kind])
+    data["extra"] = "1/4"
+    out = tmp_path / "r.json"
+    assert main(["eval", "--measure", json.dumps(data), "--word", "abAB", "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: --measure: %s does not read the key 'extra'\n" % kind
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("inner", ['{"type":"dirac_gamma","k":2}', '{"type":"dirac_trivial"}'])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from _helpers import (
+    DESCRIPTOR_JSON,
     check_combination_identities,
     dst_constant_interval,
     iter_reduced,
@@ -15,6 +17,7 @@ from _helpers import (
 from irslab.dyadic import HALF, ONE, ZERO, Dyadic, Exact, certified_product, one_minus_pow2, pow2
 from irslab.grid import idx, point
 from irslab.measures import (
+    KINDS,
     MAX_POWER,
     MU_F,
     MU_G,
@@ -461,15 +464,24 @@ def test_monotone_event_law():
 
 
 def test_descriptor_json_round_trip():
+    examples = {
+        "geom_gamma": MU_F,
+        "param_family": ParamFamily(Dyadic(3, 3)),
+        "dirac_trivial": DiracTrivial(),
+        "dirac_gamma": DiracGamma(4),
+        "pushforward": Pushforward(Word.parse("aB"), MU_F),
+        "convex": Convex(((Dyadic(3, 2), MU_G), (Dyadic(1, 2), DiracGamma(1)))),
+        "coinduced_product": family_measure(Dyadic(1, 2)),
+        "intersect_power": IntersectPower(3, MU_F),
+        "generate_power": GeneratePower(2, DiracTrivial()),
+    }
+    assert list(examples) == list(KINDS) == list(DESCRIPTOR_JSON)
+    for tag, mu in examples.items():
+        assert json.dumps(descriptor_to_json(mu), sort_keys=True) == DESCRIPTOR_JSON[tag]
+        assert descriptor_from_json(json.loads(DESCRIPTOR_JSON[tag])) == mu
     descriptors = [
-        MU_F,
         MU_G,
-        ParamFamily(Dyadic(3, 3)),
-        DiracTrivial(),
-        DiracGamma(4),
-        Pushforward(Word.parse("ab"), MU_F),
         Convex(((HALF, MU_F), (HALF, DiracTrivial()))),
-        IntersectPower(3, MU_F),
         GeneratePower(2, ParamFamily(Dyadic(1, 2))),
         family_measure(Dyadic(1, 3)),
     ]
@@ -479,6 +491,26 @@ def test_descriptor_json_round_trip():
         "type": "coinduced_product",
         "inner": {"type": "geom_gamma"},
     }
+
+
+def test_random_descriptors_round_trip():
+    rng = random.Random(4242)
+    for _ in range(200):
+        mu = _random_descriptor(rng, depth_budget=3)
+        assert descriptor_from_json(json.loads(json.dumps(descriptor_to_json(mu)))) == mu
+
+
+def test_descriptor_keys_nothing_reads_are_refused():
+    # each kind's own keys: test_eval_refuses_a_descriptor_key_nothing_reads
+    part = {"weight": "1", "inner": {"type": "geom_gamma"}, "type": "geom_gamma"}
+    with pytest.raises(ValueError, match="a convex part does not read the key 'type'"):
+        descriptor_from_json({"type": "convex", "parts": [part]})
+    with pytest.raises(ValueError, match="a convex part must be a JSON object"):
+        descriptor_from_json({"type": "convex", "parts": ["ab"]})
+    induced = induced_json((IDENTITY,), MU_F)
+    induced["weight"] = "1"
+    with pytest.raises(ValueError, match="induced_finite does not read the key 'weight'"):
+        descriptor_from_json(induced)
 
 
 def test_parse_measure():

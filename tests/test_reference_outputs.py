@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from irslab import cli
+from irslab.measures import MU_G, descriptor_to_json, parse_measure
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,3 +41,13 @@ def test_default_seed_outputs_match_the_reference(workload, tmp_path):
         assert rc in wl["allowed_exit_codes"](key, report), key
         outputs[key] = {"report": report, "csv": paths.get("--csv")}
     assert wl["reference_entry"](workload, outputs) == reference[workload]
+
+
+def test_benchmark_induced_descriptor_normalises_to_mu_g():
+    # the enclose workload's induced-w60 command averages mu_F over {1, [a,b]}
+    wl = _workloads()
+    measure = parse_measure(wl["induced_descriptor"](wl["INDUCED_REPS"]))
+    assert measure == MU_G
+    assert json.dumps(descriptor_to_json(measure), sort_keys=True) == (
+        '{"inner": {"type": "geom_gamma"}, "type": "coinduced_product"}'
+    )
