@@ -4,7 +4,6 @@ generators."""
 
 __version__ = "0.1.0"
 
-from irslab._backend import BACKEND  # noqa: F401
 from irslab.dyadic import (  # noqa: F401
     Dyadic,
     Enclosure,

@@ -1,4 +1,4 @@
-"""The kernel module the package calls, and the backend name reports carry."""
+"""The kernel module the package calls; BACKEND names it for perfbench's worker."""
 
 from irslab import _purekernels as kernels
 

@@ -23,7 +23,6 @@ import time
 from fractions import Fraction
 
 from irslab import __version__
-from irslab._backend import BACKEND
 from irslab.dyadic import Dyadic, Exact, parse_target_width, pow2
 from irslab.measures import (
     DEFAULT_FACTOR_CAP,
@@ -102,7 +101,6 @@ def _base_report(command: str, config: dict) -> dict:
     return {
         "tool": "irslab",
         "version": __version__,
-        "backend": BACKEND,
         "command": command,
         "instance": INSTANCE_DESCRIPTION,
         "config": config,
@@ -142,8 +140,8 @@ def _parse_words(raw_words) -> list:
 
 
 def _check_range(flag: str, value, low: int, high=math.inf):
-    """Reject a numeric flag outside [low, high]; None means unset."""
-    if value is not None and not low <= value <= high:
+    """Reject a numeric flag outside [low, high]."""
+    if not low <= value <= high:
         raise CliError("%s must lie in [%s, %s], got %r" % (flag, low, high, value))
 
 
@@ -210,7 +208,7 @@ def _merge_config(parser, argv, args: argparse.Namespace, config: dict):
     --word replaces the config's list."""
     flags = {
         action.dest: action
-        for action in _SUBPARSERS[args.cmd]._actions
+        for action in args.parser._actions
         if action.option_strings and action.dest != "help"
     }
     values = {}
@@ -341,9 +339,7 @@ def cmd_sample(args) -> int:
         )
     _check_range("--n", args.n, MIN_SAMPLE_SEEDS, MAX_SAMPLE_SEEDS)
     _check_range("--tolerance-exp", args.tolerance_exp, 1, MAX_TOLERANCE_EXP)
-    n = args.n if args.n is not None else 10000
-    base_seed = args.seed if args.seed is not None else DEFAULT_SEED
-    tol = args.tolerance_exp if args.tolerance_exp is not None else DEFAULT_TOLERANCE_EXP
+    n, base_seed, tol = args.n, args.seed, args.tolerance_exp
     for w in words:
         if not w.is_identity() and w.abelianization() == (0, 0):
             window = word_window(w, tol)
@@ -438,9 +434,6 @@ def cmd_family(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-_SUBPARSERS: dict = {}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irslab",
@@ -461,27 +454,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--factor-cap", type=int, default=DEFAULT_FACTOR_CAP)
     p_eval.add_argument("--allow-wide", action="store_true", help="exit 0 even when width was not reached")
     p_eval.add_argument("--out", help="write the JSON report here instead of stdout")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=cmd_eval, parser=p_eval)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--max-len", type=int, default=None)
-    p_verify.add_argument("--n", type=int, default=None, help="pairs / powers / sample size")
-    p_verify.add_argument("--shift", type=int, default=None, help="shift exponent for the mixing suite")
-    p_verify.add_argument("--width", default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
+    for flag in sorted(set().union(*VERIFY_FLAGS.values())):
+        readers = sorted(suite for suite, flags in VERIFY_FLAGS.items() if flag in flags)
+        p_verify.add_argument(flag, type=None if flag == "--width" else int,
+                              help="read by " + ", ".join(readers))
     p_verify.add_argument("--out", help="write the JSON report here instead of stdout")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, parser=p_verify)
 
     p_sample = sub.add_parser("sample", help="sample subgroups and test frequencies")
     p_sample.add_argument("--measure", default="mu_G")
     p_sample.add_argument("--word", action="append", default=None)
-    p_sample.add_argument("--n", type=int, default=None, help="number of seeds (default 10000)")
-    p_sample.add_argument("--seed", type=int, default=None, help="base seed (default %d)" % DEFAULT_SEED)
-    p_sample.add_argument("--tolerance-exp", type=int, default=None)
+    p_sample.add_argument("--n", type=int, default=10000, help="number of seeds (default %(default)s)")
+    p_sample.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed (default %(default)s)")
+    p_sample.add_argument("--tolerance-exp", type=int, default=DEFAULT_TOLERANCE_EXP,
+                          help="per-query total-variation bound 2^-N (default %(default)s)")
     p_sample.add_argument("--csv", help="also write the 0/1 membership matrix as CSV")
     p_sample.add_argument("--out", help="write the JSON report here instead of stdout")
-    p_sample.set_defaults(func=cmd_sample)
+    p_sample.set_defaults(func=cmd_sample, parser=p_sample)
 
     p_family = sub.add_parser("family", help="sweep the parametrized family")
     p_family.add_argument("--a", action="append", default=None, help="dyadic parameter (repeatable)")
@@ -489,16 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--width", default="1e-6")
     p_family.add_argument("--allow-wide", action="store_true")
     p_family.add_argument("--out", help="write the JSON report here instead of stdout")
-    p_family.set_defaults(func=cmd_family)
-
-    _SUBPARSERS.update(
-        {
-            "eval": p_eval,
-            "verify": p_verify,
-            "sample": p_sample,
-            "family": p_family,
-        }
-    )
+    p_family.set_defaults(func=cmd_family, parser=p_family)
     return parser
 
 

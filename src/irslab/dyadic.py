@@ -27,32 +27,39 @@ from typing import Callable, Iterable
 _INTEGER = re.compile(r"[+-]?[0-9](?:_?[0-9])*")
 
 
-def _int_from_text(text: str) -> int:
-    """The integer an int() literal denotes.  Decimal converts without the
-    digit limit of int's own conversion (sys.get_int_max_str_digits)."""
+def _decimal_integer(text: str) -> Decimal:
+    """The integer an int() literal denotes, as a Decimal: it reads and
+    compares in linear time, while int() of a 10^6-digit one takes 37 s."""
     text = text.strip()
     if not _INTEGER.fullmatch(text):
         raise ValueError("invalid integer %r" % (text,))
-    return int(Decimal(text))
+    return Decimal(text)
 
 
-# 10^MAX_DECIMAL_EXP has about 218,000 bits and builds in milliseconds;
-# 10^(10^8), from a literal such as 1e-100000000, ran for minutes
-MAX_DECIMAL_EXP = 1 << 16
+def _int_from_text(text: str) -> int:
+    """The integer an int() literal denotes.  Decimal converts without the
+    digit limit of int's own conversion (sys.get_int_max_str_digits)."""
+    return int(_decimal_integer(text))
+
+
+# exponent bound of a literal, decimal or num/2^exp: 10^MAX_LITERAL_EXP has
+# about 218,000 bits and builds in milliseconds, while 1e-100000000 ran for
+# minutes; 2^-MAX_LITERAL_EXP is the finest exact value eval prints
+MAX_LITERAL_EXP = 1 << 16
 
 
 def _decimal_fraction(text: str) -> Fraction:
     """The value of a decimal literal, read once through Decimal.  A
     non-finite literal, or one whose exponent lies outside
-    +-MAX_DECIMAL_EXP, is rejected before any Fraction is built."""
+    +-MAX_LITERAL_EXP, is rejected before any Fraction is built."""
     try:
         d = Decimal(text)
     except InvalidOperation:
         raise ValueError("invalid number %r" % (text,)) from None
-    if not d.is_finite() or abs(d.as_tuple().exponent) > MAX_DECIMAL_EXP:
+    if not d.is_finite() or abs(d.as_tuple().exponent) > MAX_LITERAL_EXP:
         raise ValueError(
             "%r is not a finite decimal with exponent in [-%d, %d]"
-            % (text, MAX_DECIMAL_EXP, MAX_DECIMAL_EXP)
+            % (text, MAX_LITERAL_EXP, MAX_LITERAL_EXP)
         )
     return Fraction(d)
 
@@ -93,13 +100,20 @@ class Dyadic:
     def parse(cls, text: str) -> "Dyadic":
         """Accepts 'num/2^exp', 'p/q' whose value is dyadic, a decimal
         string with dyadic value, or a plain integer.  A well-formed value
-        that is not dyadic raises NotDyadic."""
+        that is not dyadic raises NotDyadic; an exponent outside
+        +-MAX_LITERAL_EXP raises ValueError before any integer is built."""
         text = text.strip()
         if "/" in text:
             num_str, den_str = text.split("/", 1)
             num = _int_from_text(num_str)
             if den_str.startswith("2^"):
-                return cls(num, _int_from_text(den_str[2:]))
+                exp = _decimal_integer(den_str[2:])
+                if not -MAX_LITERAL_EXP <= exp <= MAX_LITERAL_EXP:
+                    raise ValueError(
+                        "%r is not num/2^exp with exponent in [-%d, %d]"
+                        % (text, MAX_LITERAL_EXP, MAX_LITERAL_EXP)
+                    )
+                return cls(num, int(exp))
             den = _int_from_text(den_str)
             if den <= 0:
                 raise ValueError("denominator of %r is not positive" % (text,))

@@ -69,9 +69,6 @@ class Word:
             out = kernels.mul_words(out, base)
         return Word._raw(out)
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
-
     def __len__(self) -> int:
         return len(self._letters)
 

@@ -418,10 +418,24 @@ def test_verify_flags_match_the_suite_parameters():
     for suite, flags in VERIFY_FLAGS.items():
         params = inspect.signature(SUITES[suite]).parameters
         assert sorted(param for param, _, _ in flags.values()) == sorted(params), suite
-    cli.build_parser()
-    options = {action.option_strings[-1] for action in cli._SUBPARSERS["verify"]._actions
+    parser = cli.build_parser().parse_args(["verify", "closure"]).parser
+    options = {action.option_strings[-1] for action in parser._actions
                if action.option_strings} - {"--help", "--out"}
     assert options == set().union(*VERIFY_FLAGS.values())
+
+
+@pytest.mark.parametrize("cmd", [[], ["eval"], ["verify"], ["sample"], ["family"]])
+def test_every_help_renders(cmd, capsys):
+    # argparse expands %(default)s only when the help is printed
+    with pytest.raises(SystemExit) as exc:
+        main(cmd + ["--help"])
+    assert exc.value.code == EXIT_OK
+    text = capsys.readouterr().out
+    if cmd == ["verify"]:
+        for flag in set().union(*VERIFY_FLAGS.values()):
+            readers = sorted(suite for suite, flags in VERIFY_FLAGS.items() if flag in flags)
+            assert text.count("\n  %s " % flag) == 1, flag
+            assert "read by " + ", ".join(readers) in " ".join(text.split()), flag
 
 
 def test_verify_combination_needs_two_words(monkeypatch, tmp_path, capsys):
@@ -454,6 +468,32 @@ def test_huge_decimal_exponents_fail_fast(args, literal, tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
     err = capsys.readouterr().err
     assert repr(literal) in err and "exponent" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exp", ["65537", "-65537", "4000000", "-4000000"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--word", "abAB", "--width", "1/2^%s"],
+        ["family", "--word", "abAB", "--a", "1/2^%s"],
+        ["eval", "--word", "abAB", "--measure", "mu_aF:1/2^%s"],
+        ["eval", "--word", "abAB", "--measure", "mu_aG:1/2^%s"],
+        ["eval", "--word", "abAB", "--measure",
+         '{"type": "convex", "parts": [{"weight": "1/2^%s", "inner": {"type": "geom_gamma"}}, '
+         '{"weight": "1/2", "inner": {"type": "geom_gamma"}}]}'],
+    ],
+    ids=["width", "family-a", "mu_aF", "mu_aG", "convex-weight"],
+)
+def test_huge_power_of_two_exponents_fail_fast(args, exp, tmp_path, capsys):
+    # mu_aF:1/2^-4000000 once spent 30 s printing its value in an error message
+    literal = "1/2^" + exp
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    assert main(args[:-1] + [args[-1] % exp, "--out", str(out)]) == EXIT_PARSE
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert repr(literal) in err and "exponent in [-65536, 65536]" in err, err
     assert not out.exists()
 
 
@@ -562,6 +602,22 @@ def test_config_file_merging(tmp_path):
     cfg.write_text(json.dumps({"word": ["abAB", "aabABA"]}))
     assert main(["--config", str(cfg), "family", "--a", "1/4", "--out", str(out)]) == EXIT_PARSE
     assert not out.exists()
+
+
+def test_sample_defaults_pass_through_config_merging(tmp_path):
+    # the identity is a member of every subgroup, so its scan is cheap
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "r.json"
+    sample = ["sample", "--word", "", "--out", str(out)]
+    assert main(sample) == EXIT_OK
+    config = json.loads(out.read_text())["config"]
+    assert (config["n"], config["seed"], config["tolerance_exp"]) == (10000, 20240801, 60)
+    cfg.write_text(json.dumps({"n": 200}))
+    assert main(["--config", str(cfg)] + sample) == EXIT_OK
+    assert json.loads(out.read_text())["config"]["n"] == 200
+    # a flag given at its parser default still wins over the config
+    assert main(["--config", str(cfg)] + sample + ["--n", "10000"]) == EXIT_OK
+    assert json.loads(out.read_text())["config"]["n"] == 10000
 
 
 @pytest.mark.parametrize(

@@ -92,9 +92,14 @@ def test_parse_and_format():
     assert Dyadic.parse("3/6") == HALF
     with pytest.raises(ValueError, match="not positive"):
         Dyadic.parse("1/0")
+    # the power-of-two exponent bound is inclusive on both sides
+    assert Dyadic.parse("1/2^65536") == Dyadic(1, 65536)
+    assert Dyadic.parse("1/2^-65536") == Dyadic(1 << 65536)
 
 
-@pytest.mark.parametrize("text", ["1e-65537", "1e65537", "1e-100000000", "0.5e-99999999"])
+@pytest.mark.parametrize("text", ["1e-65537", "1e65537", "1e-100000000", "0.5e-99999999",
+                                  "1/2^65537", "1/2^-65537",
+                                  pytest.param("1/2^" + "9" * 10**6, id="1/2^(10^6 nines)")])
 def test_parse_rejects_decimal_exponents_beyond_the_cap(text):
     with pytest.raises(ValueError, match="exponent"):
         Dyadic.parse(text)
