@@ -51,7 +51,10 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_WIDTH = 3
 
-# faithful at this length already checks 2 * (3^14 - 1) words
+# faithful judges each [F,F] word up to this length, 154,448 of them at 14,
+# in 19 s (2-vCPU VM), and counts the other reduced words in closed form;
+# invariance draws from the same [F,F] words by rank, and 100 pairs at 14
+# took 0.5 s
 MAX_WORD_LEN = 14
 # sample streams each seed's membership row to the CSV, so its memory is flat
 # in --n, but its time is not: with 8 radius-2 words a seed takes about 80 us

@@ -23,13 +23,32 @@ from itertools import chain
 from typing import Callable, Iterable
 
 
+# exponent bound of a literal, decimal or num/2^exp: 10^MAX_LITERAL_EXP has
+# about 218,000 bits and builds in milliseconds, while 1e-100000000 ran for
+# minutes; 2^-MAX_LITERAL_EXP is the finest exact value eval prints
+MAX_LITERAL_EXP = 1 << 16
+# significant digits of a literal: as many as 2^MAX_LITERAL_EXP has (19,729),
+# so the num/2^exp form of every value in [-1, 1] within the exponent bound
+# reads.  Decimal to int is quadratic in the digits (10^5 of them took 0.4 s
+# and 10^6 took 37 s, 2-vCPU VM), so a longer literal is refused unconverted
+MAX_LITERAL_DIGITS = int(MAX_LITERAL_EXP * math.log10(2)) + 1
+
 # an optionally signed decimal integer literal, as int() reads it
 _INTEGER = re.compile(r"[+-]?[0-9](?:_?[0-9])*")
 
 
+def _short_decimal(d: Decimal) -> Decimal:
+    """d, if it has at most MAX_LITERAL_DIGITS significant digits."""
+    digits = len(d.as_tuple().digits)
+    if digits > MAX_LITERAL_DIGITS:
+        raise ValueError("a literal of %d significant digits exceeds the %d digits of 2^%d"
+                         % (digits, MAX_LITERAL_DIGITS, MAX_LITERAL_EXP))
+    return d
+
+
 def _decimal_integer(text: str) -> Decimal:
-    """The integer an int() literal denotes, as a Decimal: it reads and
-    compares in linear time, while int() of a 10^6-digit one takes 37 s."""
+    """The integer an int() literal denotes, as a Decimal, which reads and
+    compares in linear time."""
     text = text.strip()
     if not _INTEGER.fullmatch(text):
         raise ValueError("invalid integer %r" % (text,))
@@ -39,19 +58,14 @@ def _decimal_integer(text: str) -> Decimal:
 def _int_from_text(text: str) -> int:
     """The integer an int() literal denotes.  Decimal converts without the
     digit limit of int's own conversion (sys.get_int_max_str_digits)."""
-    return int(_decimal_integer(text))
-
-
-# exponent bound of a literal, decimal or num/2^exp: 10^MAX_LITERAL_EXP has
-# about 218,000 bits and builds in milliseconds, while 1e-100000000 ran for
-# minutes; 2^-MAX_LITERAL_EXP is the finest exact value eval prints
-MAX_LITERAL_EXP = 1 << 16
+    return int(_short_decimal(_decimal_integer(text)))
 
 
 def _decimal_fraction(text: str) -> Fraction:
     """The value of a decimal literal, read once through Decimal.  A
-    non-finite literal, or one whose exponent lies outside
-    +-MAX_LITERAL_EXP, is rejected before any Fraction is built."""
+    non-finite literal, one whose exponent lies outside +-MAX_LITERAL_EXP,
+    or one longer than MAX_LITERAL_DIGITS is rejected before any Fraction
+    is built."""
     try:
         d = Decimal(text)
     except InvalidOperation:
@@ -61,7 +75,7 @@ def _decimal_fraction(text: str) -> Fraction:
             "%r is not a finite decimal with exponent in [-%d, %d]"
             % (text, MAX_LITERAL_EXP, MAX_LITERAL_EXP)
         )
-    return Fraction(d)
+    return Fraction(_short_decimal(d))
 
 
 class NotDyadic(ValueError):
@@ -101,7 +115,8 @@ class Dyadic:
         """Accepts 'num/2^exp', 'p/q' whose value is dyadic, a decimal
         string with dyadic value, or a plain integer.  A well-formed value
         that is not dyadic raises NotDyadic; an exponent outside
-        +-MAX_LITERAL_EXP raises ValueError before any integer is built."""
+        +-MAX_LITERAL_EXP, or a literal of more than MAX_LITERAL_DIGITS
+        significant digits, raises ValueError before any integer is built."""
         text = text.strip()
         if "/" in text:
             num_str, den_str = text.split("/", 1)

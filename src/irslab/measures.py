@@ -582,14 +582,14 @@ def _descriptor_fields(data: dict, depth: int = 0) -> Measure:
         elif name == "g":
             value = Word.parse(value)
         else:
-            value = Dyadic.parse(value)
+            value = _descriptor_dyadic(name, value)
         values.append(value)
     return cls(*values)
 
 
 def _convex_part(part: dict, depth: int) -> tuple:
     _refuse_unread(part, ("weight", "inner"), "a convex part")
-    return Dyadic.parse(part["weight"]), _descriptor_fields(part["inner"], depth + 1)
+    return _descriptor_dyadic("weight", part["weight"]), _descriptor_fields(part["inner"], depth + 1)
 
 
 def _refuse_unread(data: dict, keys, what: str) -> None:
@@ -610,6 +610,15 @@ def _descriptor_int(key: str, value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError("descriptor key %r must be an integer, got %r" % (key, value))
+
+
+def _descriptor_dyadic(key: str, value) -> Dyadic:
+    """A dyadic string; a JSON number raises ValueError, since the JSON
+    parser may already have rounded it."""
+    if not isinstance(value, str):
+        raise ValueError("descriptor key %r must be a string such as \"1/4\", got %s"
+                         % (key, type(value).__name__))
+    return Dyadic.parse(value)
 
 
 # mu_HF averages mu_F over the finite transversal {1}, so it is mu_F

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, List
+from typing import Iterator, List
 
 from irslab.dyadic import ONE, Dyadic, one_minus_pow2, pow2
 from irslab.measures import (
@@ -33,39 +33,6 @@ from irslab.words import A, COMMUTATOR, IDENTITY, Word, conjugate
 from irslab.ywords import YWord, depth, expand
 
 DEFAULT_SEED = 20240801
-
-
-_TAIL_LEN = 6
-
-
-def _reduced_tuples(n: int, after: int = 0) -> List[tuple]:
-    """Freely reduced letter tuples of length n that do not start with the
-    inverse of the letter `after`, in lexicographic order over a, A, b, B."""
-    level: List[tuple] = [()]
-    for _ in range(n):
-        level = [
-            w + (x,)
-            for w in level
-            for x in (1, -1, 2, -2)
-            if x != -(w[-1] if w else after)
-        ]
-    return level
-
-
-def iter_reduced_words(max_len: int) -> Iterable[Word]:
-    """All freely reduced words of length <= max_len, shortest first and
-    in lexicographic order over a, A, b, B within each length.
-
-    Each word is a prefix joined to a tail of at most _TAIL_LEN letters, so
-    the stored lists hold about 3^-_TAIL_LEN of the words of a length."""
-    for n in range(1, max_len + 1):
-        head = max(0, n - _TAIL_LEN)
-        tails = {
-            after: _reduced_tuples(n - head, after) for after in (0, 1, -1, 2, -2)
-        }
-        for prefix in _reduced_tuples(head):
-            for tail in tails[prefix[-1] if prefix else 0]:
-                yield Word._raw(prefix + tail)
 
 
 _STEPS = ((1, 1, 0), (-1, -1, 0), (2, 0, 1), (-2, 0, -1))  # letter, its (p, q)
@@ -137,27 +104,26 @@ def random_reduced_word(rng: random.Random, max_len: int) -> Word:
 
 def suite_faithful(max_len: int = 8) -> dict:
     """Every nontrivial word up to the length bound is certified outside
-    the kernel of the co-induced measure: by its nonzero abelianization, or
-    by its finite depth inside the commutator subgroup."""
-    n_words = 0
-    n_outside = 0
+    the kernel of the co-induced measure.  A word outside [F,F] is so by
+    its nonzero abelianization, and those words are counted in closed form:
+    all 2 (3^max_len - 1) reduced words of length 1..max_len, less the
+    [F,F] ones.  Each [F,F] word is judged one by one, by kernel_contains,
+    and its depth fills the histogram."""
+    words = CommutatorWords(max_len)
+    n_words = 2 * (3**max_len - 1)
     depth_hist: dict = {}
     failures = []
-    for w in iter_reduced_words(max_len):
-        n_words += 1
+    for w in words:
         if kernel_contains(MU_G, w) is not CertifiedBool.FALSE:
             failures.append(str(w))
-        if w.abelianization() != (0, 0):
-            n_outside += 1
-        else:
-            key = str(depth(w))
-            depth_hist[key] = depth_hist.get(key, 0) + 1
+        key = str(depth(w))
+        depth_hist[key] = depth_hist.get(key, 0) + 1
     return {
         "suite": "faithful",
         "params": {"max_len": max_len},
         "n_words": n_words,
         "n_certified_outside_kernel": n_words - len(failures),
-        "n_outside_commutator": n_outside,
+        "n_outside_commutator": n_words - len(words),
         "depth_histogram": dict(sorted(depth_hist.items(), key=lambda kv: int(kv[0]))),
         "failures": failures,
         "pass": not failures,

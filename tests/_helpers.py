@@ -8,10 +8,10 @@ from math import inf
 from irslab._backend import kernels
 
 from irslab.dyadic import DEFAULT_FACTOR_CAP, ONE, ZERO, Dyadic, Enclosure, Exact, pow2
-from irslab.measures import GeomGamma, chain_env_weight, combination_checks
+from irslab.measures import MU_G, CertifiedBool, GeomGamma, chain_env_weight, combination_checks
 from irslab.sampler import SampledSubgroup
 from irslab.words import Word
-from irslab.ywords import YWord
+from irslab.ywords import YWord, depth
 
 LETTERS = (1, -1, 2, -2)
 
@@ -67,6 +67,34 @@ def commutator_pool(max_len: int):
     """Nontrivial commutator-subgroup words of length <= max_len, in the
     order of iter_reduced."""
     return [w for w in iter_reduced(max_len) if w.abelianization() == (0, 0)]
+
+
+def faithful_report(max_len: int, judge) -> dict:
+    """suite_faithful's report built the long way: every reduced word of
+    length 1..max_len, [F,F] or not, in the order of iter_reduced, each
+    judged by judge(MU_G, w)."""
+    n_words = n_outside = 0
+    depth_hist = {}
+    failures = []
+    for w in iter_reduced(max_len):
+        n_words += 1
+        if judge(MU_G, w) is not CertifiedBool.FALSE:
+            failures.append(str(w))
+        if w.abelianization() != (0, 0):
+            n_outside += 1
+        else:
+            key = str(depth(w))
+            depth_hist[key] = depth_hist.get(key, 0) + 1
+    return {
+        "suite": "faithful",
+        "params": {"max_len": max_len},
+        "n_words": n_words,
+        "n_certified_outside_kernel": n_words - len(failures),
+        "n_outside_commutator": n_outside,
+        "depth_histogram": dict(sorted(depth_hist.items(), key=lambda kv: int(kv[0]))),
+        "failures": failures,
+        "pass": not failures,
+    }
 
 
 def linear_scan_depth(sylls) -> int:

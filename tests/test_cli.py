@@ -471,6 +471,22 @@ def test_huge_decimal_exponents_fail_fast(args, literal, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ["7" * 10**6 + "/2^70", "7" * 10**6 + "/3", "1/" + "7" * 10**6, "7" * 10**6],
+    ids=["num/2^exp", "p/q", "p/q-denominator", "integer"],
+)
+def test_million_digit_literals_fail_fast(literal, tmp_path, capsys):
+    # Decimal to int is quadratic: a 10^6-digit numerator once took 37 s
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    assert main(["family", "--word", "abAB", "--a", literal, "--out", str(out)]) == EXIT_PARSE
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert "1000000 significant digits exceeds the 19729 digits of 2^65536" in err, err[:200]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exp", ["65537", "-65537", "4000000", "-4000000"])
 @pytest.mark.parametrize(
     "args",
@@ -742,6 +758,25 @@ def test_eval_refuses_a_descriptor_key_nothing_reads(kind, monkeypatch, tmp_path
     out = tmp_path / "r.json"
     assert main(["eval", "--measure", json.dumps(data), "--word", "abAB", "--out", str(out)]) == EXIT_PARSE
     assert capsys.readouterr().err == "error: --measure: %s does not read the key 'extra'\n" % kind
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "measure, key, got",
+    [
+        ('{"type": "param_family", "a": 0.25}', "a", "float"),
+        ('{"type": "coinduced_product", "inner": {"type": "param_family", "a": 1}}', "a", "int"),
+        (DESCRIPTOR_JSON["convex"].replace('"3/2^2"', "0.75"), "weight", "float"),
+        (DESCRIPTOR_JSON["convex"].replace('"3/2^2"', "1"), "weight", "int"),
+    ],
+)
+def test_eval_refuses_a_json_number_for_a_dyadic(measure, key, got, monkeypatch, tmp_path, capsys):
+    # the JSON parser may already have rounded a number, so a dyadic is text
+    monkeypatch.setattr(cli, "env_prob", lambda *args, **kw: pytest.fail("evaluated"))
+    out = tmp_path / "r.json"
+    assert main(["eval", "--measure", measure, "--word", "abAB", "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        'error: --measure: descriptor key %r must be a string such as "1/4", got %s\n' % (key, got))
     assert not out.exists()
 
 

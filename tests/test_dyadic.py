@@ -107,6 +107,18 @@ def test_parse_rejects_decimal_exponents_beyond_the_cap(text):
         parse_target_width(text)
 
 
+def test_parse_caps_significant_digits_at_those_of_the_largest_power():
+    # 2^65536 has 19,729 digits: that many read, one more is refused
+    assert dyadic.MAX_LITERAL_DIGITS == 19729
+    top = "9" * 19729
+    assert Dyadic.parse(top + "/2^65536") == Dyadic(10**19729 - 1, 65536)
+    assert Dyadic.parse("-" + top) == Dyadic(1 - 10**19729)
+    assert Dyadic.parse("0" * 30000 + "1/2^3") == Dyadic(1, 3)
+    for text in ("9" + top + "/2^65536", "1/" + "1" + top, "1" + top, "0." + top + "1e1000"):
+        with pytest.raises(ValueError, match="19730 significant digits"):
+            Dyadic.parse(text)
+
+
 def test_not_dyadic_carries_the_text_and_the_value():
     with pytest.raises(NotDyadic) as exc:
         Dyadic.parse(" 0.1 ")

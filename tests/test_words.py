@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from _helpers import (
     commutator_pool,
+    faithful_report,
     iter_reduced,
     naive_free_reduce,
     random_reduced_letters,
@@ -131,11 +132,25 @@ def test_commutator_words_unrank_the_pool():
             words[len(pool)]
 
 
-def test_iter_reduced_words_keeps_breadth_first_order():
-    # suite_faithful lists its failures in this order, so the
-    # prefix-and-tail enumeration must match the plain level-by-level one
-    from irslab.verify import iter_reduced_words
+@pytest.mark.parametrize("max_len", range(9))
+def test_faithful_matches_the_all_words_report(max_len, monkeypatch):
+    # suite_faithful judges only the [F,F] words and counts the rest in
+    # closed form; the report must equal the one judging every word
+    from irslab import verify
+    from irslab.measures import CertifiedBool, kernel_contains
+    from irslab.ywords import depth
 
-    for max_len in (0, 1, 6, 7, 9):
-        got = [w.letters for w in iter_reduced_words(max_len)]
-        assert got == [w.letters for w in iter_reduced(max_len)]
+    assert list(verify.CommutatorWords(max_len)) == commutator_pool(max_len)
+    assert verify.suite_faithful(max_len) == faithful_report(max_len, kernel_contains)
+
+    # a judge failing the [F,F] words of even depth: failures keep the
+    # order of the all-words loop
+    def judge(mu, w):
+        if w.abelianization() == (0, 0) and depth(w) % 2 == 0:
+            return CertifiedBool.UNKNOWN
+        return kernel_contains(mu, w)
+
+    monkeypatch.setattr(verify, "kernel_contains", judge)
+    report = verify.suite_faithful(max_len)
+    assert report == faithful_report(max_len, judge)
+    assert (max_len < 4) == (not report["failures"])
