@@ -425,35 +425,29 @@ def lane_masks(depths, min_bits):
     return mask, high, _lane_constants(len(depths))[2]
 
 
-def block0_candidates(lanes, mask, high, low, ones):
-    """Coordinates i, in increasing order, whose masked block-0 bits are
-    all zeros (all ones when `ones` is set), which is necessary for the
-    draw at i to exceed its depth; lanes is block0_lanes over at least the
-    profile's window and (mask, high, low) its lane_masks.
+def member_scan(depths, lanes, masks, ones, draw):
+    """False at the first coordinate i whose level draw(i) exceeds the depth
+    d = depths[i-1] (0: unbounded), else True; lanes is block0_lanes over
+    the window and masks its lane_masks(depths, 1 + ones), where ones is
+    set for the family inner (0 < a < 3/4) and not for the geometric one.
 
-    The geometric draw exceeds d >= 1 only if the low min(d, 64) bits of
-    block 0 are zeros.  The family draw (0 < a < 3/4) exceeds d >= 2 only
-    if they are ones, since the stream is read from bit 0 up and k > d
-    means x >= 1 - 2^-d; its depth-1 lanes are always candidates.  A zero
-    lane y sets bit 64 of ((y + low) & high) ^ high: adding 2^64 - 1
-    carries into bit 64 exactly when y is not zero.
+    Block 0 decides each lane with 1 + ones <= d <= 64: the geometric level
+    exceeds d iff the low d bits of block 0 are zeros, the family level iff
+    they are ones (the stream is read from bit 0 up and k > d means
+    x >= 1 - 2^-d).  Lanes with such bits and d > 64, or family d = 1, are
+    drawn.  A zero lane y sets bit 64 of ((y + low) & high) ^ high: adding
+    2^64 - 1 carries into bit 64 exactly when y is not zero.
     """
+    mask, high, low = masks
     y = lanes & mask
     if ones:
         y ^= mask
     hits = ((y + low) & high) ^ high
     while hits:
         bit = hits & -hits
-        yield bit.bit_length() // _LANE_BITS + 1
-        hits ^= bit
-
-
-def member_scan(seed, depths, lanes, masks):
-    """False at the first coordinate i whose geometric draw exceeds the
-    depth depths[i-1] (0: unbounded), else True.  Only the candidates of
-    the seed's block0_lanes under masks = lane_masks(depths, 1) are drawn.
-    """
-    for i in block0_candidates(lanes, *masks, False):
-        if geometric_coordinate(seed, i) > depths[i - 1]:
+        i = bit.bit_length() // _LANE_BITS + 1
+        d = depths[i - 1]
+        if ones < d <= 64 or draw(i) > d:
             return False
+        hits ^= bit
     return True

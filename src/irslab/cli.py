@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 
 from irslab import __version__
-from irslab.dyadic import Dyadic, Exact, parse_target_width, pow2
+from irslab.dyadic import Dyadic, Exact, parse_target_width, pow2, quoted
 from irslab.measures import (
     DEFAULT_FACTOR_CAP,
     INSTANCE_DESCRIPTION,
@@ -57,8 +57,8 @@ EXIT_WIDTH = 3
 # took 0.5 s
 MAX_WORD_LEN = 14
 # sample streams each seed's membership row to the CSV, so its memory is flat
-# in --n, but its time is not: with 8 radius-2 words a seed takes about 80 us
-# (10^5 seeds in 7.8 s on a 2-vCPU VM), so 10^6 seeds take about 80 s
+# in --n, but its time is not: with 8 radius-2 words a seed takes about 90 us
+# (10^5 seeds of mu_G in 8.7 s on a 2-vCPU VM), so 10^6 seeds take about 90 s
 MAX_SAMPLE_SEEDS = 10**6
 # sample holds each word's depth profile and its block-0 lane masks (two
 # 38 KB packed ints at the largest window), and writes one CSV column per word
@@ -162,7 +162,7 @@ def _parse_width(text) -> Dyadic:
     except ValueError as exc:
         raise CliError("--width: %s" % (exc,)) from None
     if width.exp > MAX_WIDTH_EXP:
-        raise CliError("--width must be at least 2^-%d, got %s" % (MAX_WIDTH_EXP, text))
+        raise CliError("--width must be at least 2^-%d, got %s" % (MAX_WIDTH_EXP, quoted(text)))
     return width
 
 
@@ -218,7 +218,7 @@ def _merge_config(parser, argv, args: argparse.Namespace, config: dict):
     for key, value in config.items():
         action = flags.get(key.replace("-", "_"))
         if action is None:
-            raise CliError("unknown config key %r for %s" % (key, args.cmd))
+            raise CliError("unknown config key %s for %s" % (quoted(key), args.cmd))
         values[action.dest] = _config_value(key, action, value)
         # with no default, a flag reaches the namespace only from argv
         action.default = argparse.SUPPRESS

@@ -37,6 +37,11 @@ MAX_LITERAL_DIGITS = int(MAX_LITERAL_EXP * math.log10(2)) + 1
 _INTEGER = re.compile(r"[+-]?[0-9](?:_?[0-9])*")
 
 
+def quoted(text: str) -> str:
+    """An input as an error message quotes it: its repr, cut to 40 characters and its length."""
+    return repr(text) if len(text) <= 40 else "%r... (%d characters)" % (text[:40], len(text))
+
+
 def _short_decimal(d: Decimal) -> Decimal:
     """d, if it has at most MAX_LITERAL_DIGITS significant digits."""
     digits = len(d.as_tuple().digits)
@@ -51,7 +56,7 @@ def _decimal_integer(text: str) -> Decimal:
     compares in linear time."""
     text = text.strip()
     if not _INTEGER.fullmatch(text):
-        raise ValueError("invalid integer %r" % (text,))
+        raise ValueError("invalid integer %s" % (quoted(text),))
     return Decimal(text)
 
 
@@ -69,11 +74,11 @@ def _decimal_fraction(text: str) -> Fraction:
     try:
         d = Decimal(text)
     except InvalidOperation:
-        raise ValueError("invalid number %r" % (text,)) from None
+        raise ValueError("invalid number %s" % (quoted(text),)) from None
     if not d.is_finite() or abs(d.as_tuple().exponent) > MAX_LITERAL_EXP:
         raise ValueError(
-            "%r is not a finite decimal with exponent in [-%d, %d]"
-            % (text, MAX_LITERAL_EXP, MAX_LITERAL_EXP)
+            "%s is not a finite decimal with exponent in [-%d, %d]"
+            % (quoted(text), MAX_LITERAL_EXP, MAX_LITERAL_EXP)
         )
     return Fraction(_short_decimal(d))
 
@@ -82,7 +87,7 @@ class NotDyadic(ValueError):
     """A well-formed number whose value is not dyadic; `value` holds it."""
 
     def __init__(self, text: str, value: Fraction):
-        super().__init__("%r is not dyadic" % (text,))
+        super().__init__("%s is not dyadic" % (quoted(text),))
         self.value = value
 
 
@@ -125,13 +130,13 @@ class Dyadic:
                 exp = _decimal_integer(den_str[2:])
                 if not -MAX_LITERAL_EXP <= exp <= MAX_LITERAL_EXP:
                     raise ValueError(
-                        "%r is not num/2^exp with exponent in [-%d, %d]"
-                        % (text, MAX_LITERAL_EXP, MAX_LITERAL_EXP)
+                        "%s is not num/2^exp with exponent in [-%d, %d]"
+                        % (quoted(text), MAX_LITERAL_EXP, MAX_LITERAL_EXP)
                     )
                 return cls(num, int(exp))
             den = _int_from_text(den_str)
             if den <= 0:
-                raise ValueError("denominator of %r is not positive" % (text,))
+                raise ValueError("denominator of %s is not positive" % (quoted(text),))
             f = Fraction(num, den)
         elif "." in text or "e" in text or "E" in text:
             f = _decimal_fraction(text)

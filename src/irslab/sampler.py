@@ -1,13 +1,13 @@
 """Sampling random subgroups with exactly-controlled error.
 
 A sampled subgroup is the intersection of conjugates of chain subgroups,
-one independent chain level per transversal coordinate.  Coordinate
-levels are a deterministic function of (seed, coordinate) through a
-counter-based keyed PRF, so queries are reproducible and lazily
-materialized.  Membership checks scan coordinates out to a ring where the
-certified residual violation mass drops below 2^-tolerance_exp; the
-answer distribution is within that total-variation budget of the exact
-law, per query.
+one independent chain level per transversal coordinate.  Levels are a
+deterministic function of (seed, coordinate) through a counter-based
+keyed PRF, so queries are reproducible and levels are drawn on demand.
+Membership checks scan coordinates out to a ring where the certified
+residual violation mass drops below 2^-tolerance_exp; the answer
+distribution is within that total-variation budget of the exact law, per
+query.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from irslab._backend import kernels
 from irslab.dyadic import Dyadic, Enclosure, pow2
@@ -91,7 +91,7 @@ class DepthProfile(tuple):
 
 
 class SampledSubgroup:
-    """A lazily materialized sample of a co-induced random subgroup."""
+    """A sample of a co-induced random subgroup, its levels drawn on demand."""
 
     def __init__(self, inner, seed: int, tolerance_exp: int = DEFAULT_TOLERANCE_EXP):
         if tolerance_exp < 1:
@@ -99,24 +99,18 @@ class SampledSubgroup:
         self.inner = _drawable(inner)
         self.seed = seed & kernels.MASK64
         self.tolerance_exp = tolerance_exp
-        self.resolved: Dict[int, int] = {}
-        self._is_geometric = isinstance(inner, GeomGamma)
+        self._is_family = isinstance(inner, ParamFamily)
         self._lanes = None
         self._lane_count = 0
 
     def coordinate(self, i: int) -> int:
-        """Chain level at transversal coordinate i (deterministic in
-        (seed, i); memoized)."""
+        """Chain level at transversal coordinate i, drawn afresh from
+        (seed, i) on each call."""
         if i < 1:
             raise ValueError("coordinate index must be >= 1")
-        k = self.resolved.get(i)
-        if k is None:
-            if self._is_geometric:
-                k = kernels.geometric_coordinate(self.seed, i)
-            else:
-                k = _param_coordinate(self.seed, i, self.inner.a)
-            self.resolved[i] = k
-        return k
+        if self._is_family:
+            return _param_coordinate(self.seed, i, self.inner.a)
+        return kernels.geometric_coordinate(self.seed, i)
 
     def member(self, w: Word, profile: Optional[Sequence[int]] = None) -> bool:
         """Whether w lies in the sampled subgroup, within the tolerance."""
@@ -132,21 +126,18 @@ class SampledSubgroup:
         """Whether no coordinate level exceeds its entry of the depth
         profile of a nontrivial [F,F] word (entry 0: unbounded).
 
-        Only the block0_candidates of the profile's masks are drawn (the
-        family's test needs a < 3/4, which ParamFamily enforces).  The seed's
-        block-0 lanes are drawn once, and again only for a longer window.
+        kernels.member_scan decides from block 0 and draws through
+        coordinate only where it cannot (the family's test needs a < 3/4,
+        which ParamFamily enforces).  The seed's block-0 lanes are drawn
+        once, and again only for a longer window.
         """
         if not isinstance(profile, DepthProfile):
             profile = DepthProfile(profile)
         if len(profile) > self._lane_count:
             self._lane_count = len(profile)
             self._lanes = kernels.block0_lanes(self.seed, self._lane_count)
-        if self._is_geometric:
-            return kernels.member_scan(self.seed, profile, self._lanes, profile.geometric_masks)
-        for i in kernels.block0_candidates(self._lanes, *profile.family_masks, True):
-            if self.coordinate(i) > profile[i - 1]:
-                return False
-        return True
+        masks = profile.family_masks if self._is_family else profile.geometric_masks
+        return kernels.member_scan(profile, self._lanes, masks, self._is_family, self.coordinate)
 
 
 def sample(mu: Measure, seed: int, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> SampledSubgroup:

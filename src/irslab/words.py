@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from irslab._backend import kernels
+from irslab.dyadic import quoted
 
 
 _CHAR_TO_LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
@@ -40,7 +41,7 @@ class Word:
             letters = tuple(_CHAR_TO_LETTER[c] for c in text)
         except KeyError as exc:
             raise ValueError(
-                "invalid word %r: letters must be among a, b, A, B" % (text,)
+                "invalid word %s: letters must be among a, b, A, B" % (quoted(text),)
             ) from exc
         return cls._raw(kernels.free_reduce(letters))
 

@@ -339,6 +339,11 @@ def reference_geometric_coordinate(prf_block, seed: int, index: int) -> int:
         block += 1
 
 
+# parameters a of the family inner, each with 0 < a < 3/4; 2^-70 needs
+# bits beyond the first block
+FAMILY_PARAMS = [Dyadic(1, 2), Dyadic(1, 3), Dyadic(5, 4), Dyadic(1, 1), Dyadic(23, 5), Dyadic(1, 70)]
+
+
 def dyadic_param_coordinate(prf_block, seed: int, index: int, a: Dyadic) -> int:
     """Reference inverse-CDF draw of the parametrized family, comparing the
     consumed prefix's interval with every CDF cell as Dyadic values."""

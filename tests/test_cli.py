@@ -570,6 +570,23 @@ def test_family_rejects_bad_flags_before_any_work(args, monkeypatch, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [{"width": "1/2^" + "9" * 10**6}, {"width": "x" * 10**6}, {"width": "0" * 10**6 + "1/2^200"},
+     {"word": ["c" * 10**6]}, {"k" * 10**6: 1}],
+    ids=["width exponent", "width text", "width too fine", "word", "key"],
+)
+def test_long_config_values_print_short_errors(entry, tmp_path, capsys):
+    # a config file has no argv size limit, so a bad value may be huge;
+    # the error quotes its prefix and length
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"word": ["abAB"], **entry}))
+    assert main(["--config", str(cfg), "eval", "--out", str(tmp_path / "r.json")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 1024, len(err)
+    assert "(1000" in err and "characters)" in err
+
+
 def test_config_file_merging(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"measure": "mu_F", "word": ["abAB"]}))

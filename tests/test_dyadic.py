@@ -119,6 +119,20 @@ def test_parse_caps_significant_digits_at_those_of_the_largest_power():
             Dyadic.parse(text)
 
 
+@pytest.mark.parametrize("text", ["1/2^" + "9" * 10**5, "1e-" + "9" * 10**5, "x" * 10**5,
+                                  "1/-" + "7" * 100, "0." + "1" * 100 + "e99999",
+                                  "0." + "1" * 100 + "3"],
+                         ids=["exponent", "decimal", "integer", "denominator", "decimal exponent",
+                              "not dyadic"])
+def test_parse_errors_quote_a_prefix_and_the_length(text):
+    with pytest.raises(ValueError) as exc:
+        Dyadic.parse(text)
+    message = str(exc.value)
+    assert len(message) < 200, len(message)
+    assert repr(text[:40]) in message
+    assert "(%d characters)" % len(text) in message
+
+
 def test_not_dyadic_carries_the_text_and_the_value():
     with pytest.raises(NotDyadic) as exc:
         Dyadic.parse(" 0.1 ")

@@ -23,6 +23,10 @@
 - Cyclic core: x^e M x^-e is a conjugate of M and x^e M x^f one of
   M x^(e+f), and conjugation keeps every depth (the first lemma, in the
   basis), so each column keeps only its rewrite's cyclic core.
+- Block-0 decision: for 1 <= d <= 64 the geometric level exceeds d iff the
+  low d bits of the first PRF block are zeros, and for 2 <= d <= 64 the
+  family level (0 < a < 3/4) exceeds d iff they are ones, so member_scan
+  draws a level only beyond depth 64 or at family depth 1.
 """
 
 import random
@@ -31,12 +35,17 @@ from fractions import Fraction
 from itertools import islice
 
 from _helpers import (
+    FAMILY_PARAMS,
+    MASK64,
     _reference_rewrite_from,
     commutator_pool,
+    dyadic_param_coordinate,
     linear_scan_depth,
     random_reduced_letters,
     random_yword,
     reference_conjugate_depths,
+    reference_geometric_coordinate,
+    reference_prf_block,
 )
 from irslab._backend import kernels
 from irslab.grid import transversal_word
@@ -356,3 +365,57 @@ def test_conjugate_depths_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024, peak
+
+
+def _block0_patterns():
+    """(seed, block 0) pairs: the real first blocks of 32 seeds; all zeros
+    and all ones at 8 seeds, whose later blocks then decide; and for each
+    d in 1..63 exactly d low zeros, or ones, with bit d flipped and random
+    bits above it."""
+    rng = random.Random(6464)
+    patterns = [(seed, reference_prf_block(seed, 1, 0)) for seed in range(32)]
+    patterns += [(seed, x) for x in (0, MASK64) for seed in range(8)]
+    for d in range(1, 64):
+        high = rng.getrandbits(63 - d) << d + 1
+        patterns += [(d, high | 1 << d), (d, high | (1 << d) - 1)]
+    return patterns
+
+
+def test_block0_decides_levels_up_to_depth_64():
+    patterns = _block0_patterns()
+
+    def prf(seed, index, block):
+        # pattern `index` fixes block 0; later blocks are the seed's own
+        return patterns[index - 1][1] if block == 0 else reference_prf_block(seed, index, block)
+
+    kinds = [(False, None)] + [(True, a) for a in FAMILY_PARAMS]
+    masks = {
+        (d, ones): kernels.lane_masks((d,), 1 + ones) for d in range(1, 66) for ones in (False, True)
+    }
+    drawn_answers = {}
+    for index, (seed, x) in enumerate(patterns, start=1):
+        for ones, a in kinds:
+            if ones:
+                k = dyadic_param_coordinate(prf, seed, index, a)
+            else:
+                k = reference_geometric_coordinate(prf, seed, index)
+            for d in range(1 + ones, 65):
+                low = x & (1 << d) - 1
+                assert (k > d) == (low == ((1 << d) - 1 if ones else 0)), (ones, a, d, x)
+            # member_scan on this lane alone answers as the level does, and
+            # draws it only where block 0 cannot decide
+            for d in range(1, 66):
+                drawn = []
+
+                def draw(i):
+                    drawn.append(i)
+                    return k
+
+                answer = kernels.member_scan((d,), x, masks[d, ones], ones, draw)
+                assert answer == (k <= d), (ones, a, d, x)
+                if drawn:
+                    assert d == 65 or ones and d == 1, (ones, a, d, x)
+                    drawn_answers.setdefault((ones, d), set()).add(answer)
+    # the drawn lanes see both answers, so a scan that decided them from
+    # block 0 would fail above
+    assert drawn_answers == {(False, 65): {True, False}, (True, 65): {True, False}, (True, 1): {True, False}}

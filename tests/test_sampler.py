@@ -7,6 +7,7 @@ import pytest
 
 from _helpers import (
     CHI2_Q9973,
+    FAMILY_PARAMS,
     MASK64,
     coordinate_chi_square,
     dyadic_param_coordinate,
@@ -310,9 +311,6 @@ def test_geometric_coordinate_reads_later_blocks(monkeypatch):
             assert k == reference_geometric_coordinate(first_block_zero, seed, index)
 
 
-FAMILY_PARAMS = [Dyadic(1, 2), Dyadic(1, 3), Dyadic(5, 4), Dyadic(1, 1), Dyadic(23, 5), Dyadic(1, 70)]
-
-
 def test_param_coordinate_matches_dyadic_oracle():
     for a in FAMILY_PARAMS:
         for seed in range(300):
@@ -448,10 +446,11 @@ def test_member_scan_accepts_any_sequence():
             assert s.member(COMMUTATOR, list(profile)) == s.member(COMMUTATOR, profile)
 
 
-def test_membership_matrix_draws_only_candidate_coordinates(monkeypatch):
+def test_membership_matrix_draws_only_undecided_coordinates(monkeypatch):
     # the shape of a sample command: radius-2 words from spiral indices
-    # 16..25, seeds checked one after another; a coordinate is drawn only
-    # when its block-0 bits allow a violation, up to the scan's first one
+    # 16..25, seeds checked one after another.  Block 0 decides a lane of
+    # depth <= 64, so a coordinate is drawn only when its block-0 bits are
+    # all zeros at a depth beyond 64, up to the scan's first violation
     singles = [expand(y(i)) for i in (16, 18, 20, 22)]
     products = [expand(YWord([(i, 1), (j, 1)])) for i, j in ((17, 21), (19, 24), (23, 25))]
     words = [IDENTITY] + singles + products
@@ -462,11 +461,13 @@ def test_membership_matrix_draws_only_candidate_coordinates(monkeypatch):
     for seed in seeds:
         for profile in profiles:
             for i, d in enumerate(profile, start=1):
-                block0 = reference_prf_block(seed, i, 0)
-                if d and block0 & ((1 << min(d, 64)) - 1) == 0:
+                if d and reference_prf_block(seed, i, 0) & ((1 << min(d, 64)) - 1) == 0:
+                    if d <= 64:
+                        break
                     expected += 1
                     if reference_geometric_coordinate(reference_prf_block, seed, i) > d:
                         break
+    assert expected == 0  # every depth of these windows is at most 64
 
     calls = {"geometric_coordinate": 0, "block0_lanes": 0}
     for name in calls:
@@ -474,10 +475,13 @@ def test_membership_matrix_draws_only_candidate_coordinates(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(_purekernels, name, counted)
-    for _ in membership_matrix(seeds, words):
-        pass
+    rows = list(membership_matrix(seeds, words))
     assert calls["block0_lanes"] == len(seeds)
     assert calls["geometric_coordinate"] == expected
+    for seed, row in zip(seeds, rows):
+        def draw(i, _seed=seed):
+            return reference_geometric_coordinate(reference_prf_block, _seed, i)
+        assert row == [True] + [scalar_member_scan(draw, p) for p in profiles], seed
 
 
 def test_membership_matrix_draws_block0_lanes_once_per_seed(monkeypatch):

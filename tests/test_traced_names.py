@@ -4,13 +4,16 @@ run fails on a missing attribute."""
 
 import ast
 import importlib
+import random
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from irslab._backend import kernels
-from irslab.sampler import membership_matrix
+from irslab.dyadic import Dyadic
+from irslab.measures import GeomGamma, ParamFamily
+from irslab.sampler import SampledSubgroup
 from irslab.words import Word
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -74,10 +77,28 @@ def test_conjugate_depths_calls_traced_kernels_by_module_name(monkeypatch):
     assert calls["spiral_index"] > 0
 
 
-def test_geometric_draws_happen_inside_member_scan(monkeypatch):
-    """The tracer counts a scan's coordinates as the geometric draws whose
-    innermost open traced call is kernels.member_scan, so the geometric
-    scan must draw there, through the kernel module's attributes."""
+def test_scan_draws_happen_inside_member_scan(monkeypatch):
+    """A scan draws only inside kernels.member_scan, through its draw
+    argument SampledSubgroup.coordinate, both of which the tracer wraps by
+    name.  Block 0 decides every lane of depth <= 64, so it is forced to
+    zero on the deeper lanes, which makes those lanes drawn."""
+    deep = {2, 5, 9}
+    rng = random.Random(81)
+    profiles = [
+        tuple(rng.choice((65, 200)) if i in deep else rng.choice((0, 1, 3, 64)) for i in range(1, 13))
+        for _ in range(20)
+    ]
+    real_lanes, real_prf = kernels.block0_lanes, kernels.prf_block
+
+    def lanes(seed, count):
+        packed = real_lanes(seed, count)
+        for i in deep:
+            packed &= ~(kernels.MASK64 << 128 * (i - 1))
+        return packed
+
+    def prf(seed, index, block):
+        return 0 if block == 0 and index in deep else real_prf(seed, index, block)
+
     open_calls = []
     draws = {}
 
@@ -88,19 +109,20 @@ def test_geometric_draws_happen_inside_member_scan(monkeypatch):
         finally:
             open_calls.pop()
 
-    def draw(*args, _fn=kernels.geometric_coordinate):
+    def coordinate(self, i, _fn=SampledSubgroup.coordinate):
         parent = open_calls[-1] if open_calls else None
         draws[parent] = draws.get(parent, 0) + 1
-        open_calls.append("geometric_coordinate")
-        try:
-            return _fn(*args)
-        finally:
-            open_calls.pop()
+        return _fn(self, i)
 
+    monkeypatch.setattr(kernels, "block0_lanes", lanes)
+    monkeypatch.setattr(kernels, "prf_block", prf)
     monkeypatch.setattr(kernels, "member_scan", scan)
-    monkeypatch.setattr(kernels, "geometric_coordinate", draw)
-    words = [Word.parse(s) for s in ("abAB", "aabABA", "abABbaBA")]
-    for _ in membership_matrix(range(100), words):
-        pass
-    assert draws.get("member_scan", 0) > 0
-    assert set(draws) == {"member_scan"}
+    monkeypatch.setattr(SampledSubgroup, "coordinate", coordinate)
+    for inner in (GeomGamma(), ParamFamily(Dyadic(1, 2))):
+        draws.clear()
+        for seed in range(20):
+            s = SampledSubgroup(inner, seed)
+            for profile in profiles:
+                s.scan(profile)
+        assert draws.get("member_scan", 0) > 0, inner
+        assert set(draws) == {"member_scan"}, inner

@@ -57,6 +57,16 @@ def test_parse_format_round_trip():
         Word((3,))
 
 
+def test_parse_error_quotes_a_prefix_and_the_length():
+    with pytest.raises(ValueError) as exc:
+        Word.parse("c" * 10**5)
+    assert str(exc.value) == (
+        "invalid word %r... (100000 characters): letters must be among a, b, A, B" % ("c" * 40)
+    )
+    with pytest.raises(ValueError, match="^invalid word 'abc': "):
+        Word.parse("abc")
+
+
 @given(letters_st)
 def test_reduce_matches_naive_oracle(raw):
     assert Word(raw).letters == naive_free_reduce(raw)
