@@ -21,7 +21,6 @@ from irslab.measures import (  # noqa: F401
     Convex,
     DiracGamma,
     DiracTrivial,
-    EnvEvent,
     GeneratePower,
     GeomGamma,
     IntersectPower,
@@ -43,7 +42,6 @@ from irslab.ywords import (  # noqa: F401
     YWord,
     depth,
     expand,
-    in_gamma,
     phi_k,
     rewrite_to_y,
 )

@@ -412,15 +412,17 @@ def block0_lanes(seed, count):
     return (z ^ (z >> 31)) & m
 
 
-def lane_masks(depths, min_bits):
-    """(mask, high, low) of the block-0 test of a depth profile.
+def lane_masks(depths, ones):
+    """(mask, high, low) of member_scan's block-0 test of a depth profile,
+    with ones as member_scan takes it.
 
     Lane i-1 of mask keeps the low min(d, 64) bits of block 0 for a depth
-    d = depths[i-1] >= min_bits and no bit for a smaller nonzero d, which
-    makes that lane a candidate whatever block 0 holds; high has bit 64 of
-    each lane with d != 0, so a lane of unbounded depth never is one.
+    d = depths[i-1] > ones and no bit for a smaller nonzero d (a family
+    lane of depth 1), which makes that lane a candidate whatever block 0
+    holds, so member_scan draws it; high has bit 64 of each lane with
+    d != 0, so a lane of unbounded depth never is one.
     """
-    mask = _pack([(1 << min(d, 64)) - 1 if d >= min_bits else 0 for d in depths])
+    mask = _pack([(1 << min(d, 64)) - 1 if d > ones else 0 for d in depths])
     high = _pack([1 << 64 if d else 0 for d in depths])
     return mask, high, _lane_constants(len(depths))[2]
 
@@ -428,10 +430,10 @@ def lane_masks(depths, min_bits):
 def member_scan(depths, lanes, masks, ones, draw):
     """False at the first coordinate i whose level draw(i) exceeds the depth
     d = depths[i-1] (0: unbounded), else True; lanes is block0_lanes over
-    the window and masks its lane_masks(depths, 1 + ones), where ones is
-    set for the family inner (0 < a < 3/4) and not for the geometric one.
+    the window and masks is lane_masks(depths, ones), where ones is set
+    for the family inner (0 < a < 3/4) and not for the geometric one.
 
-    Block 0 decides each lane with 1 + ones <= d <= 64: the geometric level
+    Block 0 decides each lane with ones < d <= 64: the geometric level
     exceeds d iff the low d bits of block 0 are zeros, the family level iff
     they are ones (the stream is read from bit 0 up and k > d means
     x >= 1 - 2^-d).  Lanes with such bits and d > 64, or family d = 1, are

@@ -57,8 +57,9 @@ EXIT_WIDTH = 3
 # took 0.5 s
 MAX_WORD_LEN = 14
 # sample streams each seed's membership row to the CSV, so its memory is flat
-# in --n, but its time is not: with 8 radius-2 words a seed takes about 90 us
-# (10^5 seeds of mu_G in 8.7 s on a 2-vCPU VM), so 10^6 seeds take about 90 s
+# in --n, but its time is not: with 8 radius-2 words a seed takes about 45 us
+# (10^5 seeds of mu_G in 4.0-5.9 s on a 2-vCPU VM), so 10^6 seeds take under
+# a minute
 MAX_SAMPLE_SEEDS = 10**6
 # sample holds each word's depth profile and its block-0 lane masks (two
 # 38 KB packed ints at the largest window), and writes one CSV column per word
@@ -185,11 +186,11 @@ def _config_value(key: str, action: argparse.Action, value):
     and every other value is converted as if typed on the command line."""
     if isinstance(action, argparse._StoreTrueAction):
         if not isinstance(value, bool):
-            raise CliError("config %r must be true or false, got %s" % (key, json.dumps(value)))
+            raise CliError("config %r must be true or false, got %s" % (key, quoted(value)))
         return value
     if isinstance(action, argparse._AppendAction):
         if not isinstance(value, list):
-            raise CliError("config %r must be a list, got %s" % (key, json.dumps(value)))
+            raise CliError("config %r must be a list, got %s" % (key, quoted(value)))
         return [_config_scalar(key, action.type, v) for v in value]
     return _config_scalar(key, action.type, value)
 
@@ -197,7 +198,7 @@ def _config_value(key: str, action: argparse.Action, value):
 def _config_scalar(key: str, convert, value):
     """A JSON string or number through a flag's type (None: kept as text)."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise CliError("config %r must be a string or a number, got %s" % (key, json.dumps(value)))
+        raise CliError("config %r must be a string or a number, got %s" % (key, quoted(value)))
     text = value if isinstance(value, str) else str(value)
     try:
         return convert(text) if convert else text

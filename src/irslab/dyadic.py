@@ -14,6 +14,7 @@ logarithms enter any certified quantity.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -37,8 +38,10 @@ MAX_LITERAL_DIGITS = int(MAX_LITERAL_EXP * math.log10(2)) + 1
 _INTEGER = re.compile(r"[+-]?[0-9](?:_?[0-9])*")
 
 
-def quoted(text: str) -> str:
-    """An input as an error message quotes it: its repr, cut to 40 characters and its length."""
+def quoted(value) -> str:
+    """An input as an error message quotes it: the repr of a string, or of
+    another JSON value's text, cut to 40 characters and its length."""
+    text = value if isinstance(value, str) else json.dumps(value)
     return repr(text) if len(text) <= 40 else "%r... (%d characters)" % (text[:40], len(text))
 
 

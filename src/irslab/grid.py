@@ -27,14 +27,6 @@ class GridPoint(NamedTuple):
     def ring(self) -> int:
         return max(abs(self.p), abs(self.q))
 
-    @classmethod
-    def parse(cls, text: str) -> "GridPoint":
-        try:
-            p_str, q_str = text.split(",")
-            return cls(int(p_str), int(q_str))
-        except ValueError as exc:
-            raise ValueError("invalid grid point %r, expected 'p,q'" % (text,)) from exc
-
     def __str__(self) -> str:
         return "%d,%d" % (self.p, self.q)
 

@@ -30,6 +30,7 @@ from irslab.dyadic import (
     certified_product,
     one_minus_pow2,
     pow2,
+    quoted,
 )
 from irslab.words import Word, conjugate
 from irslab.ywords import depth, rewrite_to_y
@@ -61,33 +62,6 @@ INSTANCE_DESCRIPTION = {
     "finite_transversal": [""],
     "pushforward_convention": "(g_*mu)(Env w) = mu(Env g^-1 w g)",
 }
-
-
-class EnvEvent:
-    """The envelope event of a finite word set: all subgroups containing
-    every word.  Identity words are dropped; the empty event is the sure
-    event."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words):
-        if isinstance(words, Word):
-            words = (words,)
-        self.words = tuple(
-            sorted(
-                {w for w in words if not w.is_identity()},
-                key=lambda w: (len(w), w.letters),
-            )
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, EnvEvent) and self.words == other.words
-
-    def __hash__(self):
-        return hash(self.words)
-
-    def __repr__(self):
-        return "EnvEvent(%s)" % (", ".join(repr(str(w)) for w in self.words),)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +222,16 @@ def chain_env_weight(mu, K) -> Dyadic:
     raise TypeError("not a chain measure: %r" % (mu,))
 
 
+def _event_words(words) -> tuple:
+    """The words of an envelope event (a lone Word is one word): the
+    identity dropped, the rest deduplicated and sorted by (length,
+    letters).  The empty event is the sure event."""
+    if isinstance(words, Word):
+        words = (words,)
+    nontrivial = {w for w in words if not w.is_identity()}
+    return tuple(sorted(nontrivial, key=lambda w: (len(w), w.letters)))
+
+
 def _outside_commutator(words) -> bool:
     """Whether some word leaves the commutator subgroup.  Every descriptor
     is supported in that subgroup (chain atoms lie in it, and it is normal,
@@ -336,14 +320,14 @@ def _combine_affine(parts) -> Enclosure:
 def env_prob(
     mu: Measure,
     words,
-    target_width: Dyadic = None,
+    target_width: Dyadic = DEFAULT_TARGET_WIDTH,
     factor_cap: int = DEFAULT_FACTOR_CAP,
 ) -> Enclosure:
     """Probability that a mu-random subgroup contains every word of the
-    (finite) event."""
-    if target_width is None:
-        target_width = DEFAULT_TARGET_WIDTH
-    event = (words if isinstance(words, EnvEvent) else EnvEvent(words)).words
+    finite event words (a lone Word, or an iterable of them).  Identity
+    words are dropped and repeats do not count, so the empty event is the
+    sure event and the order of the words changes nothing."""
+    event = _event_words(words)
     if not event:
         return Exact(ONE)
     if _outside_commutator(event):
@@ -396,19 +380,19 @@ class CertifiedBool(enum.Enum):
         raise TypeError("CertifiedBool is three-valued; compare explicitly")
 
 
-def kernel_contains(mu: Measure, w: Word, target_width: Dyadic = None) -> CertifiedBool:
-    """Whether w lies in the kernel of mu, i.e. mu(Env w) = 1."""
+def kernel_contains(mu: Measure, w: Word) -> CertifiedBool:
+    """Whether w lies in the kernel of mu, i.e. mu(Env w) = 1, judged at
+    DEFAULT_TARGET_WIDTH."""
     if w.is_identity():
         return CertifiedBool.TRUE
     if _outside_commutator((w,)):
         return CertifiedBool.FALSE
     # one co-induced factor already refutes membership for most words
-    event = EnvEvent(w)
-    v = env_prob(mu, event, target_width, factor_cap=1)
+    v = env_prob(mu, (w,), factor_cap=1)
     if v.hi < ONE:
         return CertifiedBool.FALSE
     if not isinstance(v, Exact):
-        v = env_prob(mu, event, target_width)
+        v = env_prob(mu, (w,))
     if v.hi < ONE:
         return CertifiedBool.FALSE
     if v.lo == ONE:
@@ -416,7 +400,7 @@ def kernel_contains(mu: Measure, w: Word, target_width: Dyadic = None) -> Certif
     return CertifiedBool.UNKNOWN
 
 
-def essential(mu: Measure, w: Word, target_width: Dyadic = None) -> CertifiedBool:
+def essential(mu: Measure, w: Word, target_width: Dyadic = DEFAULT_TARGET_WIDTH) -> CertifiedBool:
     """Whether w is essential for mu, i.e. mu(Env w) > 0."""
     v = env_prob(mu, (w,), target_width)
     if v.lo > ZERO:
@@ -452,13 +436,18 @@ def supported_in(mu: Measure, region: Region) -> bool:
     return supported_in(mu.inner, region)
 
 
-def combination_checks(mu1: Measure, mu2: Measure, words, n: int = 3) -> Iterator[dict]:
+# order of the intersection power of mu1 that combination_checks compares
+COMBINATION_POWER = 3
+
+
+def combination_checks(mu1: Measure, mu2: Measure, words) -> Iterator[dict]:
     """Predicate-level kernel/essential identities for the half-half convex
-    combination, plus kernel stability under intersection powers of mu1:
-    one entry per word, judged as the word arrives."""
+    combination, plus kernel stability under the COMBINATION_POWER-th
+    intersection power of mu1: one entry per word, judged as the word
+    arrives."""
     half = Dyadic(1, 1)
     conv = Convex(((half, mu1), (half, mu2)))
-    ipow = IntersectPower(n, mu1) if isinstance(mu1, CHAIN_TYPES) else None
+    ipow = IntersectPower(COMBINATION_POWER, mu1) if isinstance(mu1, CHAIN_TYPES) else None
     for w in words:
         k1 = kernel_contains(mu1, w)
         k2 = kernel_contains(mu2, w)
@@ -485,15 +474,15 @@ def combination_checks(mu1: Measure, mu2: Measure, words, n: int = 3) -> Iterato
         }
 
 
-def mixing_defect(w1: Word, w2: Word, shift: Word, target_width: Dyadic = None) -> Enclosure:
+def mixing_defect(
+    w1: Word, w2: Word, shift: Word, target_width: Dyadic = DEFAULT_TARGET_WIDTH
+) -> Enclosure:
     """Independence defect of the two envelope events under shifting:
     |P(both) - P(first) P(second)| for the co-induced measure, with the
     second event conjugated by the shift."""
     for w in (w1, w2):
         if w.abelianization() != (0, 0):
             raise ValueError("mixing defect requires commutator-subgroup words")
-    if target_width is None:
-        target_width = DEFAULT_TARGET_WIDTH
     if w1.is_identity() or w2.is_identity():
         return Enclosure(ZERO, ZERO, True)
     moved = conjugate(shift, w2)
@@ -560,14 +549,15 @@ def _descriptor_fields(data: dict, depth: int = 0) -> Measure:
             raise ValueError("representative count must be a power of two, got %d" % len(reps))
         for r in reps:
             if r.abelianization() != (0, 0):
-                raise ValueError("representative %r is outside the commutator subgroup" % str(r))
+                raise ValueError("representative %s is outside the commutator subgroup"
+                                 % quoted(str(r)))
         inner = _descriptor_fields(data["inner"], depth + 1)
         if not isinstance(inner, CHAIN_TYPES):
             raise ValueError("induced averages are supported over chain measures only")
         return inner
     cls = KINDS.get(kind)
     if cls is None:
-        raise ValueError("unknown measure type %r" % (kind,))
+        raise ValueError("unknown measure type %s" % (quoted(kind),))
     names = [f.name for f in fields(cls)]
     _refuse_unread(data, ["type"] + names, kind)
     values = []
@@ -599,7 +589,7 @@ def _refuse_unread(data: dict, keys, what: str) -> None:
         raise ValueError("%s must be a JSON object, got %s" % (what, type(data).__name__))
     unread = sorted(set(data).difference(keys))
     if unread:
-        raise ValueError("%s does not read the key %s" % (what, ", ".join(map(repr, unread))))
+        raise ValueError("%s does not read the key %s" % (what, quoted(", ".join(unread))))
 
 
 def _descriptor_int(key: str, value) -> int:
@@ -609,7 +599,7 @@ def _descriptor_int(key: str, value) -> int:
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValueError("descriptor key %r must be an integer, got %r" % (key, value))
+    raise ValueError("descriptor key %r must be an integer, got %s" % (key, quoted(value)))
 
 
 def _descriptor_dyadic(key: str, value) -> Dyadic:

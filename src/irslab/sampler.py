@@ -35,6 +35,8 @@ DEFAULT_TOLERANCE_EXP = 60
 
 # fewest seeds for which the z-tests' normal approximation is used
 MIN_SAMPLE_SEEDS = 100
+# largest |z| at which a cell of chi_square_report passes
+Z_THRESHOLD = 3.0
 
 
 def sampled_inner(mu: Measure):
@@ -83,11 +85,11 @@ class DepthProfile(tuple):
 
     @cached_property
     def geometric_masks(self):
-        return kernels.lane_masks(self, 1)
+        return kernels.lane_masks(self, False)
 
     @cached_property
     def family_masks(self):
-        return kernels.lane_masks(self, 2)
+        return kernels.lane_masks(self, True)
 
 
 class SampledSubgroup:
@@ -112,15 +114,13 @@ class SampledSubgroup:
             return _param_coordinate(self.seed, i, self.inner.a)
         return kernels.geometric_coordinate(self.seed, i)
 
-    def member(self, w: Word, profile: Optional[Sequence[int]] = None) -> bool:
+    def member(self, w: Word) -> bool:
         """Whether w lies in the sampled subgroup, within the tolerance."""
         if w.is_identity():
             return True
         if w.abelianization() != (0, 0):
             return False
-        if profile is None:
-            profile = depth_profile(w, self.tolerance_exp)
-        return self.scan(profile)
+        return self.scan(depth_profile(w, self.tolerance_exp))
 
     def scan(self, profile: Sequence[int]) -> bool:
         """Whether no coordinate level exceeds its entry of the depth
@@ -230,10 +230,10 @@ def chi_square_report(
     exact: Sequence[Enclosure],
     n: int,
     labels: Optional[Sequence[str]] = None,
-    z_threshold: float = 3.0,
 ) -> dict:
     """Per-cell z-scores of empirical frequencies against exact or
-    enclosed probabilities, after check_z_test_inputs."""
+    enclosed probabilities, after check_z_test_inputs; a cell passes when
+    its z-score is finite and at most Z_THRESHOLD in absolute value."""
     check_z_test_inputs(exact, n)
     if len(empirical) != len(exact):
         raise ValueError("frequency and probability tables differ in length")
@@ -242,7 +242,7 @@ def chi_square_report(
     for j, (freq, value) in enumerate(zip(empirical, exact)):
         p_mid = value.midpoint().as_fraction()
         z = z_score(Fraction(freq), p_mid, n)
-        ok = abs(z) <= z_threshold if math.isfinite(z) else False
+        ok = abs(z) <= Z_THRESHOLD if math.isfinite(z) else False
         all_pass = all_pass and ok
         rows.append(
             {
@@ -253,4 +253,4 @@ def chi_square_report(
                 "pass": ok,
             }
         )
-    return {"n": n, "z_threshold": z_threshold, "pass": all_pass, "cells": rows}
+    return {"n": n, "z_threshold": Z_THRESHOLD, "pass": all_pass, "cells": rows}

@@ -14,7 +14,6 @@ largest k whose retraction still kills w.
 from __future__ import annotations
 
 import math
-import re
 from typing import Iterable, Tuple
 
 from irslab._backend import kernels
@@ -85,18 +84,6 @@ class YWord:
     def __repr__(self) -> str:
         return "YWord(%r)" % (str(self),)
 
-    _TOKEN = re.compile(r"^y(\d+)(?:\^(-?\d+))?$")
-
-    @classmethod
-    def parse(cls, text: str) -> "YWord":
-        sylls = []
-        for token in text.split():
-            m = cls._TOKEN.match(token)
-            if not m:
-                raise ValueError("invalid syllable token %r" % (token,))
-            sylls.append((int(m.group(1)), int(m.group(2) or 1)))
-        return cls(sylls)
-
 
 def y(i: int, e: int = 1) -> YWord:
     """The basis element y_i (or a power of it)."""
@@ -140,13 +127,3 @@ def depth(w: Word):
     if not letters:
         return math.inf
     return kernels.depth_syllables(kernels.rewrite_syllables(letters))
-
-
-def in_gamma(w: Word, k: int) -> bool:
-    """Whether w lies in the k-th chain subgroup (kernel of phi_k)."""
-    if k < 1:
-        raise ValueError("chain level must be >= 1, got %r" % (k,))
-    a0, a1 = w.abelianization()
-    if a0 or a1:
-        return False
-    return depth(w) >= k

@@ -117,6 +117,16 @@ def linear_scan_depth(sylls) -> int:
     raise AssertionError("normalized nonempty syllable word cancelled")
 
 
+def in_gamma(w: Word, k: int) -> bool:
+    """Whether w lies in the k-th chain subgroup (kernel of phi_k)."""
+    if k < 1:
+        raise ValueError("chain level must be >= 1, got %r" % (k,))
+    a0, a1 = w.abelianization()
+    if a0 or a1:
+        return False
+    return depth(w) >= k
+
+
 # The conjugate-depth walk as it was before columns were shared: one
 # Schreier rewrite per coordinate, then a binary search over every index.
 # The three functions below are that code, with only the names of the
@@ -386,9 +396,9 @@ def scalar_member_scan(draw, depths) -> bool:
     return True
 
 
-def check_combination_identities(mu1, mu2, words, n: int = 3) -> dict:
+def check_combination_identities(mu1, mu2, words) -> dict:
     """combination_checks over a finite word list, with every entry kept."""
-    entries = list(combination_checks(mu1, mu2, words, n))
+    entries = list(combination_checks(mu1, mu2, words))
     return {
         "n_words": len(entries),
         "pass": all(e["pass"] for e in entries),

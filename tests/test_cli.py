@@ -587,6 +587,31 @@ def test_long_config_values_print_short_errors(entry, tmp_path, capsys):
     assert "(1000" in err and "characters)" in err
 
 
+def _descriptor(**data):
+    return json.dumps({"type": "geom_gamma", **data})
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"width": list(range(10**5))}, {"allow_wide": "x" * 10**6},
+     {"measure": _descriptor(type="z" * 10**6)},
+     {"measure": _descriptor(type="induced_finite", reps=["a" * 10**6], inner={"type": "geom_gamma"})},
+     {"measure": _descriptor(**{"k" * 10**6: 1})},
+     {"measure": _descriptor(type="dirac_gamma", k=list(range(10**5)))}],
+    ids=["width list", "allow_wide text", "descriptor type", "representative", "unread key",
+         "dirac_gamma k list"],
+)
+def test_long_config_and_descriptor_values_print_short_errors(entry, tmp_path, capsys):
+    # values that are not strings, or that reach a descriptor, are quoted
+    # by a prefix of their JSON text and its length too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"word": ["abAB"], **entry}))
+    assert main(["--config", str(cfg), "eval", "--out", str(tmp_path / "r.json")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 1024, len(err)
+    assert "characters)" in err
+
+
 def test_config_file_merging(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"measure": "mu_F", "word": ["abAB"]}))

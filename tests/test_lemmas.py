@@ -390,7 +390,7 @@ def test_block0_decides_levels_up_to_depth_64():
 
     kinds = [(False, None)] + [(True, a) for a in FAMILY_PARAMS]
     masks = {
-        (d, ones): kernels.lane_masks((d,), 1 + ones) for d in range(1, 66) for ones in (False, True)
+        (d, ones): kernels.lane_masks((d,), ones) for d in range(1, 66) for ones in (False, True)
     }
     drawn_answers = {}
     for index, (seed, x) in enumerate(patterns, start=1):

@@ -188,12 +188,12 @@ def test_subgroup_closure_on_samples():
     while trials < 10000:
         s = sample(MU_G, seed)
         seed += 1
-        members = [w for w in pool if s.member(w, profiles[w])][:6]
+        members = [w for w in pool if s.scan(profiles[w])][:6]
         for u in members:
             inv = u.inverse()
             if inv not in product_profiles:
                 product_profiles[inv] = depth_profile(inv)
-            assert s.member(inv, product_profiles[inv]) is True
+            assert s.scan(product_profiles[inv]) is True
             trials += 1
         for u in members:
             for v in members:
@@ -202,7 +202,7 @@ def test_subgroup_closure_on_samples():
                     continue
                 if uv not in product_profiles:
                     product_profiles[uv] = depth_profile(uv)
-                assert s.member(uv, product_profiles[uv]) is True
+                assert s.scan(product_profiles[uv]) is True
                 trials += 1
     assert trials >= 10000
 
@@ -216,8 +216,8 @@ def test_empirical_invariance():
         hits_w = hits_m = 0
         for seed in range(n):
             s = sample(MU_G, seed)
-            hits_w += s.member(w, prof_w)
-            hits_m += s.member(moved, prof_m)
+            hits_w += s.scan(prof_w)
+            hits_m += s.scan(prof_m)
         p = 0.2887880951
         sigma_diff = math.sqrt(2 * p * (1 - p) / n)
         assert abs(hits_w - hits_m) / n <= 3 * sigma_diff
@@ -253,7 +253,7 @@ def test_chi_square_report():
 def test_membership_tolerance_bound_documented():
     s = sample(MU_G, 3, tolerance_exp=30)
     assert s.tolerance_exp == 30
-    assert s.member(COMMUTATOR, depth_profile(COMMUTATOR, 30)) in (True, False)
+    assert s.scan(depth_profile(COMMUTATOR, 30)) in (True, False)
 
 
 def test_coordinates_pairwise_independent():
@@ -443,7 +443,7 @@ def test_member_scan_accepts_any_sequence():
     for inner in (GeomGamma(), ParamFamily(Dyadic(1, 2))):
         for seed in range(50):
             s = SampledSubgroup(inner, seed)
-            assert s.member(COMMUTATOR, list(profile)) == s.member(COMMUTATOR, profile)
+            assert s.scan(list(profile)) == s.scan(profile)
 
 
 def test_membership_matrix_draws_only_undecided_coordinates(monkeypatch):
@@ -520,20 +520,20 @@ def test_profiles_own_their_masks_beyond_sixteen_words(monkeypatch):
     calls = []
     real_masks = _purekernels.lane_masks
 
-    def counted(depths, min_bits):
-        calls.append((tuple(depths), min_bits))
-        return real_masks(depths, min_bits)
+    def counted(depths, ones):
+        calls.append((tuple(depths), ones))
+        return real_masks(depths, ones)
 
     monkeypatch.setattr(_purekernels, "lane_masks", counted)
-    for inner, mu, min_bits in (
-        (GeomGamma(), MU_G, 1),
-        (ParamFamily(Dyadic(1, 2)), family_measure(Dyadic(1, 2)), 2),
+    for inner, mu, ones in (
+        (GeomGamma(), MU_G, False),
+        (ParamFamily(Dyadic(1, 2)), family_measure(Dyadic(1, 2)), True),
     ):
         calls.clear()
         for seed, row in zip(seeds, membership_matrix(seeds, words, mu)):
             draw = SampledSubgroup(inner, seed).coordinate
             assert row == [scalar_member_scan(draw, p) for p in profiles], seed
-        assert sorted(calls) == sorted((p, min_bits) for p in profiles)
+        assert sorted(calls) == sorted((p, ones) for p in profiles)
 
 
 @pytest.mark.parametrize("max_bin", [0, 16, -1])
