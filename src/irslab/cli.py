@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import itertools
 import json
 import math
@@ -95,6 +94,10 @@ MAX_COMBINATION_WORDS = 10**5
 # (19,737 characters) one value prints in 0.008 s, where the depth-358,802
 # value of mu_F on a^300 abAB A^300 took 0.34 s to report, in 110 KB
 MAX_EXACT_BITS = 1 << 16
+# the sampler's PRF keys on a seed mod 2^64 and verify's random.Random on
+# its absolute value, so a seed outside 0..MAX_SEED would repeat another's
+# draws under a different name
+MAX_SEED = 2**64 - 1
 
 
 class CliError(Exception):
@@ -279,12 +282,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite = SUITES[args.suite]
-    kwargs = _suite_kwargs(args, suite)
+    kwargs = _suite_kwargs(args)
     started = time.perf_counter()
-    result = suite(**kwargs)
+    result = SUITES[args.suite](**kwargs)
     elapsed = time.perf_counter() - started
-    report = _base_report("verify", {"suite": args.suite, **{k: str(v) for k, v in kwargs.items()}})
+    params = {k: str(v) for k, v in result["params"].items()}
+    report = _base_report("verify", {"suite": args.suite, **params})
     report["result"] = result
     _emit(report, args.out)
     sys.stderr.write("suite %s: %s in %.2fs\n" % (args.suite, "pass" if result["pass"] else "FAIL", elapsed))
@@ -295,25 +298,24 @@ def cmd_verify(args) -> int:
 # highest); --width takes a target width in place of a range.  combination
 # always checks IDENTITY and COMMUTATOR, so --n 1 would report one word and
 # check two.
-_ANY_SEED = ("seed", -math.inf, math.inf)
+_SEED = ("seed", 0, MAX_SEED)
 _WIDTH = ("width", None, None)
 VERIFY_FLAGS = {
     "faithful": {"--max-len": ("max_len", 1, MAX_WORD_LEN)},
-    "invariance": {"--n": ("pairs", 1, MAX_INVARIANCE_PAIRS), "--seed": _ANY_SEED,
+    "invariance": {"--n": ("pairs", 1, MAX_INVARIANCE_PAIRS), "--seed": _SEED,
                    "--max-len": ("max_len", 1, MAX_WORD_LEN), "--width": _WIDTH},
     "closure": {"--width": _WIDTH},
     "chain-limits": {"--n": ("n_max", 1, MAX_POWER)},
-    "combination": {"--n": ("sample_size", 2, MAX_COMBINATION_WORDS), "--seed": _ANY_SEED},
+    "combination": {"--n": ("sample_size", 2, MAX_COMBINATION_WORDS), "--seed": _SEED},
     "mixing": {"--shift": ("shift_exp", -MAX_SHIFT_EXP, MAX_SHIFT_EXP), "--width": _WIDTH},
 }
 
 
-def _suite_kwargs(args, suite) -> dict:
-    """The suite's signature defaults but None (an unset width, which the
-    report does not echo), overridden by the flags given in argv or the
-    config; a flag the suite does not read is refused."""
-    kwargs = {name: p.default for name, p in inspect.signature(suite).parameters.items()
-              if p.default is not None and p.default is not p.empty}
+def _suite_kwargs(args) -> dict:
+    """The suite parameters of the flags given in argv or the config, each
+    checked against its range; the suite's own defaults fill the rest, and
+    a flag the suite does not read is refused."""
+    kwargs = {}
     reads = VERIFY_FLAGS[args.suite]
     for flag in sorted(set().union(*VERIFY_FLAGS.values())):
         value = getattr(args, flag[2:].replace("-", "_"))
@@ -343,6 +345,8 @@ def cmd_sample(args) -> int:
         )
     _check_range("--n", args.n, MIN_SAMPLE_SEEDS, MAX_SAMPLE_SEEDS)
     _check_range("--tolerance-exp", args.tolerance_exp, 1, MAX_TOLERANCE_EXP)
+    # seeds base .. base + n - 1 are distinct 64-bit PRF keys
+    _check_range("--seed", args.seed, 0, MAX_SEED + 1 - args.n)
     n, base_seed, tol = args.n, args.seed, args.tolerance_exp
     for w in words:
         if not w.is_identity() and w.abelianization() == (0, 0):

@@ -440,11 +440,11 @@ def supported_in(mu: Measure, region: Region) -> bool:
 COMBINATION_POWER = 3
 
 
-def combination_checks(mu1: Measure, mu2: Measure, words) -> Iterator[dict]:
+def combination_checks(mu1: Measure, mu2: Measure, words) -> Iterator[bool]:
     """Predicate-level kernel/essential identities for the half-half convex
     combination, plus kernel stability under the COMBINATION_POWER-th
-    intersection power of mu1: one entry per word, judged as the word
-    arrives."""
+    intersection power of mu1: whether all of them hold, one bool per word,
+    judged as the word arrives."""
     half = Dyadic(1, 1)
     conv = Convex(((half, mu1), (half, mu2)))
     ipow = IntersectPower(COMBINATION_POWER, mu1) if isinstance(mu1, CHAIN_TYPES) else None
@@ -465,13 +465,7 @@ def combination_checks(mu1: Measure, mu2: Measure, words) -> Iterator[dict]:
         if ipow is not None:
             kp = kernel_contains(ipow, w)
             ok_power = (kp is CertifiedBool.TRUE) == (k1 is CertifiedBool.TRUE)
-        yield {
-            "word": str(w),
-            "kernel_identity": ok_kernel,
-            "essential_identity": ok_essential,
-            "intersect_power_identity": ok_power,
-            "pass": ok_kernel and ok_essential and ok_power,
-        }
+        yield ok_kernel and ok_essential and ok_power
 
 
 def mixing_defect(

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 from irslab._backend import kernels
 from irslab.dyadic import Dyadic, Enclosure, pow2
@@ -229,24 +229,25 @@ def chi_square_report(
     empirical: Sequence[Fraction],
     exact: Sequence[Enclosure],
     n: int,
-    labels: Optional[Sequence[str]] = None,
+    labels: Sequence[str],
 ) -> dict:
     """Per-cell z-scores of empirical frequencies against exact or
-    enclosed probabilities, after check_z_test_inputs; a cell passes when
-    its z-score is finite and at most Z_THRESHOLD in absolute value."""
+    enclosed probabilities, after check_z_test_inputs, each cell named by
+    its label; a cell passes when its z-score is finite and at most
+    Z_THRESHOLD in absolute value."""
     check_z_test_inputs(exact, n)
-    if len(empirical) != len(exact):
-        raise ValueError("frequency and probability tables differ in length")
+    if not len(empirical) == len(exact) == len(labels):
+        raise ValueError("frequency, probability and label tables differ in length")
     rows = []
     all_pass = True
-    for j, (freq, value) in enumerate(zip(empirical, exact)):
+    for label, freq, value in zip(labels, empirical, exact):
         p_mid = value.midpoint().as_fraction()
         z = z_score(Fraction(freq), p_mid, n)
         ok = abs(z) <= Z_THRESHOLD if math.isfinite(z) else False
         all_pass = all_pass and ok
         rows.append(
             {
-                "label": labels[j] if labels else str(j),
+                "label": label,
                 "frequency": float(freq),
                 "p": float(p_mid),
                 "z": z,

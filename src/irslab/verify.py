@@ -133,12 +133,11 @@ def suite_faithful(max_len: int = 8) -> dict:
 def suite_invariance(
     pairs: int = 100,
     max_len: int = 6,
-    width: Dyadic = None,
+    width: Dyadic = DEFAULT_TARGET_WIDTH,
     seed: int = DEFAULT_SEED,
 ) -> dict:
     """Envelope enclosures before and after conjugating the event must
     intersect (invariance holds exactly; enclosures witness it at width)."""
-    width = width if width is not None else DEFAULT_TARGET_WIDTH
     rng = random.Random(seed)
     pool = CommutatorWords(max_len)
     checks = []
@@ -169,9 +168,8 @@ def suite_invariance(
     }
 
 
-def suite_closure(width: Dyadic = None) -> dict:
+def suite_closure(width: Dyadic = DEFAULT_TARGET_WIDTH) -> dict:
     """Nontriviality and closure flags of the co-induced measure."""
-    width = width if width is not None else DEFAULT_TARGET_WIDTH
     ess_comm = essential(MU_G, COMMUTATOR, width)
     supp_comm = supported_in(MU_G, Region.COMMUTATOR)
     ess_a = essential(MU_G, A, width)
@@ -275,9 +273,9 @@ def suite_combination(sample_size: int = 200, seed: int = DEFAULT_SEED) -> dict:
     for name, m1, m2 in pairs:
         n_words = 0
         ok = True
-        for entry in combination_checks(m1, m2, _combination_words(sample_size, seed)):
+        for passed in combination_checks(m1, m2, _combination_words(sample_size, seed)):
             n_words += 1
-            ok = ok and entry["pass"]
+            ok = ok and passed
         reports[name] = {"n_words": n_words, "pass": ok}
         all_ok = all_ok and ok
     return {
@@ -288,10 +286,9 @@ def suite_combination(sample_size: int = 200, seed: int = DEFAULT_SEED) -> dict:
     }
 
 
-def suite_mixing(shift_exp: int = 10, width: Dyadic = None) -> dict:
+def suite_mixing(shift_exp: int = 10, width: Dyadic = DEFAULT_TARGET_WIDTH) -> dict:
     """Independence defect of the shifted pair must vanish below 1e-6
     while the unshifted (dependent) pair stays near p - p^2."""
-    width = width if width is not None else DEFAULT_TARGET_WIDTH
     shifted = mixing_defect(COMMUTATOR, COMMUTATOR, A ** shift_exp, width)
     dependent = mixing_defect(COMMUTATOR, COMMUTATOR, IDENTITY, width)
     p = env_prob(MU_G, (COMMUTATOR,), pow2(24))

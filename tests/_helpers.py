@@ -397,13 +397,9 @@ def scalar_member_scan(draw, depths) -> bool:
 
 
 def check_combination_identities(mu1, mu2, words) -> dict:
-    """combination_checks over a finite word list, with every entry kept."""
-    entries = list(combination_checks(mu1, mu2, words))
-    return {
-        "n_words": len(entries),
-        "pass": all(e["pass"] for e in entries),
-        "checks": entries,
-    }
+    """combination_checks over a finite word list, with every verdict kept."""
+    checks = list(combination_checks(mu1, mu2, words))
+    return {"n_words": len(checks), "pass": all(checks), "checks": checks}
 
 
 # 0.9973 quantiles (the two-sided 3-sigma level) of chi-square, df 1..15

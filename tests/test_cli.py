@@ -1,6 +1,5 @@
 import inspect
 import json
-import math
 import subprocess
 import sys
 import time
@@ -241,6 +240,9 @@ def test_sample_csv(tmp_path):
         # an exact value of depth 358,802, beyond MAX_EXACT_BITS
         ["eval", "--measure", "mu_F", "--word", "a" * 300 + "abAB" + "A" * 300],
         ["sample", "--n", "200"] + ["--word", "abAB"] * (MAX_SAMPLE_WORDS + 1),
+        # seeds are 64-bit PRF keys: a run's last seed is at most 2^64 - 1
+        ["sample", "--word", "abAB", "--n", "200", "--seed", "-1"],
+        ["sample", "--word", "abAB", "--n", "200", "--seed", str(2**64 - 200 + 1)],
     ],
 )
 def test_out_of_range_numbers_are_parse_errors(args, tmp_path, capsys):
@@ -349,9 +351,8 @@ def test_verify_reads_only_its_suite_flags(suite, flag, source, monkeypatch, tmp
 
     def record(**kwargs):
         calls.append(kwargs)
-        return {"pass": True}
+        return {"pass": True, "params": {k: str(v) for k, v in kwargs.items()}}
 
-    record.__wrapped__ = cli.SUITES[suite]  # its signature, as a traced suite's
     monkeypatch.setitem(cli.SUITES, suite, record)
     out, cfg = tmp_path / "r.json", tmp_path / "cfg.json"
     value = VERIFY_FLAG_VALUES[flag]
@@ -376,33 +377,36 @@ def test_verify_reads_only_its_suite_flags(suite, flag, source, monkeypatch, tmp
     "suite, echo",
     [
         ("faithful", {"max_len": "8"}),
-        ("invariance", {"pairs": "100", "max_len": "6", "seed": "20240801"}),
-        ("closure", {}),
+        ("invariance", {"pairs": "100", "max_len": "6", "width": "1/2^21", "seed": "20240801"}),
+        ("closure", {"width": "1/2^21"}),
         ("chain-limits", {"n_max": "10"}),
         ("combination", {"sample_size": "200", "seed": "20240801"}),
-        ("mixing", {"shift_exp": "10"}),
+        ("mixing", {"shift_exp": "10", "width": "1/2^21"}),
     ],
 )
 def test_verify_passes_and_echoes_the_suite_defaults(suite, echo, monkeypatch, tmp_path):
-    # a default of None (the width) is neither passed nor echoed
+    # with no flag given, the CLI passes the suite no argument, so the suite
+    # runs on its own defaults, and the config echoes the params the suite
+    # reports it ran with, the width included
     calls = []
+    run = cli.SUITES[suite]
 
     def record(**kwargs):
         calls.append(kwargs)
-        return {"pass": True}
+        return run(**kwargs)
 
-    record.__wrapped__ = cli.SUITES[suite]
     monkeypatch.setitem(cli.SUITES, suite, record)
     code, rep = run_cli(["verify", suite], tmp_path / "r.json")
     assert code == EXIT_OK
-    assert rep["config"] == {"suite": suite, **echo}
-    assert {k: str(v) for k, v in calls[0].items()} == echo
+    assert calls == [{}]
+    params = {k: str(v) for k, v in rep["result"]["params"].items()}
+    assert rep["config"] == {"suite": suite, **params} == {"suite": suite, **echo}
 
 
 @pytest.mark.parametrize(
     "suite, flag",
     [(suite, flag) for suite, flags in sorted(VERIFY_FLAGS.items())
-     for flag, (_, low, _) in sorted(flags.items()) if low not in (None, -math.inf)],
+     for flag, (_, low, _) in sorted(flags.items()) if low is not None],
 )
 def test_verify_flag_ranges_are_checked_before_any_work(suite, flag, monkeypatch, tmp_path, capsys):
     monkeypatch.setitem(cli.SUITES, suite, lambda **kw: pytest.fail("ran"))
@@ -750,7 +754,7 @@ def test_verify_failure_exit_code(monkeypatch, tmp_path):
     from irslab import verify as verify_mod
 
     def broken_suite(**kwargs):
-        return {"suite": "closure", "pass": False, "checks": []}
+        return {"suite": "closure", "params": kwargs, "pass": False, "checks": []}
 
     monkeypatch.setitem(verify_mod.SUITES, "closure", broken_suite)
     from irslab import cli as cli_mod

@@ -235,19 +235,22 @@ def test_z_score_formula():
 
 def test_chi_square_report():
     exact = [Exact(Dyadic(1, 1)), Exact(Dyadic(3, 2))]
-    rep = chi_square_report([Fraction(1, 2), Fraction(3, 4)], exact, 10000)
+    rep = chi_square_report([Fraction(1, 2), Fraction(3, 4)], exact, 10000, ["u", "v"])
     assert rep["pass"] and all(c["z"] == 0.0 for c in rep["cells"])
-    rep = chi_square_report([Fraction("0.289")], [Exact(Dyadic.parse("0.288818359375"))], 10000)
+    assert [c["label"] for c in rep["cells"]] == ["u", "v"]
+    rep = chi_square_report([Fraction("0.289")], [Exact(Dyadic.parse("0.288818359375"))], 10000, ["w"])
     assert rep["pass"]
-    rep = chi_square_report([Fraction("0.35")], [Exact(Dyadic.parse("0.288818359375"))], 10000)
+    rep = chi_square_report([Fraction("0.35")], [Exact(Dyadic.parse("0.288818359375"))], 10000, ["w"])
     assert not rep["pass"]
     assert 13.0 <= rep["cells"][0]["z"] <= 14.0
     with pytest.raises(ValueError):
-        chi_square_report([Fraction(1, 2)], [Exact(Dyadic(1, 1))], 50)
+        chi_square_report([Fraction(1, 2)], [Exact(Dyadic(1, 1))], 50, ["w"])
     with pytest.raises(ValueError):
         # enclosure an order of magnitude wider than sigma must be refused
         wide = Enclosure(Dyadic.parse("0.25"), Dyadic.parse("0.3125"))
-        chi_square_report([Fraction(1, 4)], [wide], 10000)
+        chi_square_report([Fraction(1, 4)], [wide], 10000, ["w"])
+    with pytest.raises(ValueError):
+        chi_square_report([Fraction(1, 2)], [Exact(Dyadic(1, 1))], 10000, ["u", "v"])
 
 
 def test_membership_tolerance_bound_documented():
