@@ -383,10 +383,6 @@ class CertifiedBool(enum.Enum):
 def kernel_contains(mu: Measure, w: Word) -> CertifiedBool:
     """Whether w lies in the kernel of mu, i.e. mu(Env w) = 1, judged at
     DEFAULT_TARGET_WIDTH."""
-    if w.is_identity():
-        return CertifiedBool.TRUE
-    if _outside_commutator((w,)):
-        return CertifiedBool.FALSE
     # one co-induced factor already refutes membership for most words
     v = env_prob(mu, (w,), factor_cap=1)
     if v.hi < ONE:

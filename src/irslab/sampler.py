@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, List, Sequence
 
@@ -79,19 +78,6 @@ def _param_coordinate(seed: int, index: int, a: Dyadic) -> int:
     return 1 if int(head, 2) < a.num else 2
 
 
-class DepthProfile(tuple):
-    """Conjugate depths over a membership window (entry 0: unbounded) that
-    builds the lane masks of each kind of block-0 test on its first scan."""
-
-    @cached_property
-    def geometric_masks(self):
-        return kernels.lane_masks(self, False)
-
-    @cached_property
-    def family_masks(self):
-        return kernels.lane_masks(self, True)
-
-
 class SampledSubgroup:
     """A sample of a co-induced random subgroup, its levels drawn on demand."""
 
@@ -102,8 +88,6 @@ class SampledSubgroup:
         self.seed = seed & kernels.MASK64
         self.tolerance_exp = tolerance_exp
         self._is_family = isinstance(inner, ParamFamily)
-        self._lanes = None
-        self._lane_count = 0
 
     def coordinate(self, i: int) -> int:
         """Chain level at transversal coordinate i, drawn afresh from
@@ -128,16 +112,13 @@ class SampledSubgroup:
 
         kernels.member_scan decides from block 0 and draws through
         coordinate only where it cannot (the family's test needs a < 3/4,
-        which ParamFamily enforces).  The seed's block-0 lanes are drawn
-        once, and again only for a longer window.
+        which ParamFamily enforces).  Each call draws the seed's block-0
+        lanes and builds the profile's lane masks afresh; membership_matrix
+        does each once.
         """
-        if not isinstance(profile, DepthProfile):
-            profile = DepthProfile(profile)
-        if len(profile) > self._lane_count:
-            self._lane_count = len(profile)
-            self._lanes = kernels.block0_lanes(self.seed, self._lane_count)
-        masks = profile.family_masks if self._is_family else profile.geometric_masks
-        return kernels.member_scan(profile, self._lanes, masks, self._is_family, self.coordinate)
+        lanes = kernels.block0_lanes(self.seed, len(profile))
+        masks = kernels.lane_masks(profile, self._is_family)
+        return kernels.member_scan(profile, lanes, masks, self._is_family, self.coordinate)
 
 
 def sample(mu: Measure, seed: int, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> SampledSubgroup:
@@ -162,11 +143,11 @@ def word_window(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> int:
     return membership_window(_support_radius((w,)), tolerance_exp)
 
 
-def depth_profile(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> DepthProfile:
+def depth_profile(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> tuple:
     """Conjugate depths of w at each spiral coordinate of its membership
     window (entry 0 would mean an identity conjugate, which cannot occur
     for nontrivial words)."""
-    return DepthProfile(islice(kernels.conjugate_depths(w.letters), word_window(w, tolerance_exp)))
+    return tuple(islice(kernels.conjugate_depths(w.letters), word_window(w, tolerance_exp)))
 
 
 def membership_matrix(
@@ -178,6 +159,7 @@ def membership_matrix(
     """Yield, seed by seed, whether each word lies in the subgroup sampled
     from (mu, seed)."""
     inner = sampled_inner(mu)
+    ones = isinstance(inner, ParamFamily)
     cells: list = []  # per word: its fixed answer, or its profile to scan
     for w in words:
         if w.is_identity():
@@ -186,15 +168,18 @@ def membership_matrix(
             cells.append(False)
         else:
             cells.append(depth_profile(w, tolerance_exp))
-    # longest window first, so each seed draws its block-0 lanes once
-    scanned = sorted(
-        (j for j, c in enumerate(cells) if not isinstance(c, bool)), key=lambda j: -len(cells[j])
-    )
+    # each word's lane masks are built once, each seed's lanes drawn once
+    # over the longest window, which serves the shorter ones too
+    scanned = [
+        (j, c, kernels.lane_masks(c, ones)) for j, c in enumerate(cells) if not isinstance(c, bool)
+    ]
+    window = max((len(c) for _, c, _ in scanned), default=0)
     for seed in seeds:
-        scan = SampledSubgroup(inner, seed, tolerance_exp).scan
+        s = SampledSubgroup(inner, seed, tolerance_exp)
+        lanes = kernels.block0_lanes(s.seed, window)
         row = list(cells)
-        for j in scanned:
-            row[j] = scan(cells[j])
+        for j, profile, masks in scanned:
+            row[j] = kernels.member_scan(profile, lanes, masks, ones, s.coordinate)
         yield row
 
 

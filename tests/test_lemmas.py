@@ -10,6 +10,9 @@
   sampler's membership window, is certified by it.
 - Series closure: _grid_tail dominates the summed ring bounds of every
   coordinate it skips.
+- Membership window: membership_window(radius, t) is (2l+1)^2 for the
+  least ring l > radius whose _grid_tail is at most 2^-t, which bounds
+  the sampler's per-query total-variation error by 2^-t.
 - Downward closure: the levels whose restriction cancels form an initial
   segment, which lets depth_syllables binary-search them.
 - Abelian upper bound: the depth is at most the least index ub whose
@@ -29,6 +32,7 @@
   draws a level only beyond depth 64 or at family depth 1.
 """
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -50,6 +54,7 @@ from _helpers import (
 from irslab._backend import kernels
 from irslab.grid import transversal_word
 from irslab.measures import _grid_tail, _support_radius
+from irslab.sampler import membership_window
 from irslab.words import COMMUTATOR, Word, conjugate
 from irslab.ywords import YWord, depth, expand, y
 
@@ -150,6 +155,25 @@ def test_grid_tail_is_the_fraction_sum_of_its_terms():
                 want += Fraction(8 * l, 1 << kernels.ring_start(l - radius))
             want += Fraction(16 * (l0 + 7), 1 << kernels.ring_start(l0 + 7 - radius))
             assert got == want, (count_done, radius)
+
+
+def test_membership_window_is_the_least_certified_ring():
+    """Each window is a full square of rings out to some l > radius, its
+    tail is at most 2^-tolerance, and the square one ring smaller is not,
+    unless that ring is at or below the radius."""
+    for radius in range(8):
+        for tolerance in (1, 2, 8, 21, 60, 128, 512, 1024):
+            window = membership_window(radius, tolerance)
+            side = math.isqrt(window)
+            assert side * side == window and side % 2 == 1, (radius, tolerance)
+            ring = side // 2
+            assert ring > radius, (radius, tolerance)
+            budget = Fraction(1, 1 << tolerance)
+            tail = _grid_tail(window, radius)
+            assert Fraction(tail.num, 1 << tail.exp) <= budget, (radius, tolerance)
+            if ring - 1 > radius:
+                smaller = _grid_tail((2 * ring - 1) ** 2, radius)
+                assert Fraction(smaller.num, 1 << smaller.exp) > budget, (radius, tolerance)
 
 
 def test_depth_matches_linear_scan():

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
@@ -181,14 +181,14 @@ def test_sampled_members_stay_in_commutator_subgroup():
 def test_subgroup_closure_on_samples():
     # members found by enumeration stay closed under product and inverse
     pool = [w for w in iter_reduced(8) if w.abelianization() == (0, 0)]
-    profiles = {w: depth_profile(w) for w in pool}
+    rows = membership_matrix(count(), pool)
     product_profiles = {}
     trials = 0
     seed = 0
     while trials < 10000:
         s = sample(MU_G, seed)
         seed += 1
-        members = [w for w in pool if s.scan(profiles[w])][:6]
+        members = [w for w, member in zip(pool, next(rows)) if member][:6]
         for u in members:
             inv = u.inverse()
             if inv not in product_profiles:
@@ -211,13 +211,10 @@ def test_empirical_invariance():
     n = 10000
     for g, w in ((Word.parse("ab"), COMMUTATOR), (Word.parse("BA"), Y2_WORD)):
         moved = conjugate(g.inverse(), w)
-        prof_w = depth_profile(w)
-        prof_m = depth_profile(moved)
         hits_w = hits_m = 0
-        for seed in range(n):
-            s = sample(MU_G, seed)
-            hits_w += s.scan(prof_w)
-            hits_m += s.scan(prof_m)
+        for member_w, member_m in membership_matrix(range(n), [w, moved]):
+            hits_w += member_w
+            hits_m += member_m
         p = 0.2887880951
         sigma_diff = math.sqrt(2 * p * (1 - p) / n)
         assert abs(hits_w - hits_m) / n <= 3 * sigma_diff
@@ -488,8 +485,8 @@ def test_membership_matrix_draws_only_undecided_coordinates(monkeypatch):
 
 
 def test_membership_matrix_draws_block0_lanes_once_per_seed(monkeypatch):
-    # windows 121, 169 and 225, listed shortest first: the longest window's
-    # lanes serve the shorter ones too
+    # windows 121, 169 and 225, listed shortest first: each seed's lanes
+    # are drawn once, over the longest window, and serve the shorter ones too
     words = [expand(y(i)) for i in (2, 10, 26)]
     assert [len(depth_profile(w)) for w in words] == [121, 169, 225]
     seeds = range(200)
@@ -510,9 +507,9 @@ def test_membership_matrix_draws_block0_lanes_once_per_seed(monkeypatch):
             assert row == [scalar_member_scan(draw, depth_profile(w)) for w in words], seed
 
 
-def test_profiles_own_their_masks_beyond_sixteen_words(monkeypatch):
-    # 24 words of radii 1..3, more than any fixed-size mask memo of 16
-    # would hold: each profile builds the masks of each scan kind once
+def test_membership_matrix_builds_lane_masks_once_per_word(monkeypatch):
+    # 24 words of radii 1..3 over 100 seeds: membership_matrix calls
+    # lane_masks once per word, with the scan kind of its inner
     words = []
     for ring in (range(2, 10), range(10, 26), range(26, 50)):
         words += [expand(y(i, e)) for i, e in zip(ring[:4], (1, -1, 2, 1))]
@@ -537,6 +534,21 @@ def test_profiles_own_their_masks_beyond_sixteen_words(monkeypatch):
             draw = SampledSubgroup(inner, seed).coordinate
             assert row == [scalar_member_scan(draw, p) for p in profiles], seed
         assert sorted(calls) == sorted((p, ones) for p in profiles)
+
+
+def test_fixed_answer_words_draw_no_level(monkeypatch):
+    # without an [F,F] word the longest window is 0: each seed's lanes
+    # are empty and no level is drawn
+    def no_draw(*args):
+        raise AssertionError("prf_block called with %r" % (args,))
+
+    monkeypatch.setattr(_purekernels, "prf_block", no_draw)
+    words = [IDENTITY, A, Word.parse("ab")]
+    for mu in (MU_G, family_measure(Dyadic(1, 2))):
+        assert list(membership_matrix(range(50), words, mu)) == [[True, False, False]] * 50
+    for inner in (GeomGamma(), ParamFamily(Dyadic(1, 2))):
+        for seed in range(50):
+            assert SampledSubgroup(inner, seed).scan(()) is True
 
 
 @pytest.mark.parametrize("max_bin", [0, 16, -1])
