@@ -9,12 +9,12 @@ tuples of small ints, in one calling convention:
              y_i = t_i [a,b] t_i^-1, normalized (adjacent indices differ,
              exponents nonzero)
 
-Depth values returned by the syllable routines are positive ints; the
-empty word (depth unbounded) is the caller's case to handle.
+The depth routines take nontrivial words of [F,F] and return positive
+ints; the empty word (depth unbounded) is the caller's case to handle.
 """
 
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import count
 from math import isqrt
 
 _COMM = (1, 2, -1, -2)  # [a,b] = a b a^-1 b^-1
@@ -184,6 +184,17 @@ def rewrite_syllables(w):
     return tuple([(spiral_index(x, j), e) for (x, j), e in _rewrite_points(w, 0)])
 
 
+def rewrite_length(w):
+    """Syllables w's origin rewrite emits before reduction: |q| per a-letter at height q."""
+    n = q = 0
+    for x in w:
+        if x == 1 or x == -1:
+            n += abs(q)
+        else:
+            q += 1 if x == 2 else -1
+    return n
+
+
 def _rewrite_points(w, q0):
     """Schreier rewrite of w read from the coset (0, q0) instead of the
     origin, as a reduced list of ((p, j), exponent) pairs over the basis
@@ -239,7 +250,7 @@ def depth_syllables(sylls):
         else:
             lo = mid + 1
     if lo == len(idxs):
-        raise AssertionError("normalized nonempty syllable word cancelled")
+        raise ValueError("the syllable word cancels; its depth is unbounded")
     return idxs[lo]
 
 
@@ -275,16 +286,13 @@ def _cyclic_core(points):
 
 
 def _moved_depth(core, p):
-    """Depth of a column's core with every point moved by -p; 0 when the
-    core is empty."""
-    return depth_syllables([(spiral_index(x - p, j), e) for (x, j), e in core]) if core else 0
+    """Depth of a nonempty column core with every point moved by -p."""
+    return depth_syllables([(spiral_index(x - p, j), e) for (x, j), e in core])
 
 
 def shifted_depth(w, p, q):
-    """Depth of t^-1 w t for t = a^p b^q.
-
-    Returns 0 when the conjugate is the identity and -1 when w is not in
-    the commutator subgroup.
+    """Depth of t^-1 w t for t = a^p b^q and a nontrivial [F,F] word w;
+    ValueError outside [F,F].
 
     Coset-start lemma: reading t^-1 from the origin ends at the coset
     (-p, -q) and yields some syllable word P, so the rewrite of t^-1 w t is
@@ -295,9 +303,6 @@ def shifted_depth(w, p, q):
     with every point moved by -p, and by the same lemma its cyclic core
     has its depth.
     """
-    a0, a1 = abelianize(w)
-    if a0 or a1:
-        return -1
     return _moved_depth(_cyclic_core(_rewrite_points(w, -q)), p)
 
 
@@ -309,9 +314,6 @@ def conjugate_depths(w):
     -q), so w is rewritten once per column and the column keeps only the
     rewrite's cyclic core, which each coordinate moves by -p.
     """
-    a0, a1 = abelianize(w)
-    if a0 or a1:
-        yield from repeat(-1)
     columns = {}
     for i in count(1):
         p, q = spiral_point(i)
@@ -417,19 +419,18 @@ def lane_masks(depths, ones):
     with ones as member_scan takes it.
 
     Lane i-1 of mask keeps the low min(d, 64) bits of block 0 for a depth
-    d = depths[i-1] > ones and no bit for a smaller nonzero d (a family
-    lane of depth 1), which makes that lane a candidate whatever block 0
-    holds, so member_scan draws it; high has bit 64 of each lane with
-    d != 0, so a lane of unbounded depth never is one.
+    d = depths[i-1] > ones and no bit for a family lane of depth 1, which
+    makes that lane a candidate whatever block 0 holds, so member_scan
+    draws it; high has bit 64 of every lane.
     """
     mask = _pack([(1 << min(d, 64)) - 1 if d > ones else 0 for d in depths])
-    high = _pack([1 << 64 if d else 0 for d in depths])
-    return mask, high, _lane_constants(len(depths))[2]
+    unit, _, low = _lane_constants(len(depths))
+    return mask, unit << 64, low
 
 
 def member_scan(depths, lanes, masks, ones, draw):
     """False at the first coordinate i whose level draw(i) exceeds the depth
-    d = depths[i-1] (0: unbounded), else True; lanes is block0_lanes over
+    d = depths[i-1] >= 1, else True; lanes is block0_lanes over
     the window and masks is lane_masks(depths, ones), where ones is set
     for the family inner (0 < a < 3/4) and not for the geometric one.
 

@@ -22,6 +22,7 @@ import time
 from fractions import Fraction
 
 from irslab import __version__
+from irslab._backend import kernels
 from irslab.dyadic import Dyadic, Exact, parse_target_width, pow2, quoted
 from irslab.measures import (
     DEFAULT_FACTOR_CAP,
@@ -94,6 +95,9 @@ MAX_COMBINATION_WORDS = 10**5
 # (19,737 characters) one value prints in 0.008 s, where the depth-358,802
 # value of mu_F on a^300 abAB A^300 took 0.34 s to report, in 110 KB
 MAX_EXACT_BITS = 1 << 16
+# syllables the rewrites of a command's words may emit: eval --measure mu_F
+# took 1.07 s on [b^500,a^500] (250,000) and 5.2 s on [b^1000,a^1000]
+MAX_REWRITE_SYLLABLES = 250_000
 # the sampler's PRF keys on a seed mod 2^64 and verify's random.Random on
 # its absolute value, so a seed outside 0..MAX_SEED would repeat another's
 # draws under a different name
@@ -141,9 +145,14 @@ def _parse_words(raw_words) -> list:
     if not raw_words:
         raise CliError("at least one --word is required")
     try:
-        return [Word.parse(t) for t in raw_words]
+        words = [Word.parse(t) for t in raw_words]
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    syllables = sum(kernels.rewrite_length(w.letters) for w in words)
+    if syllables > MAX_REWRITE_SYLLABLES:
+        raise CliError("--word: the words rewrite to %d syllables before reduction; at most %d "
+                       "are rewritten" % (syllables, MAX_REWRITE_SYLLABLES))
+    return words
 
 
 def _check_range(flag: str, value, low: int, high=math.inf):
@@ -297,13 +306,13 @@ def cmd_verify(args) -> int:
 # the flags each verify suite reads, as flag -> (suite parameter, lowest,
 # highest); --width takes a target width in place of a range.  combination
 # always checks IDENTITY and COMMUTATOR, so --n 1 would report one word and
-# check two.
+# check two; invariance draws nontrivial [F,F] words, of 4 letters or more.
 _SEED = ("seed", 0, MAX_SEED)
 _WIDTH = ("width", None, None)
 VERIFY_FLAGS = {
     "faithful": {"--max-len": ("max_len", 1, MAX_WORD_LEN)},
     "invariance": {"--n": ("pairs", 1, MAX_INVARIANCE_PAIRS), "--seed": _SEED,
-                   "--max-len": ("max_len", 1, MAX_WORD_LEN), "--width": _WIDTH},
+                   "--max-len": ("max_len", 4, MAX_WORD_LEN), "--width": _WIDTH},
     "closure": {"--width": _WIDTH},
     "chain-limits": {"--n": ("n_max", 1, MAX_POWER)},
     "combination": {"--n": ("sample_size", 2, MAX_COMBINATION_WORDS), "--seed": _SEED},
@@ -405,15 +414,14 @@ def cmd_sample(args) -> int:
 
 
 def cmd_family(args) -> int:
-    if not args.word:
-        raise CliError("--word is required")
-    if len(args.word) > 1:
-        raise CliError("--word may be given once for family, got %d" % len(args.word))
+    words = _parse_words(args.word)
+    if len(words) > 1:
+        raise CliError("--word may be given once for family, got %d" % len(words))
     if not args.a:
         raise CliError("at least one --a is required")
     width = _parse_width(args.width)
+    word = words[0]
     try:
-        word = Word.parse(args.word[0])
         a_values = [Dyadic.parse(t) for t in args.a]
     except ValueError as exc:
         raise CliError(str(exc)) from None

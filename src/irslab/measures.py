@@ -51,6 +51,10 @@ MAX_POWER_BITS = 1 << 18
 # evaluating a descriptor takes a few stack frames per nesting level, and
 # past about 980 levels Python's default recursion limit stops it
 MAX_DESCRIPTOR_DEPTH = 900
+# a co-induced value reads every coordinate to a few rings past the radius:
+# at 2^-128, [b^48,a^48] (radius 47) took 1.65 s and [b^64,a^64] 2.7 s
+# (in-process), and a^200 abAB A^200 34 s at 2^-21
+MAX_SUPPORT_RADIUS = 48
 
 INSTANCE_DESCRIPTION = {
     "group": "free group on a, b",
@@ -277,6 +281,9 @@ def _coinduced_value(inner, words, target_width, factor_cap) -> Enclosure:
     """Certified product of the per-coordinate factors of a co-induced
     measure."""
     radius = _support_radius(words)
+    if radius > MAX_SUPPORT_RADIUS:
+        raise ValueError("a co-induced event may have support radius at most %d, got %d"
+                         % (MAX_SUPPORT_RADIUS, radius))
 
     if isinstance(inner, (GeomGamma, ParamFamily)):
         # beyond the support rings every conjugate depth is >= 2, where the

@@ -99,26 +99,10 @@ class SampledSubgroup:
         return kernels.geometric_coordinate(self.seed, i)
 
     def member(self, w: Word) -> bool:
-        """Whether w lies in the sampled subgroup, within the tolerance."""
-        if w.is_identity():
-            return True
-        if w.abelianization() != (0, 0):
-            return False
-        return self.scan(depth_profile(w, self.tolerance_exp))
-
-    def scan(self, profile: Sequence[int]) -> bool:
-        """Whether no coordinate level exceeds its entry of the depth
-        profile of a nontrivial [F,F] word (entry 0: unbounded).
-
-        kernels.member_scan decides from block 0 and draws through
-        coordinate only where it cannot (the family's test needs a < 3/4,
-        which ParamFamily enforces).  Each call draws the seed's block-0
-        lanes and builds the profile's lane masks afresh; membership_matrix
-        does each once.
-        """
-        lanes = kernels.block0_lanes(self.seed, len(profile))
-        masks = kernels.lane_masks(profile, self._is_family)
-        return kernels.member_scan(profile, lanes, masks, self._is_family, self.coordinate)
+        """Whether w lies in the sampled subgroup, within the tolerance: one
+        row of membership_matrix."""
+        mu = CoinducedProduct(self.inner)
+        return next(membership_matrix((self.seed,), (w,), mu, self.tolerance_exp))[0]
 
 
 def sample(mu: Measure, seed: int, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> SampledSubgroup:
@@ -145,8 +129,7 @@ def word_window(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> int:
 
 def depth_profile(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> tuple:
     """Conjugate depths of w at each spiral coordinate of its membership
-    window (entry 0 would mean an identity conjugate, which cannot occur
-    for nontrivial words)."""
+    window, each at least 1."""
     return tuple(islice(kernels.conjugate_depths(w.letters), word_window(w, tolerance_exp)))
 
 

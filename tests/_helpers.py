@@ -8,7 +8,9 @@ from math import inf
 from irslab._backend import kernels
 
 from irslab.dyadic import DEFAULT_FACTOR_CAP, ONE, ZERO, Dyadic, Enclosure, Exact, pow2
-from irslab.measures import MU_G, CertifiedBool, GeomGamma, chain_env_weight, combination_checks
+from irslab.measures import (
+    MU_G, CertifiedBool, GeomGamma, ParamFamily, chain_env_weight, combination_checks,
+)
 from irslab.sampler import SampledSubgroup
 from irslab.words import Word
 from irslab.ywords import YWord, depth
@@ -188,16 +190,11 @@ def _reference_depth_syllables(sylls):
 
 def reference_conjugate_depths(w):
     """Depth of t^-1 w t at the spiral points t = a^p b^q of 1, 2, ...,
-    rewriting w from (-p, -q) afresh at each one; 0 for an identity
-    conjugate and -1 for every t when w is not in the commutator subgroup."""
-    a0, a1 = kernels.abelianize(w)
+    rewriting the nontrivial [F,F] word w from (-p, -q) afresh at each
+    one."""
     for i in count(1):
-        if a0 or a1:
-            yield -1
-            continue
         p, q = kernels.spiral_point(i)
-        sylls = _reference_rewrite_from(w, -p, -q)
-        yield _reference_depth_syllables(sylls) if sylls else 0
+        yield _reference_depth_syllables(_reference_rewrite_from(w, -p, -q))
 
 
 def naive_free_reduce(letters) -> tuple:
@@ -388,12 +385,19 @@ def dyadic_param_coordinate(prf_block, seed: int, index: int, a: Dyadic) -> int:
 
 def scalar_member_scan(draw, depths) -> bool:
     """Reference membership scan: draw(i) is the chain level at spiral
-    coordinate i, drawn for every coordinate in order until one exceeds a
-    nonzero depth (0 encodes unbounded depth)."""
-    for i, d in enumerate(depths, start=1):
-        if d and draw(i) > d:
-            return False
-    return True
+    coordinate i, drawn for every coordinate in order until one exceeds
+    its depth."""
+    return all(draw(i) <= d for i, d in enumerate(depths, start=1))
+
+
+def scan_profile(subgroup: SampledSubgroup, depths) -> bool:
+    """kernels.member_scan of a bare depth profile (every entry >= 1) for a
+    sampled subgroup, with its lanes, masks and draw as membership_matrix
+    passes them."""
+    ones = isinstance(subgroup.inner, ParamFamily)
+    lanes = kernels.block0_lanes(subgroup.seed, len(depths))
+    masks = kernels.lane_masks(depths, ones)
+    return kernels.member_scan(depths, lanes, masks, ones, subgroup.coordinate)
 
 
 def check_combination_identities(mu1, mu2, words) -> dict:

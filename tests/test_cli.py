@@ -25,6 +25,7 @@ from irslab.cli import (
     main,
 )
 from irslab.dyadic import Dyadic, one_minus_pow2
+from irslab import measures
 from irslab.measures import MAX_DESCRIPTOR_DEPTH
 from irslab.sampler import word_window
 from irslab.words import Word
@@ -252,6 +253,58 @@ def test_out_of_range_numbers_are_parse_errors(args, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --")
 
 
+def _commutator(m, n):
+    """[b^m, a^n]; its rewrite emits m n syllables."""
+    return "b" * m + "a" * n + "B" * m + "A" * n
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # the rewrite of [b^N,a^N] emits N^2 syllables: 5.2 s at N = 1000
+        # before the cap, and 32 s at N = 2000
+        ["eval", "--measure", "mu_F", "--word", _commutator(1000, 1000)],
+        ["eval", "--measure", "mu_F", "--word", _commutator(2000, 2000)],
+        ["sample", "--word", _commutator(1000, 1000), "--n", "100"],
+        ["family", "--a", "1/4", "--word", _commutator(1000, 1000)],
+        # support radius 200, where mu_G took 34 s, and 1600 ([a^1600,b]), 47.7 s
+        ["eval", "--width", "1/2^21", "--word", "a" * 200 + "abAB" + "A" * 200],
+        ["eval", "--word", "a" * 1600 + "b" + "A" * 1600 + "B"],
+        ["family", "--a", "1/4", "--word", "a" * 200 + "abAB" + "A" * 200],
+    ],
+)
+def test_costly_words_exit_before_any_work(args, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    assert main(args + ["--out", str(out)]) == EXIT_PARSE
+    assert time.perf_counter() - started < 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_rewrite_cap_counts_all_the_words(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "MAX_REWRITE_SYLLABLES", 25)
+    out = tmp_path / "r.json"
+    assert main(["eval", "--measure", "mu_F", "--word", _commutator(5, 5), "--out", str(out)]) == EXIT_OK
+    out.unlink()
+    argv = ["eval", "--measure", "mu_F", "--word", _commutator(5, 5), "--word", "abAB"]
+    assert main(argv + ["--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: --word: the words rewrite to 26 syllables before reduction; at most 25 are rewritten\n")
+    assert not out.exists()
+
+
+def test_support_radius_cap_is_inclusive(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(measures, "MAX_SUPPORT_RADIUS", 2)
+    out = tmp_path / "r.json"
+    assert main(["eval", "--word", "aaabABAA", "--out", str(out)]) == EXIT_OK
+    out.unlink()
+    assert main(["eval", "--word", "aaaabABAAA", "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: --measure: a co-induced event may have support radius at most 2, got 3\n")
+    assert not out.exists()
+
+
 def test_sample_too_few_seeds_is_parse_error(tmp_path):
     code = main(["sample", "--n", "20", "--word", "abAB", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_PARSE
@@ -339,7 +392,7 @@ def test_verify_n_cap_is_checked_before_any_work(suite, n, monkeypatch, tmp_path
 
 
 # one in-range value of every verify flag
-VERIFY_FLAG_VALUES = {"--max-len": "3", "--n": "4", "--seed": "6", "--shift": "5",
+VERIFY_FLAG_VALUES = {"--max-len": "4", "--n": "4", "--seed": "6", "--shift": "5",
                       "--width": "1/2^10"}
 
 
@@ -415,6 +468,16 @@ def test_verify_flag_ranges_are_checked_before_any_work(suite, flag, monkeypatch
     for value in (low - 1, high + 1):
         assert main(["verify", suite, flag, str(value), "--out", str(out)]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: %s must lie in [%d, %d]" % (flag, low, high))
+        assert not out.exists()
+
+
+def test_invariance_needs_a_commutator_word(tmp_path, capsys):
+    # below 4 letters there is no nontrivial [F,F] word to draw
+    out = tmp_path / "r.json"
+    for max_len in ("1", "3"):
+        argv = ["verify", "invariance", "--max-len", max_len, "--n", "5", "--out", str(out)]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: --max-len must lie in [4, 14], got %s\n" % max_len
         assert not out.exists()
 
 

@@ -30,6 +30,10 @@
   low d bits of the first PRF block are zeros, and for 2 <= d <= 64 the
   family level (0 < a < 3/4) exceeds d iff they are ones, so member_scan
   draws a level only beyond depth 64 or at family depth 1.
+- Depth contract: every conjugate depth of a nontrivial [F,F] word is at
+  least 1 and the depth routines refuse a word outside [F,F], so the
+  kernels need no sentinel depth, and SampledSubgroup.member is one row of
+  membership_matrix, which answers the identity and outside words itself.
 """
 
 import math
@@ -37,6 +41,8 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
+
+import pytest
 
 from _helpers import (
     FAMILY_PARAMS,
@@ -53,9 +59,11 @@ from _helpers import (
 )
 from irslab._backend import kernels
 from irslab.grid import transversal_word
-from irslab.measures import _grid_tail, _support_radius
-from irslab.sampler import membership_window
-from irslab.words import COMMUTATOR, Word, conjugate
+from irslab.dyadic import Dyadic
+from irslab.measures import MU_G, _grid_tail, _support_radius, family_measure
+from irslab.sampler import depth_profile, membership_matrix, membership_window, sample
+from irslab.verify import CommutatorWords
+from irslab.words import A, COMMUTATOR, IDENTITY, Word, conjugate
 from irslab.ywords import YWord, depth, expand, y
 
 REPS = (expand(y(1)), expand(y(2)), expand(y(4, -1)), expand(y(3, 2)))
@@ -203,8 +211,9 @@ def test_shifted_depth_is_conjugate_depth():
         for w in pool:
             assert kernels.shifted_depth(w.letters, p, q) == depth(conjugate(t.inverse(), w)), (
                 str(w), p, q)
-        assert kernels.shifted_depth((), p, q) == 0
-        assert kernels.shifted_depth(Word.parse("ab").letters, p, q) == -1
+        for outside in ((), Word.parse("ab").letters):
+            with pytest.raises(ValueError):
+                kernels.shifted_depth(outside, p, q)
 
 
 def _exponent_sums(sylls):
@@ -289,7 +298,7 @@ def test_column_shift_of_the_rewrite():
             moved = [(kernels.spiral_index(x - p, j), e)
                      for (x, j), e in kernels._rewrite_points(w.letters, -q)]
             assert moved == _reference_rewrite_from(w.letters, -p, -q), (str(w), p, q)
-            want = linear_scan_depth(moved) if moved else 0
+            want = linear_scan_depth(moved)
             assert kernels.shifted_depth(w.letters, p, q) == want, (str(w), p, q)
             n_checks += 1
     assert n_checks == 81 * 360
@@ -375,8 +384,8 @@ def test_conjugate_depths_match_the_per_coordinate_walk():
     got = list(islice(kernels.conjugate_depths(deep), 200))
     assert got == list(islice(reference_conjugate_depths(deep), 200))
     for w in ((), Word.parse("ab").letters):
-        got = list(islice(kernels.conjugate_depths(w), 25))
-        assert got == list(islice(reference_conjugate_depths(w), 25))
+        with pytest.raises(ValueError):
+            next(kernels.conjugate_depths(w))
 
 
 def test_conjugate_depths_memory_stays_small():
@@ -443,3 +452,28 @@ def test_block0_decides_levels_up_to_depth_64():
     # the drawn lanes see both answers, so a scan that decided them from
     # block 0 would fail above
     assert drawn_answers == {(False, 65): {True, False}, (True, 65): {True, False}, (True, 1): {True, False}}
+
+
+def test_conjugate_depths_of_commutator_words_are_at_least_one():
+    words = CommutatorWords(8)
+    assert len(words) == 360
+    for w in words:
+        assert min(depth_profile(w, 8)) >= 1, str(w)
+    outside = Word.parse("ab").letters
+    with pytest.raises(ValueError):
+        next(kernels.conjugate_depths(outside))
+    with pytest.raises(ValueError):
+        kernels.shifted_depth(outside, 0, 0)
+
+
+def test_member_is_a_row_of_the_membership_matrix():
+    # fixed answers (the identity and words outside [F,F]) beside radius-2
+    # words, whose scans decide from block 0 and draw
+    pool = [IDENTITY, A, Word.parse("ab"), expand(y(16)), expand(y(20, -1)),
+            expand(YWord([(17, 1), (21, 1)]))]
+    for mu in (MU_G, family_measure(Dyadic(1, 1))):
+        rows = list(membership_matrix(range(40), pool, mu))
+        for seed, row in enumerate(rows):
+            assert [sample(mu, seed).member(w) for w in pool] == row, seed
+        # each radius-2 word is in some samples and not in others
+        assert all(0 < sum(column) < 40 for column in list(zip(*rows))[3:]), mu

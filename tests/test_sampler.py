@@ -15,6 +15,7 @@ from _helpers import (
     reference_geometric_coordinate,
     reference_prf_block,
     scalar_member_scan,
+    scan_profile,
 )
 from irslab import _purekernels
 from irslab.dyadic import Dyadic, Enclosure, Exact
@@ -53,9 +54,7 @@ def test_member_scan_agrees_with_materialized_coordinates():
     profile = depth_profile(COMMUTATOR)
     for seed in range(300):
         s = sample(MU_G, seed)
-        expected = all(
-            s.coordinate(i) <= d for i, d in enumerate(profile, start=1) if d
-        )
+        expected = all(s.coordinate(i) <= d for i, d in enumerate(profile, start=1))
         assert s.member(COMMUTATOR) == expected
 
 
@@ -120,7 +119,7 @@ def test_param_sampling_member_consistency():
     mu = family_measure(Dyadic(1, 2))
     s = sample(mu, 99)
     profile = depth_profile(COMMUTATOR)
-    expected = all(s.coordinate(i) <= d for i, d in enumerate(profile, start=1) if d)
+    expected = all(s.coordinate(i) <= d for i, d in enumerate(profile, start=1))
     assert s.member(COMMUTATOR) == expected
     assert s.member(COMMUTATOR) == sample(mu, 99).member(COMMUTATOR)
 
@@ -193,7 +192,7 @@ def test_subgroup_closure_on_samples():
             inv = u.inverse()
             if inv not in product_profiles:
                 product_profiles[inv] = depth_profile(inv)
-            assert s.scan(product_profiles[inv]) is True
+            assert scan_profile(s, product_profiles[inv]) is True
             trials += 1
         for u in members:
             for v in members:
@@ -202,7 +201,7 @@ def test_subgroup_closure_on_samples():
                     continue
                 if uv not in product_profiles:
                     product_profiles[uv] = depth_profile(uv)
-                assert s.scan(product_profiles[uv]) is True
+                assert scan_profile(s, product_profiles[uv]) is True
                 trials += 1
     assert trials >= 10000
 
@@ -253,7 +252,7 @@ def test_chi_square_report():
 def test_membership_tolerance_bound_documented():
     s = sample(MU_G, 3, tolerance_exp=30)
     assert s.tolerance_exp == 30
-    assert s.scan(depth_profile(COMMUTATOR, 30)) in (True, False)
+    assert s.member(COMMUTATOR) in (True, False)
 
 
 def test_coordinates_pairwise_independent():
@@ -344,7 +343,7 @@ def test_param_coordinate_reads_later_blocks(monkeypatch, first_block):
 
 # -- packed block-0 lanes ---------------------------------------------------
 
-PROFILE_DEPTHS = (-1, 0, 1, 2, 3, 63, 64, 65, 200)
+PROFILE_DEPTHS = (1, 2, 3, 63, 64, 65, 200)
 LANE_SEEDS = [0, 1, 5, 2**63 + 1, MASK64, 2**64, 2**64 + 5, 2**100 + 3, -1, -2**64 - 7]
 
 
@@ -372,7 +371,7 @@ def test_member_scan_matches_scalar_scan():
             expected = scalar_member_scan(
                 lambda i: reference_geometric_coordinate(reference_prf_block, seed, i), depths
             )
-            assert SampledSubgroup(GeomGamma(), seed).scan(depths) == expected, (seed, depths)
+            assert scan_profile(SampledSubgroup(GeomGamma(), seed), depths) == expected, (seed, depths)
 
 
 def test_family_scan_matches_coordinate_loop():
@@ -383,7 +382,7 @@ def test_family_scan_matches_coordinate_loop():
         for depths in profiles:
             for seed in range(25):
                 expected = scalar_member_scan(SampledSubgroup(inner, seed).coordinate, depths)
-                assert SampledSubgroup(inner, seed).scan(depths) == expected, (a, seed, depths)
+                assert scan_profile(SampledSubgroup(inner, seed), depths) == expected, (a, seed, depths)
 
 
 @pytest.mark.parametrize("forced", [0, MASK64])
@@ -415,21 +414,21 @@ def test_scans_on_forced_block0(monkeypatch, forced):
     monkeypatch.setattr(_purekernels, "prf_block", prf)
     rng = random.Random(79)
     profiles = [
-        tuple(rng.choice((0, 1, 63, 64, 65, 200)) for _ in range(40)) for _ in range(30)
+        tuple(rng.choice((1, 63, 64, 65, 200)) for _ in range(40)) for _ in range(30)
     ]
     for depths in profiles:
         for seed in range(10):
             expected = scalar_member_scan(
                 lambda i: reference_geometric_coordinate(prf, seed, i), depths
             )
-            assert SampledSubgroup(GeomGamma(), seed).scan(depths) == expected, (seed, depths)
+            assert scan_profile(SampledSubgroup(GeomGamma(), seed), depths) == expected, (seed, depths)
     assert (1 in blocks) == (forced == 0)
     blocks.clear()
     for depths in profiles:
         for seed in range(10):
             for a in FAMILY_PARAMS:
-                expected = scalar_member_scan(SampledSubgroup(ParamFamily(a), seed).coordinate, depths)
-                assert SampledSubgroup(ParamFamily(a), seed).scan(depths) == expected, (a, seed, depths)
+                s = SampledSubgroup(ParamFamily(a), seed)
+                assert scan_profile(s, depths) == scalar_member_scan(s.coordinate, depths), (a, seed, depths)
     assert 1 in blocks
 
 
@@ -437,13 +436,13 @@ def test_member_scan_accepts_any_sequence():
     rng = random.Random(80)
     for depths in _random_profiles(rng, 50):
         for seed in range(10):
-            answer = SampledSubgroup(GeomGamma(), seed).scan(depths)
-            assert SampledSubgroup(GeomGamma(), seed).scan(list(depths)) == answer
+            s = SampledSubgroup(GeomGamma(), seed)
+            assert scan_profile(s, list(depths)) == scan_profile(s, depths)
     profile = depth_profile(COMMUTATOR)
     for inner in (GeomGamma(), ParamFamily(Dyadic(1, 2))):
         for seed in range(50):
             s = SampledSubgroup(inner, seed)
-            assert s.scan(list(profile)) == s.scan(profile)
+            assert scan_profile(s, list(profile)) == scan_profile(s, profile)
 
 
 def test_membership_matrix_draws_only_undecided_coordinates(monkeypatch):
@@ -538,7 +537,7 @@ def test_membership_matrix_builds_lane_masks_once_per_word(monkeypatch):
 
 def test_fixed_answer_words_draw_no_level(monkeypatch):
     # without an [F,F] word the longest window is 0: each seed's lanes
-    # are empty and no level is drawn
+    # are empty and no level is drawn, by membership_matrix or by member
     def no_draw(*args):
         raise AssertionError("prf_block called with %r" % (args,))
 
@@ -548,7 +547,7 @@ def test_fixed_answer_words_draw_no_level(monkeypatch):
         assert list(membership_matrix(range(50), words, mu)) == [[True, False, False]] * 50
     for inner in (GeomGamma(), ParamFamily(Dyadic(1, 2))):
         for seed in range(50):
-            assert SampledSubgroup(inner, seed).scan(()) is True
+            assert [SampledSubgroup(inner, seed).member(w) for w in words] == [True, False, False]
 
 
 @pytest.mark.parametrize("max_bin", [0, 16, -1])

@@ -4,7 +4,6 @@ run fails on a missing attribute."""
 
 import ast
 import importlib
-import random
 from itertools import islice
 from pathlib import Path
 
@@ -12,9 +11,10 @@ import pytest
 
 from irslab._backend import kernels
 from irslab.dyadic import Dyadic
-from irslab.measures import GeomGamma, ParamFamily
-from irslab.sampler import SampledSubgroup
+from irslab.measures import MU_G, family_measure
+from irslab.sampler import SampledSubgroup, depth_profile, membership_matrix
 from irslab.words import Word
+from irslab.ywords import expand, y
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAYERTRACE = PERFBENCH / "layertrace.py"
@@ -78,26 +78,26 @@ def test_conjugate_depths_calls_traced_kernels_by_module_name(monkeypatch):
 
 
 def test_scan_draws_happen_inside_member_scan(monkeypatch):
-    """A scan draws only inside kernels.member_scan, through its draw
-    argument SampledSubgroup.coordinate, both of which the tracer wraps by
-    name.  Block 0 decides every lane of depth <= 64, so it is forced to
-    zero on the deeper lanes, which makes those lanes drawn."""
-    deep = {2, 5, 9}
-    rng = random.Random(81)
-    profiles = [
-        tuple(rng.choice((65, 200)) if i in deep else rng.choice((0, 1, 3, 64)) for i in range(1, 13))
-        for _ in range(20)
-    ]
+    """membership_matrix draws only inside kernels.member_scan, through its
+    draw argument SampledSubgroup.coordinate, both of which the tracer
+    wraps by name.  Block 0 decides every lane of depth <= 64, so it is
+    forced on deeper lanes, to all zeros for the geometric inner and all
+    ones for the family, which makes those lanes drawn."""
+    w = expand(y(20))
+    deep = {i for i, d in enumerate(depth_profile(w), start=1) if d > 64 and i <= 16}
+    assert len(deep) == 7
     real_lanes, real_prf = kernels.block0_lanes, kernels.prf_block
+    forced = {}
 
     def lanes(seed, count):
         packed = real_lanes(seed, count)
         for i in deep:
-            packed &= ~(kernels.MASK64 << 128 * (i - 1))
+            shift = 128 * (i - 1)
+            packed = packed & ~(kernels.MASK64 << shift) | forced["block0"] << shift
         return packed
 
     def prf(seed, index, block):
-        return 0 if block == 0 and index in deep else real_prf(seed, index, block)
+        return forced["block0"] if block == 0 and index in deep else real_prf(seed, index, block)
 
     open_calls = []
     draws = {}
@@ -118,11 +118,10 @@ def test_scan_draws_happen_inside_member_scan(monkeypatch):
     monkeypatch.setattr(kernels, "prf_block", prf)
     monkeypatch.setattr(kernels, "member_scan", scan)
     monkeypatch.setattr(SampledSubgroup, "coordinate", coordinate)
-    for inner in (GeomGamma(), ParamFamily(Dyadic(1, 2))):
+    for mu, block0 in ((MU_G, 0), (family_measure(Dyadic(1, 2)), kernels.MASK64)):
+        forced["block0"] = block0
         draws.clear()
-        for seed in range(20):
-            s = SampledSubgroup(inner, seed)
-            for profile in profiles:
-                s.scan(profile)
-        assert draws.get("member_scan", 0) > 0, inner
-        assert set(draws) == {"member_scan"}, inner
+        for _ in membership_matrix(range(20), [w], mu):
+            pass
+        assert draws.get("member_scan", 0) > 0, mu
+        assert set(draws) == {"member_scan"}, mu

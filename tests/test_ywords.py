@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _helpers import in_gamma, random_commutator_word, random_yword
+from _helpers import commutator_pool, in_gamma, random_commutator_word, random_yword
+from irslab._backend import kernels
 from irslab.words import COMMUTATOR, IDENTITY, Word, conjugate
 from irslab.ywords import (
     NotInCommutatorSubgroup,
@@ -164,3 +165,25 @@ def test_rewrite_of_random_commutator_words():
     for _ in range(300):
         w = random_commutator_word(rng, 24)
         assert expand(rewrite_to_y(w)) == w
+
+
+def test_rewrite_length_counts_the_emitted_syllables(monkeypatch):
+    # the rewrite hands its whole emission to one free reduction
+    emitted = []
+
+    def reduce(sylls, limit=None, _fn=kernels.reduce_syllables):
+        emitted.append(len(sylls))
+        return _fn(sylls, limit)
+
+    monkeypatch.setattr(kernels, "reduce_syllables", reduce)
+    rng = random.Random(3)
+    words = commutator_pool(6) + [random_commutator_word(rng, 40) for _ in range(50)]
+    words += [Word.parse("a" * 300 + "abAB" + "A" * 300),
+              Word.parse(("a" * 20 + "b" * 20 + "A" * 20 + "B" * 20) * 4)]
+    for w in words:
+        emitted.clear()
+        kernels.rewrite_syllables(w.letters)
+        assert emitted == [kernels.rewrite_length(w.letters)], str(w)
+    assert kernels.rewrite_length(words[-2].letters) == 1
+    assert kernels.rewrite_length(words[-1].letters) == 1600
+    assert kernels.rewrite_length(Word.parse("b" * 7 + "a" * 9 + "B" * 7 + "A" * 9).letters) == 63
