@@ -6,7 +6,7 @@ deterministic JSON (config echoed, no timestamps) so replays are
 byte-identical; timing goes to stderr.
 
 Exit codes: 0 pass, 1 failed check, 2 parse error, 3 width not reached
-(unless --allow-wide).
+(eval only, unless --allow-wide).
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from fractions import Fraction
 
 from irslab import __version__
 from irslab._backend import kernels
-from irslab.dyadic import Dyadic, Exact, parse_target_width, pow2, quoted
+from irslab.dyadic import Dyadic, parse_target_width, pow2, quoted
 from irslab.measures import (
     DEFAULT_FACTOR_CAP,
     INSTANCE_DESCRIPTION,
     MAX_POWER,
+    MAX_REWRITE_SYLLABLES,
     env_prob,
     family_measure,
     descriptor_to_json,
@@ -91,13 +92,6 @@ MAX_INVARIANCE_PAIRS = 10**4
 # in --n but its time is not: 2x10^4 words took 3.8 s and 10^5 words 23 s,
 # both at 16 MB peak RSS (2-vCPU VM)
 MAX_COMBINATION_WORDS = 10**5
-# exact values print through Decimal, quadratic in the digits: at this cap
-# (19,737 characters) one value prints in 0.008 s, where the depth-358,802
-# value of mu_F on a^300 abAB A^300 took 0.34 s to report, in 110 KB
-MAX_EXACT_BITS = 1 << 16
-# syllables the rewrites of a command's words may emit: eval --measure mu_F
-# took 1.07 s on [b^500,a^500] (250,000) and 5.2 s on [b^1000,a^1000]
-MAX_REWRITE_SYLLABLES = 250_000
 # the sampler's PRF keys on a seed mod 2^64 and verify's random.Random on
 # its absolute value, so a seed outside 0..MAX_SEED would repeat another's
 # draws under a different name
@@ -258,11 +252,6 @@ def cmd_eval(args) -> int:
             value = env_prob(measure, event, width, factor_cap=args.factor_cap)
         except ValueError as exc:
             raise CliError("--measure: %s" % (exc,)) from None
-        if isinstance(value, Exact) and value.value.exp > MAX_EXACT_BITS:
-            raise CliError(
-                "--word %s: the exact value has denominator 2^%d; at most 2^%d is printed"
-                % (" ".join(str(w) for w in event), value.value.exp, MAX_EXACT_BITS)
-            )
         not_reached = not_reached or not value.width_reached
         entry = {"words": [str(w) for w in event], "value": value.to_json()}
         y_forms = []
@@ -364,13 +353,13 @@ def cmd_sample(args) -> int:
                 raise CliError(
                     "--word %s needs a membership window of %d coordinates at "
                     "tolerance 2^-%d; at most %d are scanned"
-                    % (w, window, tol, MAX_MEMBERSHIP_WINDOW)
+                    % (quoted(str(w)), window, tol, MAX_MEMBERSHIP_WINDOW)
                 )
             if len(w) * window > MAX_PROFILE_CELLS:
                 raise CliError(
                     "--word %s has %d letters and a membership window of %d "
                     "coordinates; letters times window may be at most %d"
-                    % (w, len(w), window, MAX_PROFILE_CELLS)
+                    % (quoted(str(w)), len(w), window, MAX_PROFILE_CELLS)
                 )
     labels = [str(w) for w in words]
     exact = [env_prob(measure, (w,), pow2(24)) for w in words]
@@ -430,7 +419,6 @@ def cmd_family(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     rows = [{"a": str(a), "value": v.to_json()} for a, v in zip(a_values, values)]
-    not_reached = not all(v.width_reached for v in values)
     strictly_increasing = all(p.hi < c.lo for p, c in zip(values, values[1:]))
     disjoint = not any(u.intersects(v) for u, v in itertools.combinations(values, 2))
     report = _base_report(
@@ -441,8 +429,6 @@ def cmd_family(args) -> int:
     report["strictly_increasing"] = strictly_increasing
     report["enclosures_pairwise_disjoint"] = disjoint
     _emit(report, args.out)
-    if not_reached and not args.allow_wide:
-        return EXIT_WIDTH
     return EXIT_OK
 
 
@@ -496,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--a", action="append", default=None, help="dyadic parameter (repeatable)")
     p_family.add_argument("--word", action="append", default=None)
     p_family.add_argument("--width", default="1e-6")
-    p_family.add_argument("--allow-wide", action="store_true")
     p_family.add_argument("--out", help="write the JSON report here instead of stdout")
     p_family.set_defaults(func=cmd_family, parser=p_family)
     return parser

@@ -45,9 +45,18 @@ DEFAULT_TARGET_WIDTH = pow2(21)
 # report of a deep word grows with n; verify chain-limits evaluates and
 # prints every power up to its --n, and took 0.12 s at 1000
 MAX_POWER = 1000
-# and n times the CDF's bits may be at most this: eval of a depth-19,322
-# word took 0.27 s at n = 10 (193k bits) and 11.5 s at n = 100
-MAX_POWER_BITS = 1 << 18
+# the denominator bits of every exact value env_prob forms (a chain value,
+# a power, the ends of a convex combination), checked before the value is
+# built.  Exact values print through Decimal, quadratic in the digits: at
+# this cap (19,737 characters) one value prints in 0.008 s, where the
+# depth-358,802 value of mu_F on a^300 abAB A^300 took 0.34 s to report, in
+# 110 KB, and building 1 - 2^-K takes memory and time in K
+MAX_EXACT_BITS = 1 << 16
+# syllables the rewrites of an event's words may emit, counted for a
+# command's --words and again for each pushforward's moved event: eval
+# --measure mu_F took 1.07 s on [b^500,a^500] (250,000) and 5.2 s on
+# [b^1000,a^1000]
+MAX_REWRITE_SYLLABLES = 250_000
 # evaluating a descriptor takes a few stack frames per nesting level, and
 # past about 980 levels Python's default recursion limit stops it
 MAX_DESCRIPTOR_DEPTH = 900
@@ -244,9 +253,21 @@ def _outside_commutator(words) -> bool:
     return any(w.abelianization() != (0, 0) for w in words)
 
 
-def _event_depth(words):
-    """Minimal depth over an event inside the commutator subgroup."""
-    return min(depth(w) for w in words)
+def _refuse_beyond_cap(what: str, exp: int) -> None:
+    """Refuse an exact value of denominator 2^exp beyond MAX_EXACT_BITS."""
+    if exp > MAX_EXACT_BITS:
+        raise ValueError("%s has denominator 2^%d; at most 2^%d is printed"
+                         % (what, exp, MAX_EXACT_BITS))
+
+
+def _chain_cdf(mu, words) -> Dyadic:
+    """The chain CDF at the minimal depth K over an event inside the
+    commutator subgroup, refused before a geometric or family CDF builds
+    the K bits of 1 - 2^-K; a point mass's CDF is 0 or 1 at every depth."""
+    K = min(depth(w) for w in words)
+    if isinstance(mu, (GeomGamma, ParamFamily)):
+        _refuse_beyond_cap("the chain value", K)
+    return chain_env_weight(mu, K)
 
 
 def _support_radius(words) -> int:
@@ -319,6 +340,7 @@ def _combine_affine(parts) -> Enclosure:
     for w, v in parts:
         lo = lo + w * v.lo
         hi = hi + w * v.hi
+    _refuse_beyond_cap("a convex combination", max(lo.exp, hi.exp))
     if all(isinstance(v, Exact) for _, v in parts):
         return Exact(lo)
     return Enclosure(lo, hi, all(v.width_reached for _, v in parts))
@@ -341,11 +363,16 @@ def env_prob(
         return Exact(ZERO)
 
     if isinstance(mu, CHAIN_TYPES):
-        return Exact(chain_env_weight(mu, _event_depth(event)))
+        return Exact(_chain_cdf(mu, event))
 
     if isinstance(mu, Pushforward):
         g_inv = mu.g.inverse()
         moved = tuple(conjugate(g_inv, w) for w in event)
+        syllables = sum(kernels.rewrite_length(w.letters) for w in moved)
+        if syllables > MAX_REWRITE_SYLLABLES:
+            raise ValueError("the pushforward's moved words rewrite to %d syllables before "
+                             "reduction; at most %d are rewritten"
+                             % (syllables, MAX_REWRITE_SYLLABLES))
         return env_prob(mu.inner, moved, target_width, factor_cap)
 
     if isinstance(mu, Convex):
@@ -356,13 +383,9 @@ def env_prob(
         return _combine_affine(parts)
 
     if isinstance(mu, (IntersectPower, GeneratePower)):
-        cdf = chain_env_weight(mu.inner, _event_depth(event))
+        cdf = _chain_cdf(mu.inner, event)
         # 1 - cdf has the bits of cdf, so both powers have n times them
-        if mu.n * cdf.exp > MAX_POWER_BITS:
-            raise ValueError(
-                "power %d of a chain value of %d bits exceeds %d bits"
-                % (mu.n, cdf.exp, MAX_POWER_BITS)
-            )
+        _refuse_beyond_cap("power %d of the chain value" % mu.n, mu.n * cdf.exp)
         if isinstance(mu, IntersectPower):
             return Exact(Dyadic(cdf.num ** mu.n, cdf.exp * mu.n))
         miss = ONE - cdf

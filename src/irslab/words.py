@@ -98,7 +98,3 @@ COMMUTATOR = Word((1, 2, -1, -2))  # [a,b] = a b a^-1 b^-1
 def conjugate(g: Word, w: Word) -> Word:
     """g w g^-1."""
     return Word._raw(kernels.conj_word(g.letters, w.letters))
-
-
-def commutator(u: Word, v: Word) -> Word:
-    return u * v * u.inverse() * v.inverse()

@@ -15,7 +15,6 @@ from irslab.cli import (
     EXIT_PARSE,
     EXIT_WIDTH,
     MAX_COMBINATION_WORDS,
-    MAX_EXACT_BITS,
     MAX_INVARIANCE_PAIRS,
     MAX_MEMBERSHIP_WINDOW,
     MAX_SAMPLE_WORDS,
@@ -24,9 +23,9 @@ from irslab.cli import (
     VERIFY_FLAGS,
     main,
 )
-from irslab.dyadic import Dyadic, one_minus_pow2
+from irslab.dyadic import ONE, Dyadic, one_minus_pow2
 from irslab import measures
-from irslab.measures import MAX_DESCRIPTOR_DEPTH
+from irslab.measures import MAX_DESCRIPTOR_DEPTH, MAX_EXACT_BITS
 from irslab.sampler import word_window
 from irslab.words import Word
 
@@ -92,6 +91,63 @@ def test_eval_exact_value_at_bit_cap(tmp_path, capsys):
     assert main(["eval", "--measure", "mu_F", "--word", word, "--out", str(out)]) == EXIT_PARSE
     assert not out.exists()
     assert "2^66050" in capsys.readouterr().err
+
+
+def test_deep_chain_value_is_refused_before_it_is_built(tmp_path, capsys):
+    # depth 1,599,920,002: building the value took 1.4 s and 1 GB, and the
+    # refusal then printed the whole 40,004-letter word
+    word = "a" * 20000 + "abAB" + "A" * 20000
+    out = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        assert main(["eval", "--measure", "mu_F", "--word", word, "--out", str(out)]) == EXIT_PARSE
+        assert time.perf_counter() - started < 1
+        assert tracemalloc.get_traced_memory()[1] < 50 * 2**20
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err == ("error: --measure: the chain value has denominator 2^1599920002; at most "
+                   "2^65536 is printed\n")
+    assert not out.exists()
+
+
+def _nested_convex(levels: int, innermost: str) -> str:
+    """Each level puts weight 1 - 2^-65536 on the next and 2^-65536 on the
+    trivial subgroup."""
+    fine = Dyadic(1, MAX_EXACT_BITS)
+    rest = ONE - fine
+    measure = innermost
+    for _ in range(levels):
+        measure = ('{"type": "convex", "parts": [{"weight": "%s", "inner": %s}, '
+                   '{"weight": "%s", "inner": {"type": "dirac_trivial"}}]}' % (rest, measure, fine))
+    return measure
+
+
+@pytest.mark.parametrize(
+    "innermost, bits",
+    [('{"type": "geom_gamma"}', 1),
+     # the ends of a product at the default width 10^-6 have 20 + 64 bits
+     ('{"type": "coinduced_product", "inner": {"type": "geom_gamma"}}', 84)],
+    ids=["exact", "enclosure"],
+)
+def test_nested_convex_is_refused_at_its_first_level_beyond_the_cap(innermost, bits, tmp_path,
+                                                                   capsys):
+    # 40 levels ran 2.7 s over an exact value before exit 2, and 39 s over
+    # an enclosure, whose ends no cap bounded, before exit 0; reading the
+    # 80 weights takes most of the time left
+    path = tmp_path / "nested.json"
+    path.write_text(_nested_convex(40, innermost))
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    argv = ["eval", "--word", "abAB", "--measure", "@" + str(path), "--out", str(out)]
+    assert main(argv) == EXIT_PARSE
+    assert time.perf_counter() - started < 2
+    # the innermost level already weighs a value of `bits` bits by 2^-65536
+    assert capsys.readouterr().err == (
+        "error: --measure: a convex combination has denominator 2^%d; at most 2^65536 is "
+        "printed\n" % (MAX_EXACT_BITS + bits))
+    assert not out.exists()
 
 
 def test_induced_finite_descriptor_is_checked_and_normalised(tmp_path):
@@ -229,7 +285,7 @@ def test_sample_csv(tmp_path):
         ],
         # radius 20 (window 2209) with 320 letters
         ["sample", "--word", ("a" * 20 + "b" * 20 + "A" * 20 + "B" * 20) * 4, "--n", "100"],
-        # a depth-19,322 word: 100 times its bits exceed MAX_POWER_BITS
+        # a depth-19,322 word: 100 times its bits exceed MAX_EXACT_BITS
         [
             "eval", "--word", "a" * 70 + "abAB" + "A" * 70, "--measure",
             '{"type": "intersect_power", "n": 100, "inner": {"type": "geom_gamma"}}',
@@ -253,6 +309,21 @@ def test_out_of_range_numbers_are_parse_errors(args, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --")
 
 
+@pytest.mark.parametrize(
+    "word",
+    # a window of 40,001^2 coordinates, and 4,000 letters at window 121
+    ["a" * 20000 + "b" + "A" * 20000 + "B", "abAB" * 1000],
+    ids=["window", "letters times window"],
+)
+def test_sample_window_errors_quote_the_word_short(word, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["sample", "--word", word, "--n", "100", "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --word ") and len(err) < 300, len(err)
+    assert "characters)" in err
+    assert not out.exists()
+
+
 def _commutator(m, n):
     """[b^m, a^n]; its rewrite emits m n syllables."""
     return "b" * m + "a" * n + "B" * m + "A" * n
@@ -271,6 +342,10 @@ def _commutator(m, n):
         ["eval", "--width", "1/2^21", "--word", "a" * 200 + "abAB" + "A" * 200],
         ["eval", "--word", "a" * 1600 + "b" + "A" * 1600 + "B"],
         ["family", "--a", "1/4", "--word", "a" * 200 + "abAB" + "A" * 200],
+        # the moved word b^-1000 [a^500,b] b^1000 rewrites to about 10^6
+        # syllables: 4.8 s before the pushforward counted them
+        ["eval", "--measure", '{"type": "pushforward", "g": "%s", "inner": {"type": "geom_gamma"}}'
+         % ("b" * 1000), "--word", "a" * 500 + "b" + "A" * 500 + "B"],
     ],
 )
 def test_costly_words_exit_before_any_work(args, tmp_path, capsys):

@@ -58,7 +58,6 @@ from _helpers import (
     reference_prf_block,
 )
 from irslab._backend import kernels
-from irslab.grid import transversal_word
 from irslab.dyadic import Dyadic
 from irslab.measures import MU_G, _grid_tail, _support_radius, family_measure
 from irslab.sampler import depth_profile, membership_matrix, membership_window, sample
@@ -207,7 +206,7 @@ def test_shifted_depth_is_conjugate_depth():
     assert len(pool) == 360
     for i in range(1, 82):
         p, q = kernels.spiral_point(i)
-        t = transversal_word((p, q))
+        t = Word(kernels.transversal_letters(p, q))
         for w in pool:
             assert kernels.shifted_depth(w.letters, p, q) == depth(conjugate(t.inverse(), w)), (
                 str(w), p, q)
@@ -366,7 +365,7 @@ def test_conjugate_depths_match_the_per_coordinate_walk():
         got = list(islice(kernels.conjugate_depths(w.letters), 225))
         assert got == list(islice(reference_conjugate_depths(w.letters), 225)), str(w)
     # conjugates of [a,b] on rings 0, 2, 6 and 10, and a joint partner
-    events = [conjugate(transversal_word(t), COMMUTATOR)
+    events = [conjugate(Word(kernels.transversal_letters(*t)), COMMUTATOR)
               for t in ((0, 0), (2, -1), (6, 2), (10, -9))]
     events.append(Word.parse("AAbabABBaaaaBBabAbAA"))
     for w in events:

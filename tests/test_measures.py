@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,11 @@ from _helpers import (
     random_commutator_word,
     random_word,
 )
+from irslab import measures
 from irslab.dyadic import HALF, ONE, ZERO, Dyadic, Exact, certified_product, one_minus_pow2, pow2
-from irslab.grid import idx, point
 from irslab.measures import (
     KINDS,
+    MAX_EXACT_BITS,
     MAX_POWER,
     MU_F,
     MU_G,
@@ -138,12 +140,13 @@ def test_dirac_descriptors():
 
 def test_coinduced_depth_profile_is_negation_permutation():
     # oracle for the closed form: the i-th conjugate of the commutator has
-    # depth idx(-point(i)), a ring-preserving permutation of the indices
+    # depth spiral_index(-spiral_point(i)), a ring-preserving permutation
+    # of the indices
     from irslab._backend import kernels
 
     for i in range(1, (2 * 6 + 1) ** 2 + 1):
-        p, q = point(i)
-        assert kernels.shifted_depth(COMMUTATOR.letters, p, q) == idx((-p, -q))
+        p, q = kernels.spiral_point(i)
+        assert kernels.shifted_depth(COMMUTATOR.letters, p, q) == kernels.spiral_index(-p, -q)
 
 
 def test_coinduced_value_matches_direct_product_oracle():
@@ -285,6 +288,58 @@ def test_convex_combination():
     assert env_prob(mu, COMMUTATOR) == Exact(Dyadic(1, 2))
     with pytest.raises(ValueError):
         Convex(((HALF, MU_F), (Dyadic(1, 2), MU_F), (HALF, MU_F)))
+
+
+def _conjugated_commutator(k: int) -> Word:
+    """a^k [a,b] a^-k, of depth ring_start(k) = (2k - 1)^2 + 1."""
+    return Word.parse("a" * k + "abAB" + "A" * k)
+
+
+def test_chain_values_past_the_bit_cap_are_refused_before_they_are_built():
+    at_cap = _conjugated_commutator(128)
+    assert env_prob(MU_F, at_cap) == Exact(one_minus_pow2(65026))
+    # depth 1,599,920,002: 1 - 2^-K alone would take 200 MB
+    deep = _conjugated_commutator(20000)
+    tracemalloc.start()
+    try:
+        for mu in (MU_F, ParamFamily(Dyadic(1, 2))):
+            with pytest.raises(ValueError, match=r"denominator 2\^1599920002; at most 2\^65536"):
+                env_prob(mu, deep)
+        # a point mass's value is 0 or 1 at every depth
+        assert env_prob(DiracGamma(3), deep) == Exact(ONE)
+        assert tracemalloc.get_traced_memory()[1] < 10 * 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_power_values_are_capped_at_the_exact_bits():
+    w = _conjugated_commutator(5)  # depth 82, and 799 * 82 <= 2^16 < 800 * 82
+    assert depth(w) == 82
+    for power in (IntersectPower, GeneratePower):
+        assert env_prob(power(799, MU_F), w).value.exp == 799 * 82
+        with pytest.raises(ValueError, match=r"power 800 .* 2\^65600; at most 2\^65536"):
+            env_prob(power(800, MU_F), w)
+
+
+def test_convex_combinations_are_capped_at_their_ends():
+    fine = Dyadic(1, MAX_EXACT_BITS)
+    rest = ONE - fine
+    # 0 and 1 keep the weights' bits, which the cap admits
+    assert env_prob(Convex(((rest, DiracGamma(1)), (fine, DiracTrivial()))), COMMUTATOR) == Exact(rest)
+    # the bits of an exact value or of an enclosure's ends add to them
+    for inner, bits in ((MU_F, 65537), (MU_G, 65621)):
+        with pytest.raises(ValueError, match=r"convex combination has denominator 2\^%d" % bits):
+            env_prob(Convex(((rest, inner), (fine, DiracTrivial()))), COMMUTATOR)
+
+
+def test_pushforward_moved_words_count_against_the_rewrite_cap(monkeypatch):
+    # the moved word b [a,b] B = babABB rewrites to 3 syllables before reduction
+    mu = Pushforward(Word.parse("B"), MU_F)
+    monkeypatch.setattr(measures, "MAX_REWRITE_SYLLABLES", 3)
+    assert env_prob(mu, COMMUTATOR) == env_prob(MU_F, conjugate(Word.parse("b"), COMMUTATOR))
+    monkeypatch.setattr(measures, "MAX_REWRITE_SYLLABLES", 2)
+    with pytest.raises(ValueError, match="rewrite to 3 syllables before reduction; at most 2"):
+        env_prob(mu, COMMUTATOR)
 
 
 def _kernel_verdict_by_definition(mu, w):
