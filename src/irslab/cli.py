@@ -22,13 +22,13 @@ import time
 from fractions import Fraction
 
 from irslab import __version__
-from irslab._backend import kernels
 from irslab.dyadic import Dyadic, parse_target_width, pow2, quoted
 from irslab.measures import (
     DEFAULT_FACTOR_CAP,
     INSTANCE_DESCRIPTION,
     MAX_POWER,
-    MAX_REWRITE_SYLLABLES,
+    MAX_SUPPORT_RADIUS,
+    check_rewrite_length,
     env_prob,
     family_measure,
     descriptor_to_json,
@@ -67,23 +67,10 @@ MAX_SAMPLE_SEEDS = 10**6
 MAX_SAMPLE_WORDS = 16
 # membership windows grow about linearly in the tolerance exponent
 MAX_TOLERANCE_EXP = 1024
-# a word of about 100 letters whose column cores do not shrink takes 2-2.5 s
-# to profile at this window ([a^24,b^24] at --tolerance-exp 1, [a^21,b^21]
-# [a^2,b^2] at the default 60; best of 3, 2-vCPU VM); the cost grows about
-# as window^1.5 times the word's length
-MAX_MEMBERSHIP_WINDOW = 2401
-# a depth profile costs about 10 us per letter and window coordinate: at
-# window 2209 (radius 20) [a^20,b^20] (80 letters) took 1.9 s and its
-# fourth power (320 letters) 7.5 s
-MAX_PROFILE_CELLS = 100 * MAX_MEMBERSHIP_WINDOW
 # certified products run to the target width: mu_G of the ring-10
 # conjugate of [a,b] took 0.007 s at 2^-60, 0.010 s at 2^-128 and 0.014 s
 # at 2^-256 (in-process, best of 3, 2-vCPU VM)
 MAX_WIDTH_EXP = 128
-# the shifted event sits on ring |shift|, and every ring inside it enters
-# the joint product: the mixing suite took 0.016 s at 10, 0.028 s at 12,
-# 0.034 s at 14 and 0.053 s at 16 (in-process, best of 2, 2-vCPU VM)
-MAX_SHIFT_EXP = 12
 # verify invariance evaluates two enclosures per pair and reports every
 # pair: 10^4 pairs took 11 s and 54 MB at the default --max-len 6, and
 # 10^3 pairs 4.3 s and 21 MB at --max-len 14 (2-vCPU VM)
@@ -142,10 +129,10 @@ def _parse_words(raw_words) -> list:
         words = [Word.parse(t) for t in raw_words]
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    syllables = sum(kernels.rewrite_length(w.letters) for w in words)
-    if syllables > MAX_REWRITE_SYLLABLES:
-        raise CliError("--word: the words rewrite to %d syllables before reduction; at most %d "
-                       "are rewritten" % (syllables, MAX_REWRITE_SYLLABLES))
+    try:
+        check_rewrite_length(words)
+    except ValueError as exc:
+        raise CliError("--word: %s" % (exc,)) from None
     return words
 
 
@@ -179,7 +166,7 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError("cannot read config %s: %s" % (path, exc)) from None
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object")
@@ -296,6 +283,8 @@ def cmd_verify(args) -> int:
 # highest); --width takes a target width in place of a range.  combination
 # always checks IDENTITY and COMMUTATOR, so --n 1 would report one word and
 # check two; invariance draws nontrivial [F,F] words, of 4 letters or more.
+# mixing's shifted event a^-s [a,b] a^s has support radius |s|, and the
+# suite took 0.016 s at 10, 0.22 s at 32 and 0.66 s at 48 (2-vCPU VM).
 _SEED = ("seed", 0, MAX_SEED)
 _WIDTH = ("width", None, None)
 VERIFY_FLAGS = {
@@ -305,7 +294,7 @@ VERIFY_FLAGS = {
     "closure": {"--width": _WIDTH},
     "chain-limits": {"--n": ("n_max", 1, MAX_POWER)},
     "combination": {"--n": ("sample_size", 2, MAX_COMBINATION_WORDS), "--seed": _SEED},
-    "mixing": {"--shift": ("shift_exp", -MAX_SHIFT_EXP, MAX_SHIFT_EXP), "--width": _WIDTH},
+    "mixing": {"--shift": ("shift_exp", -MAX_SUPPORT_RADIUS, MAX_SUPPORT_RADIUS), "--width": _WIDTH},
 }
 
 
@@ -346,21 +335,12 @@ def cmd_sample(args) -> int:
     # seeds base .. base + n - 1 are distinct 64-bit PRF keys
     _check_range("--seed", args.seed, 0, MAX_SEED + 1 - args.n)
     n, base_seed, tol = args.n, args.seed, args.tolerance_exp
-    for w in words:
-        if not w.is_identity() and w.abelianization() == (0, 0):
-            window = word_window(w, tol)
-            if window > MAX_MEMBERSHIP_WINDOW:
-                raise CliError(
-                    "--word %s needs a membership window of %d coordinates at "
-                    "tolerance 2^-%d; at most %d are scanned"
-                    % (quoted(str(w)), window, tol, MAX_MEMBERSHIP_WINDOW)
-                )
-            if len(w) * window > MAX_PROFILE_CELLS:
-                raise CliError(
-                    "--word %s has %d letters and a membership window of %d "
-                    "coordinates; letters times window may be at most %d"
-                    % (quoted(str(w)), len(w), window, MAX_PROFILE_CELLS)
-                )
+    try:
+        for w in words:
+            if not w.is_identity() and w.abelianization() == (0, 0):
+                word_window(w, tol)
+    except ValueError as exc:
+        raise CliError("--word %s" % (exc,)) from None
     labels = [str(w) for w in words]
     exact = [env_prob(measure, (w,), pow2(24)) for w in words]
     try:

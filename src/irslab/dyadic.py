@@ -24,15 +24,17 @@ from itertools import chain
 from typing import Callable, Iterable
 
 
-# exponent bound of a literal, decimal or num/2^exp: 10^MAX_LITERAL_EXP has
-# about 218,000 bits and builds in milliseconds, while 1e-100000000 ran for
-# minutes; 2^-MAX_LITERAL_EXP is the finest exact value eval prints
-MAX_LITERAL_EXP = 1 << 16
-# significant digits of a literal: as many as 2^MAX_LITERAL_EXP has (19,729),
+# bits of an exact value's denominator, checked by env_prob before it builds
+# one, and the exponent bound of a literal, so every value eval prints reads
+# back.  Values print through Decimal, quadratic in the digits: one at this
+# cap (19,737 characters) took 0.008 s, a depth-358,802 value of mu_F 0.34 s,
+# and 10^MAX_EXACT_BITS builds in milliseconds where 1e-100000000 took minutes
+MAX_EXACT_BITS = 1 << 16
+# significant digits of a literal: as many as 2^MAX_EXACT_BITS has (19,729),
 # so the num/2^exp form of every value in [-1, 1] within the exponent bound
 # reads.  Decimal to int is quadratic in the digits (10^5 of them took 0.4 s
 # and 10^6 took 37 s, 2-vCPU VM), so a longer literal is refused unconverted
-MAX_LITERAL_DIGITS = int(MAX_LITERAL_EXP * math.log10(2)) + 1
+MAX_LITERAL_DIGITS = int(MAX_EXACT_BITS * math.log10(2)) + 1
 
 # an optionally signed decimal integer literal, as int() reads it
 _INTEGER = re.compile(r"[+-]?[0-9](?:_?[0-9])*")
@@ -50,7 +52,7 @@ def _short_decimal(d: Decimal) -> Decimal:
     digits = len(d.as_tuple().digits)
     if digits > MAX_LITERAL_DIGITS:
         raise ValueError("a literal of %d significant digits exceeds the %d digits of 2^%d"
-                         % (digits, MAX_LITERAL_DIGITS, MAX_LITERAL_EXP))
+                         % (digits, MAX_LITERAL_DIGITS, MAX_EXACT_BITS))
     return d
 
 
@@ -71,17 +73,17 @@ def _int_from_text(text: str) -> int:
 
 def _decimal_fraction(text: str) -> Fraction:
     """The value of a decimal literal, read once through Decimal.  A
-    non-finite literal, one whose exponent lies outside +-MAX_LITERAL_EXP,
+    non-finite literal, one whose exponent lies outside +-MAX_EXACT_BITS,
     or one longer than MAX_LITERAL_DIGITS is rejected before any Fraction
     is built."""
     try:
         d = Decimal(text)
     except InvalidOperation:
         raise ValueError("invalid number %s" % (quoted(text),)) from None
-    if not d.is_finite() or abs(d.as_tuple().exponent) > MAX_LITERAL_EXP:
+    if not d.is_finite() or abs(d.as_tuple().exponent) > MAX_EXACT_BITS:
         raise ValueError(
             "%s is not a finite decimal with exponent in [-%d, %d]"
-            % (quoted(text), MAX_LITERAL_EXP, MAX_LITERAL_EXP)
+            % (quoted(text), MAX_EXACT_BITS, MAX_EXACT_BITS)
         )
     return Fraction(_short_decimal(d))
 
@@ -123,7 +125,7 @@ class Dyadic:
         """Accepts 'num/2^exp', 'p/q' whose value is dyadic, a decimal
         string with dyadic value, or a plain integer.  A well-formed value
         that is not dyadic raises NotDyadic; an exponent outside
-        +-MAX_LITERAL_EXP, or a literal of more than MAX_LITERAL_DIGITS
+        +-MAX_EXACT_BITS, or a literal of more than MAX_LITERAL_DIGITS
         significant digits, raises ValueError before any integer is built."""
         text = text.strip()
         if "/" in text:
@@ -131,10 +133,10 @@ class Dyadic:
             num = _int_from_text(num_str)
             if den_str.startswith("2^"):
                 exp = _decimal_integer(den_str[2:])
-                if not -MAX_LITERAL_EXP <= exp <= MAX_LITERAL_EXP:
+                if not -MAX_EXACT_BITS <= exp <= MAX_EXACT_BITS:
                     raise ValueError(
                         "%s is not num/2^exp with exponent in [-%d, %d]"
-                        % (quoted(text), MAX_LITERAL_EXP, MAX_LITERAL_EXP)
+                        % (quoted(text), MAX_EXACT_BITS, MAX_EXACT_BITS)
                     )
                 return cls(num, int(exp))
             den = _int_from_text(den_str)

@@ -22,6 +22,7 @@ from typing import Iterator, Tuple, Union
 from irslab._backend import kernels
 from irslab.dyadic import (
     DEFAULT_FACTOR_CAP,
+    MAX_EXACT_BITS,
     ZERO,
     ONE,
     Dyadic,
@@ -45,17 +46,10 @@ DEFAULT_TARGET_WIDTH = pow2(21)
 # report of a deep word grows with n; verify chain-limits evaluates and
 # prints every power up to its --n, and took 0.12 s at 1000
 MAX_POWER = 1000
-# the denominator bits of every exact value env_prob forms (a chain value,
-# a power, the ends of a convex combination), checked before the value is
-# built.  Exact values print through Decimal, quadratic in the digits: at
-# this cap (19,737 characters) one value prints in 0.008 s, where the
-# depth-358,802 value of mu_F on a^300 abAB A^300 took 0.34 s to report, in
-# 110 KB, and building 1 - 2^-K takes memory and time in K
-MAX_EXACT_BITS = 1 << 16
-# syllables the rewrites of an event's words may emit, counted for a
-# command's --words and again for each pushforward's moved event: eval
-# --measure mu_F took 1.07 s on [b^500,a^500] (250,000) and 5.2 s on
-# [b^1000,a^1000]
+# syllables the rewrites of an event's words may emit, counted before the
+# rewrite runs for each event env_prob evaluates (moved events included)
+# and for a command's --words: eval --measure mu_F took 1.07 s on
+# [b^500,a^500] (250,000) and 5.2 s on [b^1000,a^1000]
 MAX_REWRITE_SYLLABLES = 250_000
 # evaluating a descriptor takes a few stack frames per nesting level, and
 # past about 980 levels Python's default recursion limit stops it
@@ -260,6 +254,15 @@ def _refuse_beyond_cap(what: str, exp: int) -> None:
                          % (what, exp, MAX_EXACT_BITS))
 
 
+def check_rewrite_length(words) -> None:
+    """Refuse words whose rewrites emit more than MAX_REWRITE_SYLLABLES
+    syllables in all, counted before any rewrite runs."""
+    syllables = sum(kernels.rewrite_length(w.letters) for w in words)
+    if syllables > MAX_REWRITE_SYLLABLES:
+        raise ValueError("the words rewrite to %d syllables before reduction; at most %d are "
+                         "rewritten" % (syllables, MAX_REWRITE_SYLLABLES))
+
+
 def _chain_cdf(mu, words) -> Dyadic:
     """The chain CDF at the minimal depth K over an event inside the
     commutator subgroup, refused before a geometric or family CDF builds
@@ -361,6 +364,7 @@ def env_prob(
         return Exact(ONE)
     if _outside_commutator(event):
         return Exact(ZERO)
+    check_rewrite_length(event)
 
     if isinstance(mu, CHAIN_TYPES):
         return Exact(_chain_cdf(mu, event))
@@ -368,11 +372,6 @@ def env_prob(
     if isinstance(mu, Pushforward):
         g_inv = mu.g.inverse()
         moved = tuple(conjugate(g_inv, w) for w in event)
-        syllables = sum(kernels.rewrite_length(w.letters) for w in moved)
-        if syllables > MAX_REWRITE_SYLLABLES:
-            raise ValueError("the pushforward's moved words rewrite to %d syllables before "
-                             "reduction; at most %d are rewritten"
-                             % (syllables, MAX_REWRITE_SYLLABLES))
         return env_prob(mu.inner, moved, target_width, factor_cap)
 
     if isinstance(mu, Convex):

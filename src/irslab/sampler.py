@@ -18,7 +18,7 @@ from itertools import islice
 from typing import Iterable, Iterator, List, Sequence
 
 from irslab._backend import kernels
-from irslab.dyadic import Dyadic, Enclosure, pow2
+from irslab.dyadic import Dyadic, Enclosure, pow2, quoted
 from irslab.measures import (
     MU_G,
     CoinducedProduct,
@@ -27,6 +27,7 @@ from irslab.measures import (
     ParamFamily,
     _grid_tail,
     _support_radius,
+    check_rewrite_length,
 )
 from irslab.words import Word
 
@@ -36,6 +37,15 @@ DEFAULT_TOLERANCE_EXP = 60
 MIN_SAMPLE_SEEDS = 100
 # largest |z| at which a cell of chi_square_report passes
 Z_THRESHOLD = 3.0
+# a word of about 100 letters whose column cores do not shrink takes 2-2.5 s
+# to profile at this window ([a^24,b^24] at tolerance 2^-1, [a^21,b^21]
+# [a^2,b^2] at the default 2^-60; best of 3, 2-vCPU VM); the cost grows
+# about as window^1.5 times the word's length
+MAX_MEMBERSHIP_WINDOW = 2401
+# a depth profile costs about 10 us per letter and window coordinate: at
+# window 2209 (radius 20) [a^20,b^20] (80 letters) took 1.9 s and its
+# fourth power (320 letters) 7.5 s
+MAX_PROFILE_CELLS = 100 * MAX_MEMBERSHIP_WINDOW
 
 
 def sampled_inner(mu: Measure):
@@ -121,10 +131,18 @@ def membership_window(radius: int, tolerance_exp: int) -> int:
 
 
 def word_window(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> int:
-    """Membership window of a nontrivial commutator-subgroup word."""
+    """Membership window of a nontrivial [F,F] word, refused before any walk when over a cap."""
     if w.is_identity() or w.abelianization() != (0, 0):
         raise ValueError("depth profiles exist for nontrivial commutator-subgroup words")
-    return membership_window(_support_radius((w,)), tolerance_exp)
+    check_rewrite_length((w,))
+    window = membership_window(_support_radius((w,)), tolerance_exp)
+    if window > MAX_MEMBERSHIP_WINDOW:
+        raise ValueError("%s needs a membership window of %d coordinates at tolerance 2^-%d; at most %d "
+                         "are scanned" % (quoted(str(w)), window, tolerance_exp, MAX_MEMBERSHIP_WINDOW))
+    if len(w) * window > MAX_PROFILE_CELLS:
+        raise ValueError("%s has %d letters and a membership window of %d coordinates; letters times "
+                         "window may be at most %d" % (quoted(str(w)), len(w), window, MAX_PROFILE_CELLS))
+    return window
 
 
 def depth_profile(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> tuple:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import inf
 
@@ -12,6 +13,7 @@ from irslab.measures import (
     MU_G, CertifiedBool, GeomGamma, ParamFamily, chain_env_weight, combination_checks,
 )
 from irslab.sampler import SampledSubgroup
+from irslab.verify import CommutatorWords
 from irslab.words import Word
 from irslab.ywords import YWord, depth
 
@@ -30,14 +32,31 @@ def random_word(rng: random.Random, max_len: int, min_len: int = 0) -> Word:
     return Word._raw(random_reduced_letters(rng, rng.randint(min_len, max_len)))
 
 
-def random_commutator_word(rng: random.Random, max_len: int, tries: int = 10000) -> Word:
-    """Random nontrivial reduced word with zero abelianization, by rejection."""
-    for _ in range(tries):
-        n = 2 * rng.randint(2, max_len // 2)
-        w = Word._raw(random_reduced_letters(rng, n))
-        if len(w) and w.abelianization() == (0, 0) and len(w) <= max_len:
-            return w
-    raise AssertionError("rejection sampling failed")
+@lru_cache(maxsize=None)
+def _commutator_lengths(max_len: int):
+    """CommutatorWords(max_len), and for each length n its first rank, its
+    count c_n of words and the weight 3^(max_len - n) of each of them."""
+    words = CommutatorWords(max_len)
+    lengths, first = [], 0
+    for n, c in enumerate(words._counts, start=1):
+        lengths.append((first, c, 3 ** (max_len - n)))
+        first += c
+    return words, lengths, sum(c * weight for _, c, weight in lengths)
+
+
+def random_commutator_word(rng: random.Random, max_len: int) -> Word:
+    """Random nontrivial reduced word with zero abelianization: a uniform
+    reduced word of a uniform even length in 4..max_len, conditioned on
+    lying in [F,F].  Each of the 4 3^(n-1) reduced words of length n has
+    probability 1/3^n up to a common factor, so the length n is drawn with
+    weight c_n 3^(max_len - n) and the word uniformly among the c_n, by
+    rank, with no rejection."""
+    words, lengths, total = _commutator_lengths(max_len)
+    r = rng.randrange(total)
+    for first, c, weight in lengths:
+        if r < c * weight:
+            return words[first + r // weight]
+        r -= c * weight
 
 
 def random_yword(rng: random.Random, max_syllables=12, max_index=50, max_exp=3) -> YWord:

@@ -16,7 +16,6 @@ from irslab.cli import (
     EXIT_WIDTH,
     MAX_COMBINATION_WORDS,
     MAX_INVARIANCE_PAIRS,
-    MAX_MEMBERSHIP_WINDOW,
     MAX_SAMPLE_WORDS,
     MAX_TOLERANCE_EXP,
     SUITES,
@@ -26,7 +25,8 @@ from irslab.cli import (
 from irslab.dyadic import ONE, Dyadic, one_minus_pow2
 from irslab import measures
 from irslab.measures import MAX_DESCRIPTOR_DEPTH, MAX_EXACT_BITS
-from irslab.sampler import word_window
+from irslab import sampler
+from irslab.sampler import MAX_MEMBERSHIP_WINDOW, word_window
 from irslab.words import Word
 
 
@@ -223,6 +223,13 @@ def test_verify_mixing(tmp_path):
     assert rep["result"]["pass"] is True
 
 
+def test_verify_mixing_at_the_radius_cap(tmp_path):
+    # the shifted event a^-48 [a,b] a^48 has support radius 48
+    code, rep = run_cli(["verify", "mixing", "--shift", "48"], tmp_path / "r.json")
+    assert code == EXIT_OK
+    assert rep["result"]["pass"] is True
+
+
 def test_sample_replay_byte_identical(tmp_path):
     args = ["sample", "--n", "300", "--word", "abAB", "--word", "", "--seed", "42"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -270,8 +277,8 @@ def test_sample_csv(tmp_path):
         ["eval", "--word", "abAB", "--width", "1e-39"],
         ["family", "--a", "1/4", "--word", "abAB", "--width", "1/2^129"],
         ["verify", "invariance", "--width", "1/2^129"],
-        ["verify", "mixing", "--shift", "13"],
-        ["verify", "mixing", "--shift", "-13"],
+        ["verify", "mixing", "--shift", "49"],
+        ["verify", "mixing", "--shift", "-49"],
         ["verify", "chain-limits", "--n", "1001"],
         ["verify", "invariance", "--n", str(MAX_INVARIANCE_PAIRS + 1)],
         ["verify", "combination", "--n", str(MAX_COMBINATION_WORDS + 1)],
@@ -358,7 +365,7 @@ def test_costly_words_exit_before_any_work(args, tmp_path, capsys):
 
 
 def test_rewrite_cap_counts_all_the_words(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "MAX_REWRITE_SYLLABLES", 25)
+    monkeypatch.setattr(measures, "MAX_REWRITE_SYLLABLES", 25)
     out = tmp_path / "r.json"
     assert main(["eval", "--measure", "mu_F", "--word", _commutator(5, 5), "--out", str(out)]) == EXIT_OK
     out.unlink()
@@ -729,6 +736,17 @@ def test_long_config_values_print_short_errors(entry, tmp_path, capsys):
     assert "(1000" in err and "characters)" in err
 
 
+def test_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
+    # json's decoder stops at Python's recursion limit, past about 995 levels
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 10**5 + "]" * 10**5)
+    out = tmp_path / "r.json"
+    assert main(["--config", str(cfg), "eval", "--word", "abAB", "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config ") and len(err) < 300, len(err)
+    assert not out.exists()
+
+
 def _descriptor(**data):
     return json.dumps({"type": "geom_gamma", **data})
 
@@ -991,7 +1009,7 @@ def test_membership_window_limit(monkeypatch, tmp_path):
     # tolerance exponent; the limit itself is inclusive
     ring_two = Word.parse("aabbabABBBAA")
     assert word_window(ring_two, MAX_TOLERANCE_EXP) <= MAX_MEMBERSHIP_WINDOW
-    monkeypatch.setattr(cli, "MAX_MEMBERSHIP_WINDOW", word_window(ring_two, 60))
+    monkeypatch.setattr(sampler, "MAX_MEMBERSHIP_WINDOW", word_window(ring_two, 60))
     args = ["sample", "--n", "100", "--word", "", "--word", "a", "--word"]
     assert main(args + [str(ring_two), "--out", str(tmp_path / "r.json")]) == EXIT_OK
     out = tmp_path / "wide.json"

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -340,6 +341,17 @@ def test_pushforward_moved_words_count_against_the_rewrite_cap(monkeypatch):
     monkeypatch.setattr(measures, "MAX_REWRITE_SYLLABLES", 2)
     with pytest.raises(ValueError, match="rewrite to 3 syllables before reduction; at most 2"):
         env_prob(mu, COMMUTATOR)
+
+
+@pytest.mark.parametrize("mu", [MU_F, MU_G], ids=["mu_F", "mu_G"])
+def test_env_prob_counts_the_rewrite_before_it_runs(mu):
+    # [b^1000,a^1000] rewrites to 10^6 syllables: mu_F returned after 2.1 s,
+    # and mu_G rewrote for 1.6 s before its support radius was refused
+    w = Word.parse("b" * 1000 + "a" * 1000 + "B" * 1000 + "A" * 1000)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="rewrite to 1000000 syllables before reduction"):
+        env_prob(mu, w)
+    assert time.perf_counter() - started < 0.1
 
 
 def _kernel_verdict_by_definition(mu, w):

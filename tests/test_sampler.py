@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import count, islice
 
@@ -86,6 +87,24 @@ def test_depth_profile_rejects_bad_words():
         depth_profile(IDENTITY)
     with pytest.raises(ValueError):
         depth_profile(A)
+
+
+# [a^30,b^30] needs a window of 4489 coordinates, and its walk took 7.7 s
+WIDE_WORD = Word.parse("a" * 30 + "b" * 30 + "A" * 30 + "B" * 30)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: sample(MU_G, 1).member(WIDE_WORD),
+     lambda: next(membership_matrix(range(3), [WIDE_WORD], MU_G)),
+     lambda: depth_profile(WIDE_WORD)],
+    ids=["member", "membership_matrix", "depth_profile"],
+)
+def test_library_calls_refuse_a_window_over_the_cap_before_any_walk(call):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="needs a membership window of 4489 coordinates"):
+        call()
+    assert time.perf_counter() - started < 0.1
 
 
 def test_sampling_rejects_unsupported():
