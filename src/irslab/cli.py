@@ -36,6 +36,7 @@ from irslab.measures import (
 )
 from irslab.sampler import (
     DEFAULT_TOLERANCE_EXP,
+    MAX_TOLERANCE_EXP,
     MIN_SAMPLE_SEEDS,
     check_z_test_inputs,
     chi_square_report,
@@ -65,8 +66,6 @@ MAX_SAMPLE_SEEDS = 10**6
 # sample holds each word's depth profile and its block-0 lane masks (two
 # 38 KB packed ints at the largest window), and writes one CSV column per word
 MAX_SAMPLE_WORDS = 16
-# membership windows grow about linearly in the tolerance exponent
-MAX_TOLERANCE_EXP = 1024
 # certified products run to the target width: mu_G of the ring-10
 # conjugate of [a,b] took 0.007 s at 2^-60, 0.010 s at 2^-128 and 0.014 s
 # at 2^-256 (in-process, best of 3, 2-vCPU VM)
@@ -76,8 +75,8 @@ MAX_WIDTH_EXP = 128
 # 10^3 pairs 4.3 s and 21 MB at --max-len 14 (2-vCPU VM)
 MAX_INVARIANCE_PAIRS = 10**4
 # verify combination judges each word as it is drawn, so its memory is flat
-# in --n but its time is not: 2x10^4 words took 3.8 s and 10^5 words 23 s,
-# both at 16 MB peak RSS (2-vCPU VM)
+# in --n but its time is not: 2x10^4 words took 2.1 s and 10^5 words 10.9 s,
+# both at 19.5 MB peak RSS (in-process, 2-vCPU VM)
 MAX_COMBINATION_WORDS = 10**5
 # the sampler's PRF keys on a seed mod 2^64 and verify's random.Random on
 # its absolute value, so a seed outside 0..MAX_SEED would repeat another's

@@ -43,7 +43,12 @@ _INTEGER = re.compile(r"[+-]?[0-9](?:_?[0-9])*")
 def quoted(value) -> str:
     """An input as an error message quotes it: the repr of a string, or of
     another JSON value's text, cut to 40 characters and its length."""
-    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        text = value if isinstance(value, str) else json.dumps(value)
+    except RecursionError:
+        # a value json's decoder just read may be too deep for its encoder,
+        # which runs a few frames deeper
+        return "a value nested too deeply to quote"
     return repr(text) if len(text) <= 40 else "%r... (%d characters)" % (text[:40], len(text))
 
 

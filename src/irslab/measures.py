@@ -54,6 +54,10 @@ MAX_REWRITE_SYLLABLES = 250_000
 # evaluating a descriptor takes a few stack frames per nesting level, and
 # past about 980 levels Python's default recursion limit stops it
 MAX_DESCRIPTOR_DEPTH = 900
+# reading a weight of about 19,700 digits (1 - 2^-65536) takes 9-16 ms, so
+# a descriptor of this many characters (at most about 53 such weights) is
+# read in under a second
+MAX_DESCRIPTOR_CHARS = 1 << 20
 # a co-induced value reads every coordinate to a few rings past the radius:
 # at 2^-128, [b^48,a^48] (radius 47) took 1.65 s and [b^64,a^64] 2.7 s
 # (in-process), and a^200 abAB A^200 34 s at 2^-21
@@ -409,15 +413,8 @@ class CertifiedBool(enum.Enum):
         raise TypeError("CertifiedBool is three-valued; compare explicitly")
 
 
-def kernel_contains(mu: Measure, w: Word) -> CertifiedBool:
-    """Whether w lies in the kernel of mu, i.e. mu(Env w) = 1, judged at
-    DEFAULT_TARGET_WIDTH."""
-    # one co-induced factor already refutes membership for most words
-    v = env_prob(mu, (w,), factor_cap=1)
-    if v.hi < ONE:
-        return CertifiedBool.FALSE
-    if not isinstance(v, Exact):
-        v = env_prob(mu, (w,))
+def kernel_verdict(v: Enclosure) -> CertifiedBool:
+    """Whether an enclosure v of mu(Env w) shows mu(Env w) = 1."""
     if v.hi < ONE:
         return CertifiedBool.FALSE
     if v.lo == ONE:
@@ -425,14 +422,29 @@ def kernel_contains(mu: Measure, w: Word) -> CertifiedBool:
     return CertifiedBool.UNKNOWN
 
 
-def essential(mu: Measure, w: Word, target_width: Dyadic = DEFAULT_TARGET_WIDTH) -> CertifiedBool:
-    """Whether w is essential for mu, i.e. mu(Env w) > 0."""
-    v = env_prob(mu, (w,), target_width)
+def essential_verdict(v: Enclosure) -> CertifiedBool:
+    """Whether an enclosure v of mu(Env w) shows mu(Env w) > 0."""
     if v.lo > ZERO:
         return CertifiedBool.TRUE
     if v.hi.is_zero():
         return CertifiedBool.FALSE
     return CertifiedBool.UNKNOWN
+
+
+def kernel_contains(mu: Measure, w: Word) -> CertifiedBool:
+    """Whether w lies in the kernel of mu, i.e. mu(Env w) = 1, judged at
+    DEFAULT_TARGET_WIDTH."""
+    # one co-induced factor already refutes membership for most words: every
+    # factor is at most one, so the probe's hi bounds the full value's
+    v = env_prob(mu, (w,), factor_cap=1)
+    if v.hi >= ONE and not isinstance(v, Exact):
+        v = env_prob(mu, (w,))
+    return kernel_verdict(v)
+
+
+def essential(mu: Measure, w: Word, target_width: Dyadic = DEFAULT_TARGET_WIDTH) -> CertifiedBool:
+    """Whether w is essential for mu, i.e. mu(Env w) > 0."""
+    return essential_verdict(env_prob(mu, (w,), target_width))
 
 
 class Region(enum.Enum):
@@ -473,24 +485,15 @@ def combination_checks(mu1: Measure, mu2: Measure, words) -> Iterator[bool]:
     half = Dyadic(1, 1)
     conv = Convex(((half, mu1), (half, mu2)))
     ipow = IntersectPower(COMBINATION_POWER, mu1) if isinstance(mu1, CHAIN_TYPES) else None
+    TRUE = CertifiedBool.TRUE
     for w in words:
-        k1 = kernel_contains(mu1, w)
-        k2 = kernel_contains(mu2, w)
-        kc = kernel_contains(conv, w)
-        e1 = essential(mu1, w)
-        e2 = essential(mu2, w)
-        ec = essential(conv, w)
-        ok_kernel = (kc is CertifiedBool.TRUE) == (
-            k1 is CertifiedBool.TRUE and k2 is CertifiedBool.TRUE
-        )
-        ok_essential = (ec is CertifiedBool.TRUE) == (
-            e1 is CertifiedBool.TRUE or e2 is CertifiedBool.TRUE
-        )
-        ok_power = True
-        if ipow is not None:
-            kp = kernel_contains(ipow, w)
-            ok_power = (kp is CertifiedBool.TRUE) == (k1 is CertifiedBool.TRUE)
-        yield ok_kernel and ok_essential and ok_power
+        # each measure is evaluated once, at DEFAULT_TARGET_WIDTH, where
+        # kernel_contains and essential judge too
+        values = [env_prob(mu, (w,)) for mu in (mu1, mu2, conv)]
+        k1, k2, kc = (kernel_verdict(v) is TRUE for v in values)
+        e1, e2, ec = (essential_verdict(v) is TRUE for v in values)
+        ok_power = ipow is None or (kernel_verdict(env_prob(ipow, (w,))) is TRUE) == k1
+        yield kc == (k1 and k2) and ec == (e1 or e2) and ok_power
 
 
 def mixing_defect(
@@ -650,7 +653,9 @@ def parse_measure(text: str) -> Measure:
     try:
         if text.startswith("@"):
             with open(text[1:], "r", encoding="utf-8") as fh:
-                return descriptor_from_json(json.load(fh))
+                text = fh.read(MAX_DESCRIPTOR_CHARS + 1)
+        if len(text) > MAX_DESCRIPTOR_CHARS:
+            raise ValueError("a measure descriptor may be at most %d characters" % MAX_DESCRIPTOR_CHARS)
         return descriptor_from_json(json.loads(text))
     except RecursionError:
         # json's decoder and the descriptor walk take frames per nesting level

@@ -46,6 +46,9 @@ MAX_MEMBERSHIP_WINDOW = 2401
 # window 2209 (radius 20) [a^20,b^20] (80 letters) took 1.9 s and its
 # fourth power (320 letters) 7.5 s
 MAX_PROFILE_CELLS = 100 * MAX_MEMBERSHIP_WINDOW
+# membership windows grow about linearly in the tolerance exponent, and
+# membership_window compares each ring's tail with 2^-tolerance_exp
+MAX_TOLERANCE_EXP = 1024
 
 
 def sampled_inner(mu: Measure):
@@ -92,8 +95,7 @@ class SampledSubgroup:
     """A sample of a co-induced random subgroup, its levels drawn on demand."""
 
     def __init__(self, inner, seed: int, tolerance_exp: int = DEFAULT_TOLERANCE_EXP):
-        if tolerance_exp < 1:
-            raise ValueError("tolerance exponent must be >= 1")
+        _check_tolerance(tolerance_exp)
         self.inner = _drawable(inner)
         self.seed = seed & kernels.MASK64
         self.tolerance_exp = tolerance_exp
@@ -120,9 +122,17 @@ def sample(mu: Measure, seed: int, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -
     return SampledSubgroup(sampled_inner(mu), seed, tolerance_exp)
 
 
+def _check_tolerance(tolerance_exp: int) -> None:
+    """Refuse a tolerance exponent outside 1..MAX_TOLERANCE_EXP."""
+    if not 1 <= tolerance_exp <= MAX_TOLERANCE_EXP:
+        raise ValueError("tolerance exponent must lie in [1, %d], got %r"
+                         % (MAX_TOLERANCE_EXP, tolerance_exp))
+
+
 def membership_window(radius: int, tolerance_exp: int) -> int:
     """Number of leading spiral coordinates to check so the unchecked
     violation mass is certified below 2^-tolerance_exp."""
+    _check_tolerance(tolerance_exp)
     budget = pow2(tolerance_exp)
     ring = radius + 1
     while _grid_tail((2 * ring + 1) ** 2, radius) > budget:

@@ -17,16 +17,15 @@ from irslab.cli import (
     MAX_COMBINATION_WORDS,
     MAX_INVARIANCE_PAIRS,
     MAX_SAMPLE_WORDS,
-    MAX_TOLERANCE_EXP,
     SUITES,
     VERIFY_FLAGS,
     main,
 )
 from irslab.dyadic import ONE, Dyadic, one_minus_pow2
 from irslab import measures
-from irslab.measures import MAX_DESCRIPTOR_DEPTH, MAX_EXACT_BITS
+from irslab.measures import MAX_DESCRIPTOR_CHARS, MAX_DESCRIPTOR_DEPTH, MAX_EXACT_BITS
 from irslab import sampler
-from irslab.sampler import MAX_MEMBERSHIP_WINDOW, word_window
+from irslab.sampler import MAX_MEMBERSHIP_WINDOW, MAX_TOLERANCE_EXP, word_window
 from irslab.words import Word
 
 
@@ -148,6 +147,33 @@ def test_nested_convex_is_refused_at_its_first_level_beyond_the_cap(innermost, b
         "error: --measure: a convex combination has denominator 2^%d; at most 2^65536 is "
         "printed\n" % (MAX_EXACT_BITS + bits))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["file", "inline"])
+def test_descriptor_over_the_size_cap_is_refused_before_it_is_read(inline, tmp_path, capsys):
+    # a flat convex of 100 parts, each weighing 1 - 2^-65536 (1.9 MB), spent
+    # 1.6-2.3 s reading its weights before exit 2
+    part = '{"weight": "%s", "inner": {"type": "geom_gamma"}}' % (ONE - Dyadic(1, MAX_EXACT_BITS))
+    text = '{"type": "convex", "parts": [%s]}' % ", ".join([part] * 100)
+    path = tmp_path / "flat.json"
+    path.write_text(text)
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    argv = ["eval", "--word", "abAB", "--measure", text if inline else "@" + str(path)]
+    assert main(argv + ["--out", str(out)]) == EXIT_PARSE
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == (
+        "error: --measure: a measure descriptor may be at most %d characters\n" % MAX_DESCRIPTOR_CHARS)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, code", [(0, EXIT_OK), (1, EXIT_PARSE)])
+def test_descriptor_size_cap_is_inclusive(extra, code, tmp_path):
+    path = tmp_path / "padded.json"
+    descriptor = '{"type": "geom_gamma"}'
+    path.write_text(descriptor + " " * (MAX_DESCRIPTOR_CHARS - len(descriptor) + extra))
+    argv = ["eval", "--word", "abAB", "--measure", "@" + str(path), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == code
 
 
 def test_induced_finite_descriptor_is_checked_and_normalised(tmp_path):
@@ -745,6 +771,34 @@ def test_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read config ") and len(err) < 300, len(err)
     assert not out.exists()
+
+
+def _decoder_depth_limit() -> int:
+    """The deepest list json.loads reads when called from here."""
+    reads, fails = 1, 10**5
+    while fails - reads > 1:
+        depth = (reads + fails) // 2
+        try:
+            json.loads("[" * depth + "]" * depth)
+            reads = depth
+        except RecursionError:
+            fails = depth
+    return reads
+
+
+def test_config_value_nested_near_the_decoder_limit_is_a_parse_error(tmp_path, capsys):
+    # a value the decoder just reads was quoted through json.dumps, a few
+    # frames deeper, and 988 levels ended in a RecursionError traceback
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "r.json"
+    limit = _decoder_depth_limit()
+    for depth in range(limit - 20, limit + 20):
+        cfg.write_text('{"width": ' + "[" * depth + "]" * depth + "}")
+        argv = ["--config", str(cfg), "eval", "--word", "abAB", "--out", str(out)]
+        assert main(argv) == EXIT_PARSE, depth
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 300, (depth, err[-300:])
+        assert not out.exists()
 
 
 def _descriptor(**data):

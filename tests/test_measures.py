@@ -17,7 +17,9 @@ from _helpers import (
     random_word,
 )
 from irslab import measures
-from irslab.dyadic import HALF, ONE, ZERO, Dyadic, Exact, certified_product, one_minus_pow2, pow2
+from irslab.dyadic import (
+    HALF, ONE, ZERO, Dyadic, Enclosure, Exact, certified_product, one_minus_pow2, pow2,
+)
 from irslab.measures import (
     KINDS,
     MAX_EXACT_BITS,
@@ -36,12 +38,15 @@ from irslab.measures import (
     Pushforward,
     Region,
     chain_env_weight,
+    combination_checks,
     descriptor_from_json,
     descriptor_to_json,
     env_prob,
     essential,
+    essential_verdict,
     family_measure,
     kernel_contains,
+    kernel_verdict,
     mixing_defect,
     parse_measure,
     supported_in,
@@ -398,6 +403,58 @@ def test_kernel_contains_examples():
     for mu in VERDICT_DESCRIPTORS:
         for w in VERDICT_WORDS:
             assert kernel_contains(mu, w) is _kernel_verdict_by_definition(mu, w), (mu, str(w))
+
+
+T, F, U = CertifiedBool.TRUE, CertifiedBool.FALSE, CertifiedBool.UNKNOWN
+
+
+@pytest.mark.parametrize(
+    "value, kernel, ess",
+    [(Exact(ZERO), F, F), (Exact(HALF), F, T), (Exact(ONE), T, T),
+     (Enclosure(ZERO, HALF), F, U), (Enclosure(pow2(21), HALF), F, T),
+     (Enclosure(HALF, ONE), U, T), (Enclosure(ZERO, ONE, False), U, U)],
+)
+def test_verdicts_read_off_one_enclosure(value, kernel, ess):
+    assert kernel_verdict(value) is kernel
+    assert essential_verdict(value) is ess
+
+
+@pytest.mark.parametrize(
+    "k, verdict, caps",
+    [(1, T, [1, None]), (2, F, [1, None]), (3, F, [1])],
+)
+def test_kernel_contains_evaluates_in_full_only_after_an_undecided_probe(k, verdict, caps,
+                                                                         monkeypatch):
+    # the coordinate-one factor of y_2 is 1 under Gamma_1 and Gamma_2, so
+    # only the full product decides them; under Gamma_3 it is 0
+    seen = []
+    real = measures.env_prob
+
+    def counted(mu, words, *args, **kwargs):
+        seen.append(kwargs.get("factor_cap"))
+        return real(mu, words, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "env_prob", counted)
+    assert kernel_contains(CoinducedProduct(DiracGamma(k)), expand(y(2))) is verdict
+    assert seen == caps
+
+
+@pytest.mark.parametrize("mu2", [DiracTrivial(), ParamFamily(HALF)], ids=["trivial", "family"])
+def test_combination_checks_evaluate_each_measure_once_per_word(mu2, monkeypatch):
+    calls = []
+    real = measures.env_prob
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "env_prob", counted)
+    for w in (COMMUTATOR, Y2_WORD, expand(y(5))):
+        calls.clear()
+        assert list(combination_checks(MU_F, mu2, [w])) == [True]
+        # mu1, mu2, the mixture, whose value evaluates both parts again, and
+        # the power
+        assert len(calls) <= 6, (str(w), calls)
 
 
 def test_essential_examples():

@@ -107,6 +107,25 @@ def test_library_calls_refuse_a_window_over_the_cap_before_any_walk(call):
     assert time.perf_counter() - started < 0.1
 
 
+# membership_window compares each ring's tail with 2^-tolerance_exp: its
+# ring loop took 4.6 s at 10^8 before the window cap could refuse
+HUGE_TOLERANCE = 10**8
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: sample(MU_G, 1, HUGE_TOLERANCE).member(COMMUTATOR),
+     lambda: next(membership_matrix(range(3), [COMMUTATOR], MU_G, HUGE_TOLERANCE)),
+     lambda: depth_profile(COMMUTATOR, HUGE_TOLERANCE)],
+    ids=["member", "membership_matrix", "depth_profile"],
+)
+def test_library_calls_refuse_a_tolerance_over_the_cap_before_any_walk(call):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"tolerance exponent must lie in \[1, 1024\], got 100000000"):
+        call()
+    assert time.perf_counter() - started < 0.1
+
+
 def test_sampling_rejects_unsupported():
     with pytest.raises(ValueError):
         sample(GeomGamma(), 1)
