@@ -373,6 +373,27 @@ def geometric_coordinate(seed, index):
         block += 1
 
 
+def family_coordinate(seed, index, num, exp):
+    """Exact inverse-CDF draw of the family's chain level at a = num / 2^exp.
+
+    The PRF blocks, each read from its least significant bit, are the
+    binary digits of a uniform x in [0, 1); its CDF cells are [0, a),
+    [a, 3/4) and [1 - 2^-(k-1), 1 - 2^-k) for k >= 3.  So k is one plus
+    the number of leading one digits when there are at least two, else 1
+    if the first exp digits read as an integer are below num, and 2 if not.
+    """
+    stream = prf_block(seed, index, 0)
+    read = 1  # blocks in stream, block j at bit 64 j
+    while 64 * read < exp or stream == (1 << 64 * read) - 1:
+        stream |= prf_block(seed, index, read) << 64 * read
+        read += 1
+    ones = (stream ^ (stream + 1)).bit_length() - 1
+    if ones >= 2:
+        return ones + 1
+    head = bin(stream & ((1 << exp) - 1) | 1 << exp)[:2:-1]  # digits 1..exp
+    return 1 if int(head, 2) < num else 2
+
+
 # Packed block-0 lanes.  Lane i-1 of a packed int is its bits
 # 128(i-1) .. 128(i-1)+127 and holds a value for spiral coordinate i below
 # 2^64, so a 64 x 64-bit product stays inside its lane; one big-int

@@ -26,7 +26,6 @@ from irslab.dyadic import Dyadic, parse_target_width, pow2, quoted
 from irslab.measures import (
     DEFAULT_FACTOR_CAP,
     INSTANCE_DESCRIPTION,
-    MAX_POWER,
     MAX_SUPPORT_RADIUS,
     check_rewrite_length,
     env_prob,
@@ -58,6 +57,10 @@ EXIT_WIDTH = 3
 # invariance draws from the same [F,F] words by rank, and 100 pairs at 14
 # took 0.5 s
 MAX_WORD_LEN = 14
+# an exact power value has n times the bits of the chain CDF, so the
+# report of a deep word grows with n; verify chain-limits evaluates and
+# prints every power up to its --n, and took 0.12 s at 1000
+MAX_POWER = 1000
 # sample streams each seed's membership row to the CSV, so its memory is flat
 # in --n, but its time is not: with 8 radius-2 words a seed takes about 45 us
 # (10^5 seeds of mu_G in 4.0-5.9 s on a 2-vCPU VM), so 10^6 seeds take under

@@ -42,10 +42,6 @@ FAMILY_STEP = 2
 FAMILY_HEAD_MASS = Dyadic(3, 2)
 
 DEFAULT_TARGET_WIDTH = pow2(21)
-# an exact power value has n times the bits of the chain CDF, so the
-# report of a deep word grows with n; verify chain-limits evaluates and
-# prints every power up to its --n, and took 0.12 s at 1000
-MAX_POWER = 1000
 # syllables the rewrites of an event's words may emit, counted before the
 # rewrite runs for each event env_prob evaluates (moved events included)
 # and for a command's --words: eval --measure mu_F took 1.07 s on
@@ -109,7 +105,7 @@ class ParamFamily:
         if not isinstance(self.a, Dyadic):
             raise TypeError("parameter a must be a Dyadic")
         if not (ZERO < self.a < FAMILY_HEAD_MASS):
-            raise ValueError("parameter a must satisfy 0 < a < 3/4, got %s" % (self.a,))
+            raise ValueError("parameter a must satisfy 0 < a < 3/4, got %s" % quoted(str(self.a)))
 
 
 @_kind("dirac_trivial")
@@ -125,7 +121,7 @@ class DiracGamma:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("chain level must be >= 1, got %r" % (self.k,))
+            raise ValueError("chain level must be >= 1, got %s" % quoted(self.k))
 
 
 CHAIN_TYPES = (GeomGamma, ParamFamily, DiracTrivial, DiracGamma)
@@ -150,7 +146,7 @@ class Convex:
                 raise ValueError("convex weights must be positive dyadics")
             total = total + w
         if total != ONE:
-            raise ValueError("convex weights sum to %s, not 1" % (total,))
+            raise ValueError("convex weights sum to %s, not 1" % quoted(str(total)))
 
 
 @_kind("coinduced_product")
@@ -171,14 +167,14 @@ class CoinducedProduct:
 
 @dataclass(frozen=True)
 class _Power:
-    """n independent copies of a chain measure, 1 <= n <= MAX_POWER."""
+    """n >= 1 independent copies of a chain measure."""
 
     n: int
     inner: "Measure"
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_POWER:
-            raise ValueError("power must lie in [1, %d], got %r" % (MAX_POWER, self.n))
+        if self.n < 1:
+            raise ValueError("power must be >= 1, got %s" % quoted(self.n))
         if not isinstance(self.inner, CHAIN_TYPES):
             raise ValueError("powers are defined over chain measures only, got %r"
                              % (type(self.inner).__name__,))
@@ -388,7 +384,9 @@ def env_prob(
     if isinstance(mu, (IntersectPower, GeneratePower)):
         cdf = _chain_cdf(mu.inner, event)
         # 1 - cdf has the bits of cdf, so both powers have n times them
-        _refuse_beyond_cap("power %d of the chain value" % mu.n, mu.n * cdf.exp)
+        if mu.n * cdf.exp > MAX_EXACT_BITS:
+            raise ValueError("power %s of the chain value has denominator 2^(n * %d); at most "
+                             "2^%d is printed" % (quoted(mu.n), cdf.exp, MAX_EXACT_BITS))
         if isinstance(mu, IntersectPower):
             return Exact(Dyadic(cdf.num ** mu.n, cdf.exp * mu.n))
         miss = ONE - cdf

@@ -18,7 +18,7 @@ from itertools import islice
 from typing import Iterable, Iterator, List, Sequence
 
 from irslab._backend import kernels
-from irslab.dyadic import Dyadic, Enclosure, pow2, quoted
+from irslab.dyadic import Enclosure, pow2, quoted
 from irslab.measures import (
     MU_G,
     CoinducedProduct,
@@ -69,28 +69,6 @@ def _drawable(inner):
     return inner
 
 
-def _param_coordinate(seed: int, index: int, a: Dyadic) -> int:
-    """Exact inverse-CDF draw of a chain level for the parametrized family.
-
-    The PRF blocks, each read from its least significant bit, are the
-    binary digits of a uniform x in [0, 1); its CDF cells are [0, a),
-    [a, 3/4) and [1 - 2^-(k-1), 1 - 2^-k) for k >= 3.  So k is one plus
-    the number of leading one digits when there are at least two, else,
-    with a = A / 2^e, 1 if the first e digits read as an integer are below
-    A, and 2 if not.
-    """
-    stream = kernels.prf_block(seed, index, 0)
-    read = 1  # blocks in stream, block j at bit 64 j
-    while 64 * read < a.exp or stream == (1 << 64 * read) - 1:
-        stream |= kernels.prf_block(seed, index, read) << 64 * read
-        read += 1
-    ones = (stream ^ (stream + 1)).bit_length() - 1
-    if ones >= 2:
-        return ones + 1
-    head = bin(stream & ((1 << a.exp) - 1) | 1 << a.exp)[:2:-1]  # digits 1..e
-    return 1 if int(head, 2) < a.num else 2
-
-
 class SampledSubgroup:
     """A sample of a co-induced random subgroup, its levels drawn on demand."""
 
@@ -107,7 +85,7 @@ class SampledSubgroup:
         if i < 1:
             raise ValueError("coordinate index must be >= 1")
         if self._is_family:
-            return _param_coordinate(self.seed, i, self.inner.a)
+            return kernels.family_coordinate(self.seed, i, self.inner.a.num, self.inner.a.exp)
         return kernels.geometric_coordinate(self.seed, i)
 
     def member(self, w: Word) -> bool:

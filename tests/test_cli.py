@@ -1,5 +1,6 @@
 import inspect
 import json
+import runpy
 import subprocess
 import sys
 import time
@@ -308,13 +309,14 @@ def test_sample_csv(tmp_path):
         ["verify", "chain-limits", "--n", "1001"],
         ["verify", "invariance", "--n", str(MAX_INVARIANCE_PAIRS + 1)],
         ["verify", "combination", "--n", str(MAX_COMBINATION_WORDS + 1)],
+        # 65537 copies of the one-bit value of abAB pass MAX_EXACT_BITS
         [
             "eval", "--word", "abAB", "--measure",
-            '{"type": "intersect_power", "n": 1001, "inner": {"type": "geom_gamma"}}',
+            '{"type": "intersect_power", "n": 65537, "inner": {"type": "geom_gamma"}}',
         ],
         [
             "eval", "--word", "abAB", "--measure",
-            '{"type": "generate_power", "n": 1001, "inner": {"type": "geom_gamma"}}',
+            '{"type": "generate_power", "n": 65537, "inner": {"type": "geom_gamma"}}',
         ],
         # radius 20 (window 2209) with 320 letters
         ["sample", "--word", ("a" * 20 + "b" * 20 + "A" * 20 + "B" * 20) * 4, "--n", "100"],
@@ -333,6 +335,8 @@ def test_sample_csv(tmp_path):
         # seeds are 64-bit PRF keys: a run's last seed is at most 2^64 - 1
         ["sample", "--word", "abAB", "--n", "200", "--seed", "-1"],
         ["sample", "--word", "abAB", "--n", "200", "--seed", str(2**64 - 200 + 1)],
+        # neither dyadic nor positive
+        ["eval", "--word", "abAB", "--width=-1/3"],
     ],
 )
 def test_out_of_range_numbers_are_parse_errors(args, tmp_path, capsys):
@@ -734,6 +738,7 @@ def test_family_rejects_boundary(tmp_path):
     [
         ["family", "--a", "1/4", "--word", "abAB", "--word", "aabABA"],
         ["family", "--word", "abAB"],
+        ["family", "--a", "1/4"],
     ],
 )
 def test_family_rejects_bad_flags_before_any_work(args, monkeypatch, tmp_path, capsys):
@@ -742,6 +747,30 @@ def test_family_rejects_bad_flags_before_any_work(args, monkeypatch, tmp_path, c
     out = tmp_path / "r.json"
     assert main(args + ["--out", str(out)]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+NEAR_ONE = str(ONE - Dyadic(1, MAX_EXACT_BITS))
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        "mu_aG:" + NEAR_ONE,
+        '{"type": "dirac_gamma", "k": -%s}' % ("9" * 4000),
+        '{"type": "intersect_power", "n": %s, "inner": {"type": "geom_gamma"}}' % ("9" * 4000),
+        '{"type": "convex", "parts": [%s]}'
+        % ", ".join(['{"weight": "%s", "inner": {"type": "geom_gamma"}}' % NEAR_ONE] * 50),
+    ],
+    ids=["family a", "dirac_gamma k", "power n", "convex total"],
+)
+def test_descriptor_errors_quote_long_values_short(measure, tmp_path, capsys):
+    # each printed its whole value: 19,798, 4,050, 4,052 and 19,786 bytes
+    out = tmp_path / "r.json"
+    assert main(["eval", "--measure", measure, "--word", "abAB", "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --measure: ") and len(err) < 300, len(err)
+    assert "characters)" in err
     assert not out.exists()
 
 
@@ -760,6 +789,16 @@ def test_long_config_values_print_short_errors(entry, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err) < 1024, len(err)
     assert "(1000" in err and "characters)" in err
+
+
+@pytest.mark.parametrize("text", ["[1]", '"abAB"', "3", "null"])
+def test_config_that_is_not_an_object_is_a_parse_error(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "r.json"
+    assert main(["--config", str(cfg), "eval", "--word", "abAB", "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
+    assert not out.exists()
 
 
 def test_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
@@ -905,6 +944,11 @@ def test_sample_defaults_pass_through_config_merging(tmp_path):
         '{"type":"dirac_gamma","k":true}',
         '{"type":"dirac_gamma","k":"2.5"}',
         '{"type":"dirac_gamma","k":null}',
+        '{"type":"dirac_gamma","k":0}',
+        '{"type":"convex","parts":[{"weight":"0","inner":{"type":"geom_gamma"}},'
+        '{"weight":"1","inner":{"type":"geom_gamma"}}]}',
+        '{"type":"convex","parts":[{"weight":"-1/2","inner":{"type":"geom_gamma"}},'
+        '{"weight":"3/2","inner":{"type":"geom_gamma"}}]}',
         '{"type":"intersect_power","n":1e400,"inner":{"type":"geom_gamma"}}',
         '{"type":"generate_power","n":2.0,"inner":{"type":"geom_gamma"}}',
         '{"type":"generate_power","n":true,"inner":{"type":"geom_gamma"}}',
@@ -971,6 +1015,31 @@ def test_verify_failure_exit_code(monkeypatch, tmp_path):
 
     monkeypatch.setitem(cli_mod.SUITES, "closure", broken_suite)
     assert main(["verify", "closure", "--out", str(tmp_path / "r.json")]) == EXIT_FAIL
+
+
+@pytest.mark.parametrize("entry", ["main", "module"])
+@pytest.mark.parametrize(
+    "args",
+    [["eval", "--measure", "mu_G", "--word", "abAB", "--word", "a"], ["verify", "closure"],
+     ["family", "--a", "1/4", "--a", "1/2", "--word", "abAB"]],
+    ids=["eval", "verify", "family"],
+)
+def test_report_goes_to_stdout_without_out(args, entry, monkeypatch, tmp_path, capsys):
+    # without --out the report is written to stdout, byte for byte as
+    # --out writes it, whether main is called or the module is run
+    out = tmp_path / "r.json"
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    if entry == "main":
+        assert main(args) == EXIT_OK
+    else:
+        # run afresh as `python -m irslab.cli`, not as the imported module
+        monkeypatch.delitem(sys.modules, "irslab.cli")
+        monkeypatch.setattr(sys, "argv", ["irslab"] + args)
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("irslab.cli", run_name="__main__")
+        assert exit_info.value.code == EXIT_OK
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
 def test_console_entry_point():

@@ -16,14 +16,13 @@ from _helpers import (
     random_commutator_word,
     random_word,
 )
-from irslab import measures
+from irslab import _purekernels, measures
 from irslab.dyadic import (
-    HALF, ONE, ZERO, Dyadic, Enclosure, Exact, certified_product, one_minus_pow2, pow2,
+    HALF, ONE, ZERO, Dyadic, Enclosure, Exact, Interval, certified_product, one_minus_pow2, pow2,
 )
 from irslab.measures import (
     KINDS,
     MAX_EXACT_BITS,
-    MAX_POWER,
     MU_F,
     MU_G,
     CertifiedBool,
@@ -52,7 +51,8 @@ from irslab.measures import (
     supported_in,
 )
 from irslab.words import A, COMMUTATOR, IDENTITY, Word, conjugate
-from irslab.ywords import YWord, depth, expand, y
+from irslab.sampler import SampledSubgroup
+from irslab.ywords import YWord, depth, expand, phi_k, rewrite_to_y, y
 
 Y2_WORD = Word.parse("aabABA")
 WIDTH6 = pow2(21)  # < 1e-6
@@ -227,9 +227,43 @@ def test_power_descriptors_reject_non_chain():
         GeneratePower(2, Convex(((HALF, MU_F), (HALF, DiracTrivial()))))
     with pytest.raises(ValueError):
         IntersectPower(0, MU_F)
-    with pytest.raises(ValueError):
-        GeneratePower(MAX_POWER + 1, MU_F)
-    assert IntersectPower(MAX_POWER, MU_F).n == MAX_POWER
+
+
+def test_powers_are_bounded_by_the_exact_bits_alone():
+    # past the old bound of 1000 copies: a word of depth 1 keeps 1001 bits
+    assert depth(COMMUTATOR) == 1
+    assert env_prob(IntersectPower(1001, MU_F), COMMUTATOR) == Exact(pow2(1001))
+    assert env_prob(GeneratePower(1001, MU_F), COMMUTATOR) == Exact(one_minus_pow2(1001))
+    # 2^-n of 10^4000 - 1 copies fits no memory, so the cap refuses it
+    # before it is built, quoting n short
+    n = 10**4000 - 1
+    for power in (IntersectPower, GeneratePower):
+        with pytest.raises(ValueError, match=r"power '9{40}'\.\.\. \(4000 characters\) of the chain "
+                                             r"value has denominator 2\^\(n \* 1\); at most 2\^65536"):
+            env_prob(power(n, MU_F), COMMUTATOR)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: _purekernels.spiral_point(0), ValueError),
+        (lambda: SampledSubgroup(MU_F, 1).coordinate(0), ValueError),
+        (lambda: phi_k(rewrite_to_y(COMMUTATOR), 0), ValueError),
+        (lambda: chain_env_weight(MU_F, 0), ValueError),
+        (lambda: Interval(Dyadic(-1), ONE) * Interval(ZERO, ONE), ValueError),
+        (lambda: ParamFamily("1/4"), TypeError),
+        (lambda: bool(CertifiedBool.TRUE), TypeError),
+        (lambda: env_prob(object(), COMMUTATOR), TypeError),
+        (lambda: supported_in(object(), Region.TRIVIAL), TypeError),
+        (lambda: descriptor_to_json(object()), TypeError),
+        (lambda: chain_env_weight(object(), 1), TypeError),
+    ],
+    ids=["spiral_point", "coordinate", "phi_k", "chain level", "interval product", "family a",
+         "CertifiedBool", "env_prob", "supported_in", "descriptor_to_json", "chain_env_weight"],
+)
+def test_library_guards_refuse_bad_input(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_coinduced_point_mass_inners():
@@ -323,7 +357,7 @@ def test_power_values_are_capped_at_the_exact_bits():
     assert depth(w) == 82
     for power in (IntersectPower, GeneratePower):
         assert env_prob(power(799, MU_F), w).value.exp == 799 * 82
-        with pytest.raises(ValueError, match=r"power 800 .* 2\^65600; at most 2\^65536"):
+        with pytest.raises(ValueError, match=r"power '800' .* 2\^\(n \* 82\); at most 2\^65536"):
             env_prob(power(800, MU_F), w)
 
 

@@ -23,7 +23,6 @@ from irslab.dyadic import Dyadic, Enclosure, Exact
 from irslab.measures import MU_G, GeomGamma, ParamFamily, family_measure
 from irslab.sampler import (
     SampledSubgroup,
-    _param_coordinate,
     chi_square_report,
     depth_profile,
     membership_matrix,
@@ -352,9 +351,8 @@ def test_param_coordinate_matches_dyadic_oracle():
     for a in FAMILY_PARAMS:
         for seed in range(300):
             for index in range(1, 61):
-                assert _param_coordinate(seed, index, a) == dyadic_param_coordinate(
-                    _purekernels.prf_block, seed, index, a
-                ), (a, seed, index)
+                k = _purekernels.family_coordinate(seed, index, a.num, a.exp)
+                assert k == dyadic_param_coordinate(_purekernels.prf_block, seed, index, a), (a, seed, index)
 
 
 @pytest.mark.parametrize("first_block", [0, MASK64])
@@ -371,9 +369,8 @@ def test_param_coordinate_reads_later_blocks(monkeypatch, first_block):
     for a in FAMILY_PARAMS:
         for seed in range(10):
             for index in range(1, 11):
-                assert _param_coordinate(seed, index, a) == dyadic_param_coordinate(
-                    prf, seed, index, a
-                ), (a, seed, index)
+                k = _purekernels.family_coordinate(seed, index, a.num, a.exp)
+                assert k == dyadic_param_coordinate(prf, seed, index, a), (a, seed, index)
     assert 1 in blocks
 
 
