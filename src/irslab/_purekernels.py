@@ -179,8 +179,12 @@ def rewrite_syllables(w):
       q <= -1: z(p,q)  = x(p,q) x(p,q+1) ... x(p,-1)
 
     with x(p,j) the basis element at spiral index of (p, j).  Raises
-    ValueError when the word is not in the commutator subgroup.
+    ValueError, before any syllable is emitted, when the word is not in the
+    commutator subgroup.
     """
+    p, q = abelianize(w)
+    if p or q:
+        raise _outside_commutator(p, q)
     return tuple([(spiral_index(x, j), e) for (x, j), e in _rewrite_points(w, 0)])
 
 
@@ -225,11 +229,13 @@ def _rewrite_points(w, q0):
         else:
             q -= 1
     if p or q != q0:
-        raise ValueError(
-            "word has abelianization (%d, %d); not in the commutator subgroup"
-            % (p, q - q0)
-        )
+        raise _outside_commutator(p, q - q0)
     return reduce_syllables(sylls)
+
+
+def _outside_commutator(p, q):
+    """The refusal of a word of abelianization (p, q) != (0, 0)."""
+    return ValueError("word has abelianization (%d, %d); not in the commutator subgroup" % (p, q))
 
 
 def depth_syllables(sylls):
@@ -381,17 +387,27 @@ def family_coordinate(seed, index, num, exp):
     [a, 3/4) and [1 - 2^-(k-1), 1 - 2^-k) for k >= 3.  So k is one plus
     the number of leading one digits when there are at least two, else 1
     if the first exp digits read as an integer are below num, and 2 if not.
+    That comparison reads a block only while the digits before it equal a's.
     """
-    stream = prf_block(seed, index, 0)
-    read = 1  # blocks in stream, block j at bit 64 j
-    while 64 * read < exp or stream == (1 << 64 * read) - 1:
-        stream |= prf_block(seed, index, read) << 64 * read
-        read += 1
-    ones = (stream ^ (stream + 1)).bit_length() - 1
-    if ones >= 2:
-        return ones + 1
-    head = bin(stream & ((1 << exp) - 1) | 1 << exp)[:2:-1]  # digits 1..exp
-    return 1 if int(head, 2) < num else 2
+    block = 0
+    x = prf_block(seed, index, 0)
+    if x & 3 == 3:  # two leading ones: k is one plus the run of ones
+        k = 1
+        while x == MASK64:
+            k += 64
+            block += 1
+            x = prf_block(seed, index, block)
+        return k + (x ^ (x + 1)).bit_length() - 1
+    rest = exp  # digits of a after those compared
+    while True:
+        m = min(rest, 64)
+        rest -= m
+        digits = int(bin(x | 1 << 64)[:-m - 1:-1], 2)  # the block's first m
+        head = num >> rest & ((1 << m) - 1)  # a's digits at the same places
+        if digits != head or not rest:
+            return 1 if digits < head else 2
+        block += 1
+        x = prf_block(seed, index, block)
 
 
 # Packed block-0 lanes.  Lane i-1 of a packed int is its bits

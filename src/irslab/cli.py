@@ -91,6 +91,16 @@ class CliError(Exception):
     """Bad arguments or config; maps to exit code 2."""
 
 
+@contextlib.contextmanager
+def _refusal(prefix: str = ""):
+    """Report a library refusal (a ValueError) raised in the block as a
+    CliError, its message after prefix, which names the flag it came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(prefix + str(exc)) from None
+
+
 def _base_report(command: str, config: dict) -> dict:
     return {
         "tool": "irslab",
@@ -127,36 +137,25 @@ def _check_output(flag: str, path) -> None:
 def _parse_words(raw_words) -> list:
     if not raw_words:
         raise CliError("at least one --word is required")
-    try:
+    with _refusal():
         words = [Word.parse(t) for t in raw_words]
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    try:
+    with _refusal("--word: "):
         check_rewrite_length(words)
-    except ValueError as exc:
-        raise CliError("--word: %s" % (exc,)) from None
     return words
 
 
 def _check_range(flag: str, value, low: int, high=math.inf):
     """Reject a numeric flag outside [low, high]."""
     if not low <= value <= high:
-        raise CliError("%s must lie in [%s, %s], got %r" % (flag, low, high, value))
-
-
-def _parse_measure(text):
-    try:
-        return parse_measure(text)
-    except (ValueError, OSError) as exc:
-        raise CliError("--measure: %s" % (exc,)) from None
+        text = str(value)
+        got = text if len(text) <= 40 else quoted(value)
+        raise CliError("%s must lie in [%s, %s], got %s" % (flag, low, high, got))
 
 
 def _parse_width(text) -> Dyadic:
     """Target width of a --width flag, at most MAX_WIDTH_EXP bits fine."""
-    try:
+    with _refusal("--width: "):
         width = parse_target_width(text)
-    except ValueError as exc:
-        raise CliError("--width: %s" % (exc,)) from None
     if width.exp > MAX_WIDTH_EXP:
         raise CliError("--width must be at least 2^-%d, got %s" % (MAX_WIDTH_EXP, quoted(text)))
     return width
@@ -168,7 +167,7 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError("cannot read config %s: %s" % (path, exc)) from None
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object")
@@ -195,10 +194,8 @@ def _config_scalar(key: str, convert, value):
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise CliError("config %r must be a string or a number, got %s" % (key, quoted(value)))
     text = value if isinstance(value, str) else str(value)
-    try:
+    with _refusal("config %r: " % (key,)):
         return convert(text) if convert else text
-    except ValueError as exc:
-        raise CliError("config %r: %s" % (key, exc)) from None
 
 
 def _merge_config(parser, argv, args: argparse.Namespace, config: dict):
@@ -229,7 +226,8 @@ def _merge_config(parser, argv, args: argparse.Namespace, config: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    measure = _parse_measure(args.measure)
+    with _refusal("--measure: "):
+        measure = parse_measure(args.measure)
     width = _parse_width(args.width)
     words = _parse_words(args.word)
     _check_range("--factor-cap", args.factor_cap, 1)
@@ -237,10 +235,8 @@ def cmd_eval(args) -> int:
     results = []
     not_reached = False
     for event in events:
-        try:
+        with _refusal("--measure: "):
             value = env_prob(measure, event, width, factor_cap=args.factor_cap)
-        except ValueError as exc:
-            raise CliError("--measure: %s" % (exc,)) from None
         not_reached = not_reached or not value.width_reached
         entry = {"words": [str(w) for w in event], "value": value.to_json()}
         y_forms = []
@@ -322,11 +318,9 @@ def _suite_kwargs(args) -> dict:
 
 
 def cmd_sample(args) -> int:
-    measure = _parse_measure(args.measure)
-    try:
+    with _refusal("--measure: "):
+        measure = parse_measure(args.measure)
         sampled_inner(measure)
-    except ValueError as exc:
-        raise CliError("--measure: %s" % (exc,)) from None
     words = _parse_words(args.word)
     if len(words) > MAX_SAMPLE_WORDS:
         raise CliError(
@@ -337,18 +331,14 @@ def cmd_sample(args) -> int:
     # seeds base .. base + n - 1 are distinct 64-bit PRF keys
     _check_range("--seed", args.seed, 0, MAX_SEED + 1 - args.n)
     n, base_seed, tol = args.n, args.seed, args.tolerance_exp
-    try:
+    with _refusal("--word "):
         for w in words:
             if not w.is_identity() and w.abelianization() == (0, 0):
                 word_window(w, tol)
-    except ValueError as exc:
-        raise CliError("--word %s" % (exc,)) from None
     labels = [str(w) for w in words]
     exact = [env_prob(measure, (w,), pow2(24)) for w in words]
-    try:
+    with _refusal():
         check_z_test_inputs(exact, n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     seeds = range(base_seed, base_seed + n)
     hits = [0] * len(words)
     with open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext() as csv:
@@ -392,14 +382,9 @@ def cmd_family(args) -> int:
         raise CliError("at least one --a is required")
     width = _parse_width(args.width)
     word = words[0]
-    try:
+    with _refusal():
         a_values = [Dyadic.parse(t) for t in args.a]
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    try:
         values = [env_prob(family_measure(a), (word,), width) for a in a_values]
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     rows = [{"a": str(a), "value": v.to_json()} for a, v in zip(a_values, values)]
     strictly_increasing = all(p.hi < c.lo for p, c in zip(values, values[1:]))
     disjoint = not any(u.intersects(v) for u, v in itertools.combinations(values, 2))

@@ -44,7 +44,13 @@ def quoted(value) -> str:
     """An input as an error message quotes it: the repr of a string, or of
     another JSON value's text, cut to 40 characters and its length."""
     try:
-        text = value if isinstance(value, str) else json.dumps(value)
+        if isinstance(value, str):
+            text = value
+        elif isinstance(value, int) and not isinstance(value, bool):
+            # json.dumps, like str, refuses an int of over 4,300 digits
+            text = str(Decimal(value))
+        else:
+            text = json.dumps(value)
     except RecursionError:
         # a value json's decoder just read may be too deep for its encoder,
         # which runs a few frames deeper

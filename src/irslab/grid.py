@@ -30,8 +30,6 @@ class GridPoint(NamedTuple):
 
 def point(i: int) -> GridPoint:
     """Grid point at spiral index i >= 1."""
-    if i < 1:
-        raise ValueError("transversal index must be >= 1, got %r" % (i,))
     return GridPoint(*kernels.spiral_point(i))
 
 

@@ -638,7 +638,7 @@ _MEASURE_ALIASES = {"mu_F": MU_F, "mu_HF": MU_F, "mu_G": MU_G}
 def parse_measure(text: str) -> Measure:
     """Aliases mu_F / mu_HF / mu_G, mu_aF:<a> and mu_aG:<a> for the family
     chain measure and its co-induced measure, or a JSON descriptor (inline
-    or @file)."""
+    or @file).  Every refusal is a ValueError, an unreadable @file's too."""
     import json
 
     text = text.strip()
@@ -648,12 +648,15 @@ def parse_measure(text: str) -> Measure:
         return family_measure(Dyadic.parse(text.split(":", 1)[1]))
     if text.startswith("mu_aF:"):
         return ParamFamily(Dyadic.parse(text.split(":", 1)[1]))
-    try:
-        if text.startswith("@"):
+    if text.startswith("@"):
+        try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 text = fh.read(MAX_DESCRIPTOR_CHARS + 1)
-        if len(text) > MAX_DESCRIPTOR_CHARS:
-            raise ValueError("a measure descriptor may be at most %d characters" % MAX_DESCRIPTOR_CHARS)
+        except OSError as exc:
+            raise ValueError(str(exc)) from None
+    if len(text) > MAX_DESCRIPTOR_CHARS:
+        raise ValueError("a measure descriptor may be at most %d characters" % MAX_DESCRIPTOR_CHARS)
+    try:
         return descriptor_from_json(json.loads(text))
     except RecursionError:
         # json's decoder and the descriptor walk take frames per nesting level

@@ -20,11 +20,6 @@ from irslab._backend import kernels
 from irslab.words import Word
 
 
-class NotInCommutatorSubgroup(ValueError):
-    """Raised when a word with nonzero abelianization reaches an operation
-    defined only on the commutator subgroup."""
-
-
 Syllable = Tuple[int, int]
 
 
@@ -99,13 +94,10 @@ def rewrite_to_y(w: Word) -> YWord:
     """Normal form of a commutator-subgroup word in the conjugate basis.
 
     The round trip expand(rewrite_to_y(w)) == w is the correctness
-    contract.  Words outside the commutator subgroup are rejected.
+    contract.  The kernel refuses a word outside the commutator subgroup
+    with a ValueError.
     """
-    try:
-        sylls = kernels.rewrite_syllables(w.letters)
-    except ValueError as exc:
-        raise NotInCommutatorSubgroup(str(exc)) from None
-    return YWord._raw(sylls)
+    return YWord._raw(kernels.rewrite_syllables(w.letters))
 
 
 def phi_k(v: YWord, k: int) -> YWord:
@@ -116,14 +108,8 @@ def phi_k(v: YWord, k: int) -> YWord:
 
 
 def depth(w: Word):
-    """Largest k whose retraction kills w; math.inf for the identity."""
-    letters = w.letters
-    a0, a1 = kernels.abelianize(letters)
-    if a0 or a1:
-        raise NotInCommutatorSubgroup(
-            "word has abelianization (%d, %d); not in the commutator subgroup"
-            % (a0, a1)
-        )
-    if not letters:
+    """Largest k whose retraction kills w; math.inf for the identity.  The
+    kernel refuses a word outside the commutator subgroup."""
+    if not w.letters:
         return math.inf
-    return kernels.depth_syllables(kernels.rewrite_syllables(letters))
+    return kernels.depth_syllables(kernels.rewrite_syllables(w.letters))

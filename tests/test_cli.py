@@ -774,6 +774,69 @@ def test_descriptor_errors_quote_long_values_short(measure, tmp_path, capsys):
     assert not out.exists()
 
 
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "refuse, start",
+    [
+        (lambda: measures.DiracGamma(-(10**5000)), "chain level must be >= 1, got '-1000"),
+        (lambda: measures.IntersectPower(-(10**5000), measures.MU_F), "power must be >= 1, got '-1000"),
+        (lambda: main(["sample", "--word", "abAB", "--seed", NINES]),
+         "error: --seed must lie in [0, 18446744073709541616], got '9999"),
+        (lambda: main(["sample", "--word", "abAB", "--n", NINES]),
+         "error: --n must lie in [100, 1000000], got '9999"),
+        (lambda: main(["verify", "faithful", "--max-len", NINES]),
+         "error: --max-len must lie in [1, 14], got '9999"),
+        (lambda: main(["eval", "--word", "abAB", "--factor-cap", "-" + NINES]),
+         "error: --factor-cap must lie in [1, inf], got '-999"),
+    ],
+    ids=["dirac_gamma k", "intersect_power n", "--seed", "--n", "--max-len", "--factor-cap"],
+)
+def test_refusals_quote_long_numbers_short(refuse, start, capsys):
+    # a library int of over 4,300 digits raised str's own "Exceeds the
+    # limit" error, and the CLI printed a 4,000-digit flag whole
+    try:
+        assert refuse() == EXIT_PARSE
+        message = capsys.readouterr().err
+    except ValueError as exc:
+        message = str(exc)
+    assert message.startswith(start) and len(message.encode()) < 300, message[:300]
+    assert "characters)" in message
+
+
+LONG_WORD = "a" * 200 + "b" + "A" * 200 + "B"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["eval", "--word", "c"], "invalid word 'c': letters must be among a, b, A, B"),
+        (["eval", "--word", "abAB", "--width", "x"], "--width: invalid integer 'x'"),
+        (["--config", "{cfg}", "eval", "--word", "abAB"],
+         "config 'factor_cap': invalid literal for int() with base 10: 'x'"),
+        (["eval", "--measure", "@/nonexistent.json", "--word", "abAB"],
+         "--measure: [Errno 2] No such file or directory: '/nonexistent.json'"),
+        (["sample", "--measure", "mu_F", "--word", "abAB"], "--measure: sampling requires a co-induced measure"),
+        (["sample", "--word", "abAB", "--word", LONG_WORD, "--n", "100"],
+         "--word 'aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa'... (402 characters) needs a membership window "
+         "of 165649 coordinates at tolerance 2^-60; at most 2401 are scanned"),
+        (["sample", "--measure", "mu_aG:1/2^24", "--n", "100000", "--word", "abAB"],
+         "enclosure width 5.86733e-08 too wide for sigma 5.41633e-07 at n=100000"),
+        (["family", "--a", "3/4", "--word", "abAB"], "parameter a must satisfy 0 < a < 3/4, got '3/2^2'"),
+    ],
+    ids=["word", "width", "config", "measure file", "sampled inner", "window", "z-test", "family a"],
+)
+def test_library_refusals_print_one_line(argv, line, tmp_path, capsys):
+    # each library ValueError is reported once, after the flag it came from
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({"factor_cap": "x"}))
+    argv = [str(cfg) if arg == "{cfg}" else arg for arg in argv]
+    assert main(argv + ["--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: %s\n" % line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "entry",
     [{"width": "1/2^" + "9" * 10**6}, {"width": "x" * 10**6}, {"width": "0" * 10**6 + "1/2^200"},
@@ -809,6 +872,22 @@ def test_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
     assert main(["--config", str(cfg), "eval", "--word", "abAB", "--out", str(out)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read config ") and len(err) < 300, len(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe{}", b'{"n": ' + b"9" * 5000 + b"}"],
+    ids=["not utf-8", "integer of 5000 digits"],
+)
+def test_unreadable_config_is_a_parse_error(data, tmp_path, capsys):
+    # both are ValueErrors that are not JSONDecodeErrors, and were tracebacks
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    out = tmp_path / "r.json"
+    assert main(["--config", str(cfg), "sample", "--word", "abAB", "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config %s: " % cfg) and len(err) < 400, len(err)
     assert not out.exists()
 
 

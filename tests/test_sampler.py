@@ -348,7 +348,7 @@ def test_geometric_coordinate_reads_later_blocks(monkeypatch):
 
 
 def test_param_coordinate_matches_dyadic_oracle():
-    for a in FAMILY_PARAMS:
+    for a in FAMILY_PARAMS + [Dyadic(1, 65536)]:
         for seed in range(300):
             for index in range(1, 61):
                 k = _purekernels.family_coordinate(seed, index, a.num, a.exp)
@@ -374,6 +374,24 @@ def test_param_coordinate_reads_later_blocks(monkeypatch, first_block):
     assert 1 in blocks
 
 
+def test_param_coordinate_reads_only_the_blocks_it_compares(monkeypatch):
+    # a = 2^-65536 has 65,535 leading zero digits, so a block 0 that is
+    # neither all zeros nor all ones decides the draw against it
+    reads = []
+
+    def prf(seed, index, block):
+        reads.append(block)
+        return reference_prf_block(seed, index, block)
+
+    monkeypatch.setattr(_purekernels, "prf_block", prf)
+    for seed in range(50):
+        for index in range(1, 21):
+            first = reference_prf_block(seed, index, 0)
+            assert first not in (0, MASK64)
+            reads.clear()
+            k = _purekernels.family_coordinate(seed, index, 1, 65536)
+            assert reads == [0], (seed, index)
+            assert k == (2 if first & 3 != 3 else (first ^ (first + 1)).bit_length())
 
 
 # -- packed block-0 lanes ---------------------------------------------------

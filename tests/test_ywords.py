@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,6 @@ from _helpers import commutator_pool, in_gamma, random_commutator_word, random_y
 from irslab._backend import kernels
 from irslab.words import COMMUTATOR, IDENTITY, Word, conjugate
 from irslab.ywords import (
-    NotInCommutatorSubgroup,
     YWord,
     depth,
     expand,
@@ -48,10 +48,22 @@ def test_rewrite_examples_with_expand_oracle():
 
 def test_rewrite_rejects_outside_commutator():
     for text in ("a", "ab", "aab", "B"):
-        with pytest.raises(NotInCommutatorSubgroup):
+        with pytest.raises(ValueError, match="not in the commutator subgroup"):
             rewrite_to_y(Word.parse(text))
-        with pytest.raises(NotInCommutatorSubgroup):
+        with pytest.raises(ValueError, match="not in the commutator subgroup"):
             depth(Word.parse(text))
+
+
+@pytest.mark.parametrize("view", [rewrite_to_y, depth])
+def test_outside_commutator_is_refused_before_the_rewrite(view):
+    # b^1000 a^1000 rewrites into 10^6 syllables before its walk ends away
+    # from the origin; the kernel refuses it from its abelianization first
+    w = Word.parse("b" * 1000 + "a" * 1000)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^word has abelianization \(1000, 1000\); "
+                                         r"not in the commutator subgroup$"):
+        view(w)
+    assert time.perf_counter() - started < 0.01
 
 
 def test_phi_examples():
