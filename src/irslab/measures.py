@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
 from typing import Iterator, Tuple, Union
 
 from irslab._backend import kernels
@@ -32,6 +31,7 @@ from irslab.dyadic import (
     one_minus_pow2,
     pow2,
     quoted,
+    record,
 )
 from irslab.words import Word, conjugate
 from irslab.ywords import depth, rewrite_to_y
@@ -79,10 +79,10 @@ KINDS: dict = {}  # JSON tag -> descriptor class, each entered by @_kind
 
 
 def _kind(tag: str):
-    """Make the class a frozen descriptor dataclass with this JSON tag."""
+    """Make the class an immutable descriptor record with this JSON tag."""
 
     def declare(cls):
-        KINDS[tag] = cls = dataclass(frozen=True)(cls)
+        KINDS[tag] = cls = record(cls)
         return cls
 
     return declare
@@ -165,7 +165,7 @@ class CoinducedProduct:
             )
 
 
-@dataclass(frozen=True)
+@record
 class _Power:
     """n >= 1 independent copies of a chain measure."""
 
@@ -527,15 +527,15 @@ def descriptor_to_json(mu: Measure) -> dict:
     if type(mu) not in _TAGS:
         raise TypeError("unknown measure descriptor %r" % (mu,))
     data = {"type": _TAGS[type(mu)]}
-    for f in fields(mu):
-        value = getattr(mu, f.name)
-        if f.name == "inner":
+    for name in mu._fields:
+        value = getattr(mu, name)
+        if name == "inner":
             value = descriptor_to_json(value)
-        elif f.name == "parts":
+        elif name == "parts":
             value = [{"weight": str(w), "inner": descriptor_to_json(inner)} for w, inner in value]
-        elif f.name not in ("k", "n"):
+        elif name not in ("k", "n"):
             value = str(value)
-        data[f.name] = value
+        data[name] = value
     return data
 
 
@@ -578,10 +578,9 @@ def _descriptor_fields(data: dict, depth: int = 0) -> Measure:
     cls = KINDS.get(kind)
     if cls is None:
         raise ValueError("unknown measure type %s" % (quoted(kind),))
-    names = [f.name for f in fields(cls)]
-    _refuse_unread(data, ["type"] + names, kind)
+    _refuse_unread(data, ("type",) + cls._fields, kind)
     values = []
-    for name in names:
+    for name in cls._fields:
         value = data[name]
         if name == "inner":
             value = _descriptor_fields(value, depth + 1)

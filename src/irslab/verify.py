@@ -7,7 +7,6 @@ into the report so runs replay byte-identically.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Iterator, List
 
@@ -64,6 +63,24 @@ class CommutatorWords:
 
     def __len__(self) -> int:
         return sum(self._counts)
+
+    def __iter__(self) -> Iterator[Word]:
+        """The words in order, by a depth-first walk over the letters whose
+        completions _walks counts, with no unranking per word."""
+        walks = self._walks
+        for n in range(1, len(walks)):
+            # (letters left, exponent sums so far, last letter, letters);
+            # the next letters are pushed in reverse, so they pop in order
+            stack = [(n, 0, 0, 0, ())]
+            while stack:
+                r, p, q, x, letters = stack.pop()
+                if not r:
+                    yield Word._raw(letters)
+                    continue
+                r -= 1
+                for y, dp, dq in reversed(_STEPS):
+                    if y != -x and (-p - dp, -q - dq, y) in walks[r]:
+                        stack.append((r, p + dp, q + dq, y, letters + (y,)))
 
     def __getitem__(self, k: int) -> Word:
         if not 0 <= k < len(self):
@@ -138,6 +155,8 @@ def suite_invariance(
 ) -> dict:
     """Envelope enclosures before and after conjugating the event must
     intersect (invariance holds exactly; enclosures witness it at width)."""
+    import random  # here, not at the top: a command that draws nothing need not load it
+
     rng = random.Random(seed)
     pool = CommutatorWords(max_len)
     checks = []
@@ -249,6 +268,8 @@ def suite_chain_limits(n_max: int = 10) -> dict:
 def _combination_words(sample_size: int, seed: int) -> Iterator[Word]:
     """The suite's words, drawn as they are needed; equal seeds give equal
     words."""
+    import random
+
     rng = random.Random(seed)
     pool = CommutatorWords(6)
     yield IDENTITY

@@ -1,10 +1,12 @@
 import inspect
 import json
+import os
 import runpy
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -1129,6 +1131,20 @@ def test_console_entry_point():
     )
     assert proc.returncode in (EXIT_OK, 0)
     assert '"exact": "1/2^1"' in proc.stdout
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every command pays its import in a fresh process, and dataclasses
+    # (with inspect) took about a third of `import irslab.cli`
+    code = ("import sys; before = set(sys.modules); import irslab.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "irslab.cli" in loaded and "irslab.measures" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
 
 
 def test_reports_have_no_timestamps(tmp_path):

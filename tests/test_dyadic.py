@@ -2,6 +2,8 @@ import inspect
 import itertools
 import math
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -105,6 +107,22 @@ def test_parse_rejects_decimal_exponents_beyond_the_cap(text):
         Dyadic.parse(text)
     with pytest.raises(ValueError, match="exponent"):
         parse_target_width(text)
+
+
+def test_quoting_a_huge_int_does_not_convert_it():
+    # str(Decimal(v)) is quadratic: 3^(2^20) (500,298 digits) took 4.8 s
+    huge = 3 ** (2**20)
+    started = time.perf_counter()
+    assert dyadic.quoted(huge) == "an integer of 1661954 bits"
+    assert dyadic.quoted(-huge) == "a negative integer of 1661954 bits"
+    assert time.perf_counter() - started < 0.5
+    # every int of at most MAX_EXACT_BITS bits is still quoted by its
+    # digits, those of under 4,300 digits (all the CLI reads) among them
+    for value in (0, -7, 10**39, -(10**39), 10**4299, -(2**65536 - 1)):
+        text = str(Decimal(value))
+        assert dyadic.quoted(value) == (
+            repr(text) if len(text) <= 40 else "%r... (%d characters)" % (text[:40], len(text)))
+    assert dyadic.quoted(2**65536) == "an integer of 65537 bits"
 
 
 def test_parse_caps_significant_digits_at_those_of_the_largest_power():

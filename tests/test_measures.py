@@ -257,9 +257,21 @@ def test_powers_are_bounded_by_the_exact_bits_alone():
         (lambda: supported_in(object(), Region.TRIVIAL), TypeError),
         (lambda: descriptor_to_json(object()), TypeError),
         (lambda: chain_env_weight(object(), 1), TypeError),
+        # every __post_init__ refusal of a record
+        (lambda: Interval(ONE, ZERO), ValueError),
+        (lambda: Enclosure(ONE, ZERO, False), ValueError),
+        (lambda: ParamFamily(Dyadic(3, 2)), ValueError),
+        (lambda: DiracGamma(0), ValueError),
+        (lambda: Convex(((ONE, MU_F), (ZERO, MU_G))), ValueError),
+        (lambda: Convex(((HALF, MU_F),)), ValueError),
+        (lambda: CoinducedProduct(MU_G), ValueError),
+        (lambda: IntersectPower(0, MU_F), ValueError),
+        (lambda: GeneratePower(2, MU_G), ValueError),
     ],
     ids=["spiral_point", "coordinate", "phi_k", "chain level", "interval product", "family a",
-         "CertifiedBool", "env_prob", "supported_in", "descriptor_to_json", "chain_env_weight"],
+         "CertifiedBool", "env_prob", "supported_in", "descriptor_to_json", "chain_env_weight",
+         "interval order", "enclosure order", "family range", "dirac level", "convex weight",
+         "convex total", "coinduced inner", "power n", "power inner"],
 )
 def test_library_guards_refuse_bad_input(call, error):
     with pytest.raises(error):
@@ -651,6 +663,54 @@ def test_descriptor_json_round_trip():
         "type": "coinduced_product",
         "inner": {"type": "geom_gamma"},
     }
+
+
+def test_descriptors_and_values_are_immutable_records():
+    # one instance of each record class: the three power classes hold equal
+    # fields, the three value classes equal ends, and geom_gamma and
+    # dirac_trivial no fields at all
+    x = Dyadic(3, 2)
+    kinds = [cls(*args) for cls, args in zip(KINDS.values(), [
+        (), (Dyadic(3, 3),), (), (4,), (Word.parse("aB"), MU_F),
+        (((x, MU_G), (Dyadic(1, 2), DiracGamma(1))),), (MU_F,), (3, MU_F), (3, MU_F)])]
+    records = kinds + [measures._Power(3, MU_F), Interval(x, x), Enclosure(x, x), Exact(x)]
+    assert [type(r) for r in records] == list(KINDS.values()) + [
+        measures._Power, Interval, Enclosure, Exact]
+    for i, r in enumerate(records):
+        for j, other in enumerate(records):
+            assert (r == other) == (i == j) and (r != other) == (i != j), (r, other)
+        values = tuple(getattr(r, name) for name in r._fields)
+        copy = Exact(r.value) if isinstance(r, Exact) else type(r)(*values)
+        assert copy == r and hash(copy) == hash(r) and copy is not r
+        assert hash(r) == hash(values)
+        for name in r._fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+        assert r == copy
+    assert GeomGamma() != DiracTrivial() and Exact(x) != Enclosure(x, x) != Interval(x, x)
+    assert repr(MU_G) == "CoinducedProduct(inner=GeomGamma())"
+    assert repr(IntersectPower(3, MU_F)) == "IntersectPower(n=3, inner=GeomGamma())"
+    assert repr(Pushforward(Word.parse("aB"), DiracGamma(2))) == (
+        "Pushforward(g=Word('aB'), inner=DiracGamma(k=2))")
+    assert repr(Convex(((HALF, MU_F), (HALF, DiracTrivial())))) == (
+        "Convex(parts=((Dyadic(1, 1), GeomGamma()), (Dyadic(1, 1), DiracTrivial())))")
+    assert repr(Exact(x)) == "Exact(lo=Dyadic(3, 2), hi=Dyadic(3, 2), width_reached=True)"
+    assert repr(Enclosure(ZERO, x, False)) == (
+        "Enclosure(lo=Dyadic(0, 0), hi=Dyadic(3, 2), width_reached=False)")
+    assert repr(Interval(ZERO, x)) == "Interval(lo=Dyadic(0, 0), hi=Dyadic(3, 2))"
+    # fields by position or keyword; width_reached defaults to True
+    assert Enclosure._fields == ("lo", "hi", "width_reached")
+    assert Enclosure(ZERO, x).width_reached is True
+    assert Enclosure(hi=x, lo=ZERO) == Enclosure(ZERO, x, True) != Enclosure(ZERO, x, False)
+    assert Enclosure(ZERO, x, width_reached=False).width_reached is False
+    assert DiracGamma(k=2) == DiracGamma(2)
+    for call in (lambda: Interval(ZERO), lambda: Interval(ZERO, x, x),
+                 lambda: Interval(ZERO, x, mid=x), lambda: Interval(ZERO, lo=ZERO, hi=x),
+                 lambda: GeomGamma(1)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_random_descriptors_round_trip():

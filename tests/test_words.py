@@ -138,6 +138,8 @@ def test_commutator_words_unrank_the_pool():
         words = CommutatorWords(max_len)
         assert len(words) == len(pool)
         assert [words[k] for k in range(len(pool))] == pool
+        # iteration walks the same words in the same order, unranking none
+        assert list(words) == pool
         with pytest.raises(IndexError):
             words[len(pool)]
 
