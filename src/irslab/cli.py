@@ -62,12 +62,12 @@ MAX_WORD_LEN = 14
 # prints every power up to its --n, and took 0.12 s at 1000
 MAX_POWER = 1000
 # sample streams each seed's membership row to the CSV, so its memory is flat
-# in --n, but its time is not: with 8 radius-2 words a seed takes about 45 us
-# (10^5 seeds of mu_G in 4.0-5.9 s on a 2-vCPU VM), so 10^6 seeds take under
-# a minute
+# in --n, but its time is not: with 8 radius-2 words a seed takes about 24 us
+# (10^5 seeds of mu_G in 2.4-2.5 s, 10^6 in 24 s, on a 2-vCPU VM)
 MAX_SAMPLE_SEEDS = 10**6
-# sample holds each word's depth profile and its block-0 lane masks (two
-# 38 KB packed ints at the largest window), and writes one CSV column per word
+# sample holds each word's depth profile and, for the chunk of seeds it
+# scans, one 16 KB packed int and one answer per seed, and writes one CSV
+# column per word
 MAX_SAMPLE_WORDS = 16
 # certified products run to the target width: mu_G of the ring-10
 # conjugate of [a,b] took 0.007 s at 2^-60, 0.010 s at 2^-128 and 0.014 s

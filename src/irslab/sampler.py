@@ -146,7 +146,8 @@ def membership_matrix(
     tolerance_exp: int = DEFAULT_TOLERANCE_EXP,
 ) -> Iterator[List[bool]]:
     """Yield, seed by seed, whether each word lies in the subgroup sampled
-    from (mu, seed)."""
+    from (mu, seed); at most kernels.SEED_CHUNK seeds are read ahead of
+    the rows."""
     inner = sampled_inner(mu)
     ones = isinstance(inner, ParamFamily)
     cells: list = []  # per word: its fixed answer, or its profile to scan
@@ -157,19 +158,20 @@ def membership_matrix(
             cells.append(False)
         else:
             cells.append(depth_profile(w, tolerance_exp))
-    # each word's lane masks are built once, each seed's lanes drawn once
-    # over the longest window, which serves the shorter ones too
-    scanned = [
-        (j, c, kernels.lane_masks(c, ones)) for j, c in enumerate(cells) if not isinstance(c, bool)
-    ]
-    window = max((len(c) for _, c, _ in scanned), default=0)
-    for seed in seeds:
-        s = SampledSubgroup(inner, seed, tolerance_exp)
-        lanes = kernels.block0_lanes(s.seed, window)
-        row = list(cells)
-        for j, profile, masks in scanned:
-            row[j] = kernels.member_scan(profile, lanes, masks, ones, s.coordinate)
-        yield row
+    scanned = [j for j, c in enumerate(cells) if not isinstance(c, bool)]
+    profiles = [cells[j] for j in scanned]
+    seeds = iter(seeds)
+    # seeds are read and scanned a chunk at a time, each word's depth at a
+    # coordinate tested once for the whole chunk
+    while chunk := [SampledSubgroup(inner, seed, tolerance_exp)
+                    for seed in islice(seeds, kernels.SEED_CHUNK)]:
+        answers = kernels.member_scan(
+            [s.seed for s in chunk], profiles, ones, lambda j, i: chunk[j].coordinate(i))
+        for k in range(len(chunk)):
+            row = list(cells)
+            for j, column in zip(scanned, answers):
+                row[j] = column[k]
+            yield row
 
 
 def z_score(frequency: Fraction, p: Fraction, n: int) -> float:

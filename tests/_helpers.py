@@ -409,14 +409,28 @@ def scalar_member_scan(draw, depths) -> bool:
     return all(draw(i) <= d for i, d in enumerate(depths, start=1))
 
 
-def scan_profile(subgroup: SampledSubgroup, depths) -> bool:
-    """kernels.member_scan of a bare depth profile (every entry >= 1) for a
-    sampled subgroup, with its lanes, masks and draw as membership_matrix
-    passes them."""
+def scan_profiles(subgroup: SampledSubgroup, profiles) -> list:
+    """kernels.member_scan of bare depth profiles (every entry >= 1) for a
+    sampled subgroup alone, a chunk of one seed with its draw as
+    membership_matrix passes it: one answer per profile."""
     ones = isinstance(subgroup.inner, ParamFamily)
-    lanes = kernels.block0_lanes(subgroup.seed, len(depths))
-    masks = kernels.lane_masks(depths, ones)
-    return kernels.member_scan(depths, lanes, masks, ones, subgroup.coordinate)
+    answers = kernels.member_scan([subgroup.seed], profiles, ones, lambda j, i: subgroup.coordinate(i))
+    return [column[0] for column in answers]
+
+
+def scan_profile(subgroup: SampledSubgroup, depths) -> bool:
+    """scan_profiles of one profile."""
+    return scan_profiles(subgroup, [depths])[0]
+
+
+def packed_lanes(values) -> int:
+    """values[j] (each below 2^128) in the 128-bit lane j of one int."""
+    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values), "little")
+
+
+def reference_key_lanes(seeds) -> int:
+    """The seed round of reference_prf_block for seeds[j], in lane j."""
+    return packed_lanes([_splitmix64((seed & MASK64) ^ 0xA0761D6478BD642F) for seed in seeds])
 
 
 def check_combination_identities(mu1, mu2, words) -> dict:

@@ -28,8 +28,14 @@
   basis), so each column keeps only its rewrite's cyclic core.
 - Block-0 decision: for 1 <= d <= 64 the geometric level exceeds d iff the
   low d bits of the first PRF block are zeros, and for 2 <= d <= 64 the
-  family level (0 < a < 3/4) exceeds d iff they are ones, so member_scan
-  draws a level only beyond depth 64 or at family depth 1.
+  family level (0 < a < 3/4) exceeds d iff they are ones.  So member_scan
+  tests each depth with one mask for a whole chunk of seeds, skips a
+  coordinate where no lane exceeds the least depth, and draws a level only
+  beyond depth 64 or at family depth 1.
+- Point-mass tail: a co-induced DiracGamma(k) has factors of exactly 0 or
+  1, and by the ring lower bound every factor is 1 from the first ring
+  l > radius with ring_start(l - radius) >= k, so the rings inside it
+  decide the value.
 - Depth contract: every conjugate depth of a nontrivial [F,F] word is at
   least 1 and the depth routines refuse a word outside [F,F], so the
   kernels need no sentinel depth, and SampledSubgroup.member is one row of
@@ -40,7 +46,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
@@ -51,6 +57,7 @@ from _helpers import (
     commutator_pool,
     dyadic_param_coordinate,
     linear_scan_depth,
+    packed_lanes,
     random_reduced_letters,
     random_yword,
     reference_conjugate_depths,
@@ -58,8 +65,16 @@ from _helpers import (
     reference_prf_block,
 )
 from irslab._backend import kernels
-from irslab.dyadic import Dyadic
-from irslab.measures import MU_G, _grid_tail, _support_radius, family_measure
+from irslab.dyadic import ONE, ZERO, Dyadic, Exact
+from irslab.measures import (
+    MU_G,
+    CoinducedProduct,
+    DiracGamma,
+    _grid_tail,
+    _support_radius,
+    env_prob,
+    family_measure,
+)
 from irslab.sampler import depth_profile, membership_matrix, membership_window, sample
 from irslab.verify import CommutatorWords
 from irslab.words import A, COMMUTATOR, IDENTITY, Word, conjugate
@@ -95,6 +110,27 @@ def test_ring_lower_bound_on_conjugate_depths():
     # the bound is attained, so any loosening of the rewrite or the spiral
     # order that lowers a depth breaks it
     assert min_slack == 0
+
+
+def test_point_mass_tail_matches_a_direct_depth_scan():
+    # CoinducedProduct(DiracGamma(k)) contains w iff every conjugate depth
+    # of w is at least k.  From the first ring l > radius with
+    # ring_start(l - radius) >= k on, the ring lower bound makes every
+    # depth so, and the rings inside it are scanned here one coordinate at
+    # a time.  Commutators of basis elements reach that last inner ring
+    # with a depth just below k, which a tail closed one ring early misses
+    answers = []
+    for j in range(2, 13):
+        for i in range(1, j):
+            w = expand(YWord([(i, 1), (j, 1), (i, -1), (j, -1)]))
+            radius = _support_radius((w,))
+            for k in range(2, 13):
+                clear = next(l for l in count(radius + 1) if kernels.ring_start(l - radius) >= k)
+                inside = range(1, kernels.ring_start(clear))
+                member = all(kernels.shifted_depth(w.letters, *kernels.spiral_point(c)) >= k for c in inside)
+                assert env_prob(CoinducedProduct(DiracGamma(k)), w) == Exact(ONE if member else ZERO), (i, j, k)
+                answers.append(member)
+    assert len(answers) == 726 and 0 < sum(answers) < 726
 
 
 def test_grid_tail_dominates_skipped_ring_bounds():
@@ -413,41 +449,44 @@ def _block0_patterns():
     return patterns
 
 
-def test_block0_decides_levels_up_to_depth_64():
+def test_block0_decides_levels_up_to_depth_64(monkeypatch):
     patterns = _block0_patterns()
 
     def prf(seed, index, block):
         # pattern `index` fixes block 0; later blocks are the seed's own
         return patterns[index - 1][1] if block == 0 else reference_prf_block(seed, index, block)
 
+    # one chunk holding every pattern, pattern j's block 0 in lane j
+    seeds = [seed for seed, _ in patterns]
+    packed = packed_lanes([x for _, x in patterns])
+    monkeypatch.setattr(kernels, "block0_lanes", lambda keys, index, n: packed)
     kinds = [(False, None)] + [(True, a) for a in FAMILY_PARAMS]
-    masks = {
-        (d, ones): kernels.lane_masks((d,), ones) for d in range(1, 66) for ones in (False, True)
-    }
     drawn_answers = {}
-    for index, (seed, x) in enumerate(patterns, start=1):
-        for ones, a in kinds:
+    for ones, a in kinds:
+        levels = []
+        for index, (seed, x) in enumerate(patterns, start=1):
             if ones:
                 k = dyadic_param_coordinate(prf, seed, index, a)
             else:
                 k = reference_geometric_coordinate(prf, seed, index)
+            levels.append(k)
             for d in range(1 + ones, 65):
                 low = x & (1 << d) - 1
                 assert (k > d) == (low == ((1 << d) - 1 if ones else 0)), (ones, a, d, x)
-            # member_scan on this lane alone answers as the level does, and
-            # draws it only where block 0 cannot decide
-            for d in range(1, 66):
-                drawn = []
+        # member_scan of the chunk answers as each lane's level does, and
+        # draws a lane only where its block 0 cannot decide
+        for d in range(1, 66):
+            drawn = []
 
-                def draw(i):
-                    drawn.append(i)
-                    return k
+            def draw(j, i):
+                drawn.append(j)
+                return levels[j]
 
-                answer = kernels.member_scan((d,), x, masks[d, ones], ones, draw)
-                assert answer == (k <= d), (ones, a, d, x)
-                if drawn:
-                    assert d == 65 or ones and d == 1, (ones, a, d, x)
-                    drawn_answers.setdefault((ones, d), set()).add(answer)
+            answers = kernels.member_scan(seeds, [(d,)], ones, draw)[0]
+            assert answers == [k <= d for k in levels], (ones, a, d)
+            if drawn:
+                assert d == 65 or ones and d == 1, (ones, a, d)
+                drawn_answers.setdefault((ones, d), set()).update(answers[j] for j in drawn)
     # the drawn lanes see both answers, so a scan that decided them from
     # block 0 would fail above
     assert drawn_answers == {(False, 65): {True, False}, (True, 65): {True, False}, (True, 1): {True, False}}

@@ -13,12 +13,16 @@ from _helpers import (
     coordinate_chi_square,
     dyadic_param_coordinate,
     iter_reduced,
+    packed_lanes,
     reference_geometric_coordinate,
+    reference_key_lanes,
     reference_prf_block,
     scalar_member_scan,
     scan_profile,
+    scan_profiles,
 )
 from irslab import _purekernels
+from irslab._purekernels import SEED_CHUNK
 from irslab.dyadic import Dyadic, Enclosure, Exact
 from irslab.measures import MU_G, GeomGamma, ParamFamily, family_measure
 from irslab.sampler import (
@@ -189,19 +193,23 @@ def test_membership_matrix_deterministic():
 
 
 def test_membership_matrix_streams_rows():
-    # rows come one seed at a time: reading seeds ahead of the rows asked
-    # for fails here, where an endless count(7) would never stop
+    # rows come one seed at a time from an endless seed iterator, which is
+    # read a chunk at a time: never SEED_CHUNK seeds ahead of the rows taken
+    read = []
+
     def seeds():
-        yield from range(7, 10)
-        pytest.fail("a seed was read before its row was asked for")
+        for seed in count(7):
+            read.append(seed)
+            yield seed
 
     words = [IDENTITY, A, COMMUTATOR, Y2_WORD, expand(YWord([(3, 1), (7, -1)]))]
-    rows = list(islice(membership_matrix(seeds(), words), 3))
-    assert len(rows) == 3
-    for seed, row in zip(range(7, 10), rows):
-        draw = sample(MU_G, seed).coordinate
-        expected = [True, False] + [scalar_member_scan(draw, depth_profile(w)) for w in words[2:]]
-        assert row == expected, seed
+    rows = membership_matrix(seeds(), words)
+    for taken, (seed, row) in enumerate(zip(count(7), islice(rows, SEED_CHUNK + 2)), start=1):
+        assert 0 <= len(read) - taken < SEED_CHUNK, taken
+        if taken in (1, 2, 3, SEED_CHUNK, SEED_CHUNK + 1):
+            draw = sample(MU_G, seed).coordinate
+            expected = [True, False] + [scalar_member_scan(draw, depth_profile(w)) for w in words[2:]]
+            assert row == expected, seed
 
 
 def test_sampled_members_stay_in_commutator_subgroup():
@@ -225,21 +233,14 @@ def test_subgroup_closure_on_samples():
         s = sample(MU_G, seed)
         seed += 1
         members = [w for w, member in zip(pool, next(rows)) if member][:6]
-        for u in members:
-            inv = u.inverse()
-            if inv not in product_profiles:
-                product_profiles[inv] = depth_profile(inv)
-            assert scan_profile(s, product_profiles[inv]) is True
-            trials += 1
-        for u in members:
-            for v in members:
-                uv = u * v
-                if uv.is_identity():
-                    continue
-                if uv not in product_profiles:
-                    product_profiles[uv] = depth_profile(uv)
-                assert scan_profile(s, product_profiles[uv]) is True
-                trials += 1
+        products = [u * v for u in members for v in members]
+        closure = [u.inverse() for u in members] + [uv for uv in products if not uv.is_identity()]
+        for w in closure:
+            if w not in product_profiles:
+                product_profiles[w] = depth_profile(w)
+        # one scan of this seed answers every inverse and product
+        assert scan_profiles(s, [product_profiles[w] for w in closure]) == [True] * len(closure)
+        trials += len(closure)
     assert trials >= 10000
 
 
@@ -408,13 +409,15 @@ def _random_profiles(rng, count, length=60):
 
 
 def test_block0_lanes_match_prf():
-    for seed in LANE_SEEDS:
-        for count in (1, 2, 81):
-            lanes = _purekernels.block0_lanes(seed, count)
-            assert lanes >> (128 * count) == 0
-            for i in range(1, count + 1):
-                lane = lanes >> (128 * (i - 1)) & ((1 << 128) - 1)
-                assert lane == reference_prf_block(seed, i, 0), (seed, count, i)
+    # one pass draws block 0 of one coordinate for every seed of a chunk
+    for seeds in (LANE_SEEDS[:1], LANE_SEEDS[:2], LANE_SEEDS * 9):
+        keys = reference_key_lanes(seeds)
+        for index in (1, 2, 81, 2**64 + 1):
+            lanes = _purekernels.block0_lanes(keys, index, len(seeds))
+            assert lanes >> (128 * len(seeds)) == 0
+            for j, seed in enumerate(seeds):
+                lane = lanes >> (128 * j) & ((1 << 128) - 1)
+                assert lane == reference_prf_block(seed, index, 0), (seed, index)
 
 
 def test_member_scan_matches_scalar_scan():
@@ -455,13 +458,8 @@ def test_scans_on_forced_block0(monkeypatch, forced):
 
     real_lanes = _purekernels.block0_lanes
 
-    def lanes(seed, count):
-        packed = real_lanes(seed, count)
-        for i in chosen:
-            if i <= count:
-                shift = 128 * (i - 1)
-                packed = packed & ~(MASK64 << shift) | forced << shift
-        return packed
+    def lanes(keys, index, n):
+        return packed_lanes([forced] * n) if index in chosen else real_lanes(keys, index, n)
 
     monkeypatch.setattr(_purekernels, "block0_lanes", lanes)
     monkeypatch.setattr(_purekernels, "prf_block", prf)
@@ -500,7 +498,7 @@ def test_member_scan_accepts_any_sequence():
 
 def test_membership_matrix_draws_only_undecided_coordinates(monkeypatch):
     # the shape of a sample command: radius-2 words from spiral indices
-    # 16..25, seeds checked one after another.  Block 0 decides a lane of
+    # 16..25, seeds checked one chunk at a time.  Block 0 decides a lane of
     # depth <= 64, so a coordinate is drawn only when its block-0 bits are
     # all zeros at a depth beyond 64, up to the scan's first violation
     singles = [expand(y(i)) for i in (16, 18, 20, 22)]
@@ -528,7 +526,8 @@ def test_membership_matrix_draws_only_undecided_coordinates(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(_purekernels, name, counted)
     rows = list(membership_matrix(seeds, words))
-    assert calls["block0_lanes"] == len(seeds)
+    # the seeds make one chunk: one block-0 pass per window coordinate
+    assert calls["block0_lanes"] == len(profiles[0])
     assert calls["geometric_coordinate"] == expected
     for seed, row in zip(seeds, rows):
         def draw(i, _seed=seed):
@@ -536,56 +535,117 @@ def test_membership_matrix_draws_only_undecided_coordinates(monkeypatch):
         assert row == [True] + [scalar_member_scan(draw, p) for p in profiles], seed
 
 
-def test_membership_matrix_draws_block0_lanes_once_per_seed(monkeypatch):
-    # windows 121, 169 and 225, listed shortest first: each seed's lanes
-    # are drawn once, over the longest window, and serve the shorter ones too
+def test_membership_matrix_draws_block0_once_per_chunk_and_coordinate(monkeypatch):
+    # windows 121, 169 and 225, listed shortest first, over two chunks of
+    # seeds: each chunk's block 0 is drawn once per coordinate, in order, out
+    # to the longest window, and serves the shorter ones too
     words = [expand(y(i)) for i in (2, 10, 26)]
-    assert [len(depth_profile(w)) for w in words] == [121, 169, 225]
-    seeds = range(200)
+    profiles = [depth_profile(w) for w in words]
+    assert [len(p) for p in profiles] == [121, 169, 225]
+    seeds = range(SEED_CHUNK + 100)
     calls = []
     real_lanes = _purekernels.block0_lanes
 
-    def counted(seed, lane_count):
-        calls.append(lane_count)
-        return real_lanes(seed, lane_count)
+    def counted(keys, index, n):
+        calls.append((n, index))
+        return real_lanes(keys, index, n)
 
     monkeypatch.setattr(_purekernels, "block0_lanes", counted)
     for inner, mu in ((GeomGamma(), MU_G), (ParamFamily(Dyadic(1, 2)), family_measure(Dyadic(1, 2)))):
         calls.clear()
         rows = list(membership_matrix(seeds, words, mu))
-        assert calls == [225] * len(seeds)
+        assert calls == [(n, i) for n in (SEED_CHUNK, 100) for i in range(1, 226)]
+        for seed in seeds[::37]:
+            draw = SampledSubgroup(inner, seed).coordinate
+            assert rows[seed] == [scalar_member_scan(draw, p) for p in profiles], seed
+
+
+@pytest.mark.parametrize("n", [1, SEED_CHUNK - 1, SEED_CHUNK, SEED_CHUNK + 1])
+def test_membership_rows_match_scalar_scan_at_chunk_edges(n):
+    # LANE_SEEDS first, then distinct seeds: chunks that end just before,
+    # at and just after the last seed give the rows of a lone scan
+    seeds = (LANE_SEEDS + list(range(100, 100 + n)))[:n]
+    words = [IDENTITY, COMMUTATOR, A, Y2_WORD, expand(YWord([(3, 1), (7, -1)]))]
+    profiles = [depth_profile(w) for w in (COMMUTATOR, Y2_WORD, words[-1])]
+    for inner, mu in ((GeomGamma(), MU_G), (ParamFamily(Dyadic(1, 2)), family_measure(Dyadic(1, 2)))):
+        rows = list(membership_matrix(seeds, words, mu))
+        assert len(rows) == n
         for seed, row in zip(seeds, rows):
             draw = SampledSubgroup(inner, seed).coordinate
-            assert row == [scalar_member_scan(draw, depth_profile(w)) for w in words], seed
+            a, b, c = (scalar_member_scan(draw, p) for p in profiles)
+            assert row == [True, a, False, b, c], (n, seed)
 
 
-def test_membership_matrix_builds_lane_masks_once_per_word(monkeypatch):
-    # 24 words of radii 1..3 over 100 seeds: membership_matrix calls
-    # lane_masks once per word, with the scan kind of its inner
-    words = []
-    for ring in (range(2, 10), range(10, 26), range(26, 50)):
-        words += [expand(y(i, e)) for i, e in zip(ring[:4], (1, -1, 2, 1))]
-        words += [expand(YWord([(ring[k], 1), (ring[-1 - k], -1)])) for k in range(4)]
-    seeds = list(range(100))
-    profiles = [depth_profile(w) for w in words]
-    assert len(words) == 24 and len({len(p) for p in profiles}) == 3
-    calls = []
-    real_masks = _purekernels.lane_masks
+@pytest.mark.parametrize("forced", [0, MASK64])
+def test_chunk_scan_with_block0_forced_on_some_seeds(monkeypatch, forced):
+    # block 0 is pinned on some seeds of one chunk at some coordinates, in
+    # the packed lanes and in prf_block alike; geometric lanes of all zeros
+    # and family lanes of all ones are drawn beyond depth 64, family lanes
+    # of depth 1 always, and no other lane is
+    seeds = list(range(40))
+    pinned_seeds, pinned_indices = {1, 4, 9, 16, 25, 36}, {1, 2, 3, 5, 8, 13, 21}
+    real_lanes = _purekernels.block0_lanes
 
-    def counted(depths, ones):
-        calls.append((tuple(depths), ones))
-        return real_masks(depths, ones)
+    def prf(seed, index, block):
+        if block == 0 and seed in pinned_seeds and index in pinned_indices:
+            return forced
+        return reference_prf_block(seed, index, block)
 
-    monkeypatch.setattr(_purekernels, "lane_masks", counted)
-    for inner, mu, ones in (
-        (GeomGamma(), MU_G, False),
-        (ParamFamily(Dyadic(1, 2)), family_measure(Dyadic(1, 2)), True),
-    ):
-        calls.clear()
-        for seed, row in zip(seeds, membership_matrix(seeds, words, mu)):
-            draw = SampledSubgroup(inner, seed).coordinate
-            assert row == [scalar_member_scan(draw, p) for p in profiles], seed
-        assert sorted(calls) == sorted((p, ones) for p in profiles)
+    def lanes(keys, index, n):
+        packed = real_lanes(keys, index, n)
+        if index in pinned_indices:
+            for j in pinned_seeds:
+                packed = packed & ~(MASK64 << 128 * j) | forced << 128 * j
+        return packed
+
+    monkeypatch.setattr(_purekernels, "block0_lanes", lanes)
+    monkeypatch.setattr(_purekernels, "prf_block", prf)
+    # no depth 1 at a pinned coordinate, so a draw there is a deep one
+    rng = random.Random(81)
+    profiles = [
+        tuple(rng.choice((2, 63, 64, 65, 200) if i in pinned_indices else (1, 2, 63, 64, 65, 200))
+              for i in range(1, 25))
+        for _ in range(6)
+    ]
+    for inner in [GeomGamma()] + [ParamFamily(a) for a in FAMILY_PARAMS]:
+        ones = isinstance(inner, ParamFamily)
+        subgroups = [SampledSubgroup(inner, seed) for seed in seeds]
+        drawn = []
+
+        def draw(j, i):
+            drawn.append((j, i))
+            return subgroups[j].coordinate(i)
+
+        answers = _purekernels.member_scan(seeds, profiles, ones, draw)
+        for k, profile in enumerate(profiles):
+            expected = [scalar_member_scan(s.coordinate, profile) for s in subgroups]
+            assert answers[k] == expected, (inner, k)
+        pinned = {(j, i) for j in pinned_seeds for i in pinned_indices}
+        depth_one = {i for p in profiles for i, d in enumerate(p, start=1) if d == 1}
+        if ones:
+            assert all(i in depth_one or (j, i) in pinned and forced for j, i in drawn), inner
+            assert any(i in pinned_indices for _, i in drawn) == bool(forced), inner
+        else:
+            assert set(drawn) <= pinned and bool(drawn) == (forced == 0)
+
+
+def test_least_depth_skip_keeps_every_failure():
+    # a coordinate is skipped only when no lane exceeds the least depth
+    # there.  Depths of 5..11 over 256 seeds leave many coordinates where
+    # the only levels beyond the least depth exceed it by exactly one, and
+    # a failure missed at any of them changes a row
+    rng = random.Random(82)
+    seeds = list(range(1000, 1256))
+    profiles = [tuple(rng.randint(5, 11) for _ in range(80)) for _ in range(4)]
+    for inner in (GeomGamma(), ParamFamily(Dyadic(1, 2))):
+        ones = isinstance(inner, ParamFamily)
+        subgroups = [SampledSubgroup(inner, seed) for seed in seeds]
+        levels = [[s.coordinate(i) for i in range(1, 81)] for s in subgroups]
+        answers = _purekernels.member_scan(seeds, profiles, ones, lambda j, i: levels[j][i - 1])
+        for k, profile in enumerate(profiles):
+            expected = [all(x <= d for x, d in zip(row, profile)) for row in levels]
+            assert answers[k] == expected, (inner, k)
+            assert 0 < sum(expected) < len(seeds)
 
 
 def test_fixed_answer_words_draw_no_level(monkeypatch):

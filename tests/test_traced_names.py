@@ -89,12 +89,10 @@ def test_scan_draws_happen_inside_member_scan(monkeypatch):
     real_lanes, real_prf = kernels.block0_lanes, kernels.prf_block
     forced = {}
 
-    def lanes(seed, count):
-        packed = real_lanes(seed, count)
-        for i in deep:
-            shift = 128 * (i - 1)
-            packed = packed & ~(kernels.MASK64 << shift) | forced["block0"] << shift
-        return packed
+    def lanes(keys, index, n):
+        if index in deep:
+            return int.from_bytes(forced["block0"].to_bytes(16, "little") * n, "little")
+        return real_lanes(keys, index, n)
 
     def prf(seed, index, block):
         return forced["block0"] if block == 0 and index in deep else real_prf(seed, index, block)
