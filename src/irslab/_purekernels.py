@@ -168,8 +168,9 @@ def reduce_syllables(sylls, limit=None):
     return stack
 
 
-def rewrite_syllables(w):
-    """Rewrite a reduced word in the commutator subgroup as syllables.
+def rewrite_points(w):
+    """Rewrite of a reduced word in the commutator subgroup from the origin:
+    a reduced list of ((p, j), exponent) pairs over the basis points x(p, j).
 
     Scans the word tracking the coset (p, q) of the abelianization.  Each
     a-step through a coset with q != 0 contributes one Schreier generator,
@@ -179,13 +180,24 @@ def rewrite_syllables(w):
       q <= -1: z(p,q)  = x(p,q) x(p,q+1) ... x(p,-1)
 
     with x(p,j) the basis element at spiral index of (p, j).  Raises
-    ValueError, before any syllable is emitted, when the word is not in the
+    ValueError, before any point is emitted, when the word is not in the
     commutator subgroup.
     """
     p, q = abelianize(w)
     if p or q:
         raise _outside_commutator(p, q)
-    return tuple([(spiral_index(x, j), e) for (x, j), e in _rewrite_points(w, 0)])
+    return _rewrite_points(w, 0)
+
+
+def rewrite_syllables(w):
+    """The syllables of w: rewrite_points(w) mapped through spiral_index."""
+    return tuple([(spiral_index(x, j), e) for (x, j), e in rewrite_points(w)])
+
+
+def support_radius(points):
+    """Largest ring max(|p|, |j|) of a rewrite's points, the ring of its
+    largest spiral index; its cyclic core may lie on lower rings."""
+    return max((max(abs(x), abs(j)) for (x, j), _ in points), default=0)
 
 
 def rewrite_length(w):
@@ -312,15 +324,16 @@ def shifted_depth(w, p, q):
     return _moved_depth(_cyclic_core(_rewrite_points(w, -q)), p)
 
 
-def conjugate_depths(w):
+def conjugate_depths(w, origin):
     """Yield shifted_depth(w, p, q) at the spiral points of 1, 2, ...: the
-    conjugate depths of w in transversal order, without end.
+    conjugate depths of w in transversal order, without end; origin is
+    rewrite_points(w), which is column 0.
 
     Every coordinate of a column q shares one rewrite, _rewrite_points(w,
     -q), so w is rewritten once per column and the column keeps only the
     rewrite's cyclic core, which each coordinate moves by -p.
     """
-    columns = {}
+    columns = {0: _cyclic_core(origin)}
     for i in count(1):
         p, q = spiral_point(i)
         core = columns.get(q)

@@ -41,7 +41,6 @@ from irslab.sampler import (
     chi_square_report,
     membership_matrix,
     sampled_inner,
-    word_window,
 )
 from irslab.verify import SUITES, DEFAULT_SEED
 from irslab.words import Word
@@ -331,20 +330,18 @@ def cmd_sample(args) -> int:
     # seeds base .. base + n - 1 are distinct 64-bit PRF keys
     _check_range("--seed", args.seed, 0, MAX_SEED + 1 - args.n)
     n, base_seed, tol = args.n, args.seed, args.tolerance_exp
+    seeds = range(base_seed, base_seed + n)
     with _refusal("--word "):
-        for w in words:
-            if not w.is_identity() and w.abelianization() == (0, 0):
-                word_window(w, tol)
+        rows = membership_matrix(seeds, words, measure, tol)
     labels = [str(w) for w in words]
     exact = [env_prob(measure, (w,), pow2(24)) for w in words]
     with _refusal():
         check_z_test_inputs(exact, n)
-    seeds = range(base_seed, base_seed + n)
     hits = [0] * len(words)
     with open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext() as csv:
         if csv:
             csv.write("seed," + ",".join(labels) + "\n")
-        for seed, row in zip(seeds, membership_matrix(seeds, words, measure, tol)):
+        for seed, row in zip(seeds, rows):
             hits = [h + v for h, v in zip(hits, row)]
             if csv:
                 csv.write(str(seed) + "," + ",".join("1" if v else "0" for v in row) + "\n")

@@ -34,7 +34,7 @@ from irslab.dyadic import (
     record,
 )
 from irslab.words import Word, conjugate
-from irslab.ywords import depth, rewrite_to_y
+from irslab.ywords import depth
 
 # Instance constants of the parametrized family: the chain first drops at
 # level 2, and the reweighted head mass is 1/2 + 1/4.
@@ -273,12 +273,6 @@ def _chain_cdf(mu, words) -> Dyadic:
     return chain_env_weight(mu, K)
 
 
-def _support_radius(words) -> int:
-    """Largest ring of a basis index in the words' y-forms.  Spiral indices
-    grow ring by ring, so it is the ring of the largest index."""
-    return kernels.spiral_ring(max(rewrite_to_y(w).max_index() for w in words))
-
-
 def _grid_tail(count_done: int, radius: int) -> Dyadic:
     """Certified bound on the summed per-coordinate defect beyond the first
     count_done spiral indices, for an event of the given support radius.
@@ -303,8 +297,9 @@ def _grid_tail(count_done: int, radius: int) -> Dyadic:
 
 def _coinduced_value(inner, words, target_width, factor_cap) -> Enclosure:
     """Certified product of the per-coordinate factors of a co-induced
-    measure."""
-    radius = _support_radius(words)
+    measure; one origin rewrite per word gives the radius and column 0."""
+    origins = [kernels.rewrite_points(w.letters) for w in words]
+    radius = max(map(kernels.support_radius, origins))
     if radius > MAX_SUPPORT_RADIUS:
         raise ValueError("a co-induced event may have support radius at most %d, got %d"
                          % (MAX_SUPPORT_RADIUS, radius))
@@ -330,7 +325,7 @@ def _coinduced_value(inner, words, target_width, factor_cap) -> Enclosure:
         # the event conjugated back through each transversal element a^p b^q;
         # its words are nontrivial commutator-subgroup words, so every
         # conjugate depth is finite and at least 1
-        walks = [kernels.conjugate_depths(w.letters) for w in words]
+        walks = [kernels.conjugate_depths(w.letters, o) for w, o in zip(words, origins)]
         for depths in zip(*walks):
             yield chain_env_weight(inner, min(depths))
 

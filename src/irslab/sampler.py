@@ -26,7 +26,6 @@ from irslab.measures import (
     Measure,
     ParamFamily,
     _grid_tail,
-    _support_radius,
     check_rewrite_length,
 )
 from irslab.words import Word
@@ -118,25 +117,20 @@ def membership_window(radius: int, tolerance_exp: int) -> int:
     return (2 * ring + 1) ** 2
 
 
-def word_window(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> int:
-    """Membership window of a nontrivial [F,F] word, refused before any walk when over a cap."""
-    if w.is_identity() or w.abelianization() != (0, 0):
-        raise ValueError("depth profiles exist for nontrivial commutator-subgroup words")
+def depth_profile(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> tuple:
+    """Conjugate depths of a nontrivial [F,F] word w at each spiral
+    coordinate of its membership window, each at least 1; w is rewritten
+    from the origin once, and refused over a cap before any walk."""
     check_rewrite_length((w,))
-    window = membership_window(_support_radius((w,)), tolerance_exp)
+    origin = kernels.rewrite_points(w.letters)
+    window = membership_window(kernels.support_radius(origin), tolerance_exp)
     if window > MAX_MEMBERSHIP_WINDOW:
         raise ValueError("%s needs a membership window of %d coordinates at tolerance 2^-%d; at most %d "
                          "are scanned" % (quoted(str(w)), window, tolerance_exp, MAX_MEMBERSHIP_WINDOW))
     if len(w) * window > MAX_PROFILE_CELLS:
         raise ValueError("%s has %d letters and a membership window of %d coordinates; letters times "
                          "window may be at most %d" % (quoted(str(w)), len(w), window, MAX_PROFILE_CELLS))
-    return window
-
-
-def depth_profile(w: Word, tolerance_exp: int = DEFAULT_TOLERANCE_EXP) -> tuple:
-    """Conjugate depths of w at each spiral coordinate of its membership
-    window, each at least 1."""
-    return tuple(islice(kernels.conjugate_depths(w.letters), word_window(w, tolerance_exp)))
+    return tuple(islice(kernels.conjugate_depths(w.letters, origin), window))
 
 
 def membership_matrix(
@@ -145,9 +139,9 @@ def membership_matrix(
     mu: Measure = MU_G,
     tolerance_exp: int = DEFAULT_TOLERANCE_EXP,
 ) -> Iterator[List[bool]]:
-    """Yield, seed by seed, whether each word lies in the subgroup sampled
-    from (mu, seed); at most kernels.SEED_CHUNK seeds are read ahead of
-    the rows."""
+    """Rows, seed by seed, of whether each word lies in the subgroup
+    sampled from (mu, seed).  Every word is profiled, or refused, when this
+    is called; at most kernels.SEED_CHUNK seeds are read ahead of the rows."""
     inner = sampled_inner(mu)
     ones = isinstance(inner, ParamFamily)
     cells: list = []  # per word: its fixed answer, or its profile to scan
@@ -161,17 +155,21 @@ def membership_matrix(
     scanned = [j for j, c in enumerate(cells) if not isinstance(c, bool)]
     profiles = [cells[j] for j in scanned]
     seeds = iter(seeds)
-    # seeds are read and scanned a chunk at a time, each word's depth at a
-    # coordinate tested once for the whole chunk
-    while chunk := [SampledSubgroup(inner, seed, tolerance_exp)
-                    for seed in islice(seeds, kernels.SEED_CHUNK)]:
-        answers = kernels.member_scan(
-            [s.seed for s in chunk], profiles, ones, lambda j, i: chunk[j].coordinate(i))
-        for k in range(len(chunk)):
-            row = list(cells)
-            for j, column in zip(scanned, answers):
-                row[j] = column[k]
-            yield row
+
+    def rows():
+        # seeds are read and scanned a chunk at a time, each word's depth at
+        # a coordinate tested once for the whole chunk
+        while chunk := [SampledSubgroup(inner, seed, tolerance_exp)
+                        for seed in islice(seeds, kernels.SEED_CHUNK)]:
+            answers = kernels.member_scan(
+                [s.seed for s in chunk], profiles, ones, lambda j, i: chunk[j].coordinate(i))
+            for k in range(len(chunk)):
+                row = list(cells)
+                for j, column in zip(scanned, answers):
+                    row[j] = column[k]
+                yield row
+
+    return rows()
 
 
 def z_score(frequency: Fraction, p: Fraction, n: int) -> float:

@@ -51,9 +51,6 @@ class YWord:
     def is_identity(self) -> bool:
         return not self._syllables
 
-    def max_index(self) -> int:
-        return max((i for i, _ in self._syllables), default=0)
-
     def inverse(self) -> "YWord":
         return YWord._raw(tuple((i, -e) for i, e in reversed(self._syllables)))
 

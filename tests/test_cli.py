@@ -12,6 +12,7 @@ import pytest
 
 from _helpers import DESCRIPTOR_JSON
 from irslab import cli
+from irslab._backend import kernels
 from irslab.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -28,7 +29,7 @@ from irslab.dyadic import ONE, Dyadic, one_minus_pow2
 from irslab import measures
 from irslab.measures import MAX_DESCRIPTOR_CHARS, MAX_DESCRIPTOR_DEPTH, MAX_EXACT_BITS
 from irslab import sampler
-from irslab.sampler import MAX_MEMBERSHIP_WINDOW, MAX_TOLERANCE_EXP, word_window
+from irslab.sampler import MAX_MEMBERSHIP_WINDOW, MAX_TOLERANCE_EXP, depth_profile
 from irslab.words import Word
 
 
@@ -354,13 +355,16 @@ def test_out_of_range_numbers_are_parse_errors(args, tmp_path, capsys):
     ["a" * 20000 + "b" + "A" * 20000 + "B", "abAB" * 1000],
     ids=["window", "letters times window"],
 )
-def test_sample_window_errors_quote_the_word_short(word, tmp_path, capsys):
-    out = tmp_path / "r.json"
-    assert main(["sample", "--word", word, "--n", "100", "--out", str(out)]) == EXIT_PARSE
+def test_sample_window_errors_quote_the_word_short(word, monkeypatch, tmp_path, capsys):
+    # the word is refused before any value is evaluated or the CSV is opened
+    monkeypatch.setattr(cli, "env_prob", lambda *args, **kw: pytest.fail("evaluated"))
+    out, csv_path = tmp_path / "r.json", tmp_path / "m.csv"
+    args = ["sample", "--word", word, "--n", "100", "--csv", str(csv_path)]
+    assert main(args + ["--out", str(out)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: --word ") and len(err) < 300, len(err)
     assert "characters)" in err
-    assert not out.exists()
+    assert not out.exists() and not csv_path.exists()
 
 
 def _commutator(m, n):
@@ -426,8 +430,8 @@ def test_sample_too_few_seeds_is_parse_error(tmp_path):
 
 def test_sample_checks_the_z_tests_before_any_scan(monkeypatch, tmp_path, capsys):
     # mu_aG:1/2^24 encloses abAB's value in [0, 2^-24], wider than a tenth
-    # of its binomial sigma at 10^5 seeds
-    monkeypatch.setattr(cli, "membership_matrix", lambda *args: pytest.fail("scanned"))
+    # of its binomial sigma at 10^5 seeds; the word is profiled, not scanned
+    monkeypatch.setattr(kernels, "member_scan", lambda *args: pytest.fail("scanned"))
     out, csv_path = tmp_path / "r.json", tmp_path / "m.csv"
     args = ["sample", "--measure", "mu_aG:1/2^24", "--n", "100000", "--word", "abAB"]
     assert main(args + ["--out", str(out), "--csv", str(csv_path)]) == EXIT_PARSE
@@ -1226,8 +1230,8 @@ def test_membership_window_limit(monkeypatch, tmp_path):
     # the widest window sample accepts covers radius-2 words at the largest
     # tolerance exponent; the limit itself is inclusive
     ring_two = Word.parse("aabbabABBBAA")
-    assert word_window(ring_two, MAX_TOLERANCE_EXP) <= MAX_MEMBERSHIP_WINDOW
-    monkeypatch.setattr(sampler, "MAX_MEMBERSHIP_WINDOW", word_window(ring_two, 60))
+    assert len(depth_profile(ring_two, MAX_TOLERANCE_EXP)) <= MAX_MEMBERSHIP_WINDOW
+    monkeypatch.setattr(sampler, "MAX_MEMBERSHIP_WINDOW", len(depth_profile(ring_two, 60)))
     args = ["sample", "--n", "100", "--word", "", "--word", "a", "--word"]
     assert main(args + [str(ring_two), "--out", str(tmp_path / "r.json")]) == EXIT_OK
     out = tmp_path / "wide.json"

@@ -23,6 +23,9 @@
   coset of t^-1, which is what shifted_depth computes.
 - Column shift: the rewrite from (-p, -q) is the rewrite from (0, -q) with
   every point moved by -p, so conjugate_depths rewrites once per column.
+- One origin rewrite: rewrite_points gives a word's y-form, its support
+  radius (the largest ring of the whole list, not of its core) and column
+  0 of its walk, so each word is rewritten from the origin once.
 - Cyclic core: x^e M x^-e is a conjugate of M and x^e M x^f one of
   M x^(e+f), and conjugation keeps every depth (the first lemma, in the
   basis), so each column keeps only its rewrite's cyclic core.
@@ -71,18 +74,22 @@ from irslab.measures import (
     CoinducedProduct,
     DiracGamma,
     _grid_tail,
-    _support_radius,
     env_prob,
     family_measure,
 )
 from irslab.sampler import depth_profile, membership_matrix, membership_window, sample
 from irslab.verify import CommutatorWords
 from irslab.words import A, COMMUTATOR, IDENTITY, Word, conjugate
-from irslab.ywords import YWord, depth, expand, y
+from irslab.ywords import YWord, depth, expand, rewrite_to_y, y
 
 REPS = (expand(y(1)), expand(y(2)), expand(y(4, -1)), expand(y(3, 2)))
 # a deep conjugate whose columns all strip to one point
 DEEP_CONJUGATE = Word.parse("a" * 40 + "abAB" + "A" * 40)
+
+
+def _walk(letters):
+    """The conjugate depths of a word, from its one origin rewrite."""
+    return kernels.conjugate_depths(letters, kernels.rewrite_points(letters))
 
 
 def test_commutator_conjugation_keeps_depth():
@@ -97,7 +104,7 @@ def test_ring_lower_bound_on_conjugate_depths():
     min_slack = None
     n_checks = 0
     for w in commutator_pool(8):
-        radius = _support_radius((w,))
+        radius = kernels.support_radius(kernels.rewrite_points(w.letters))
         last_ring = radius + 2
         for i in range(kernels.ring_start(radius + 1), (2 * last_ring + 1) ** 2 + 1):
             p, q = kernels.spiral_point(i)
@@ -123,7 +130,7 @@ def test_point_mass_tail_matches_a_direct_depth_scan():
     for j in range(2, 13):
         for i in range(1, j):
             w = expand(YWord([(i, 1), (j, 1), (i, -1), (j, -1)]))
-            radius = _support_radius((w,))
+            radius = kernels.support_radius(kernels.rewrite_points(w.letters))
             for k in range(2, 13):
                 clear = next(l for l in count(radius + 1) if kernels.ring_start(l - radius) >= k)
                 inside = range(1, kernels.ring_start(clear))
@@ -398,14 +405,14 @@ def test_conjugate_depths_match_the_per_coordinate_walk():
     """The column-shared walk against one rewrite and one full binary
     search per coordinate."""
     for w in commutator_pool(6):
-        got = list(islice(kernels.conjugate_depths(w.letters), 225))
+        got = list(islice(_walk(w.letters), 225))
         assert got == list(islice(reference_conjugate_depths(w.letters), 225)), str(w)
     # conjugates of [a,b] on rings 0, 2, 6 and 10, and a joint partner
     events = [conjugate(Word(kernels.transversal_letters(*t)), COMMUTATOR)
               for t in ((0, 0), (2, -1), (6, 2), (10, -9))]
     events.append(Word.parse("AAbabABBaaaaBBabAbAA"))
     for w in events:
-        got = list(islice(kernels.conjugate_depths(w.letters), 841))
+        got = list(islice(_walk(w.letters), 841))
         assert got == list(islice(reference_conjugate_depths(w.letters), 841)), str(w)
     # conjugates by long random words, whose columns strip long outer parts
     rng = random.Random(3571)
@@ -413,26 +420,75 @@ def test_conjugate_depths_match_the_per_coordinate_walk():
     for _ in range(12):
         g = Word._raw(random_reduced_letters(rng, rng.randint(20, 40)))
         w = conjugate(g, rng.choice(pool)).letters
-        got = list(islice(kernels.conjugate_depths(w), 225))
+        got = list(islice(_walk(w), 225))
         assert got == list(islice(reference_conjugate_depths(w), 225)), str(Word._raw(w))
     deep = DEEP_CONJUGATE.letters
-    got = list(islice(kernels.conjugate_depths(deep), 200))
+    got = list(islice(_walk(deep), 200))
     assert got == list(islice(reference_conjugate_depths(deep), 200))
     for w in ((), Word.parse("ab").letters):
         with pytest.raises(ValueError):
-            next(kernels.conjugate_depths(w))
+            next(_walk(w))
 
 
 def test_conjugate_depths_memory_stays_small():
     # keeping every column's full rewrite peaked at 8.4 MB here
     tracemalloc.start()
     try:
-        for _ in islice(kernels.conjugate_depths(DEEP_CONJUGATE.letters), 3000):
+        for _ in islice(_walk(DEEP_CONJUGATE.letters), 3000):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024, peak
+
+
+def test_one_origin_rewrite_gives_syllables_radius_and_column_zero(monkeypatch):
+    """rewrite_points is a word's one rewrite from the origin: through
+    spiral_index it is the y-form, its largest ring is the ring of the
+    y-form's largest index, and the walk it seeds starts at the depth."""
+    pool = list(CommutatorWords(8))
+    assert len(pool) == 360
+    rng = random.Random(6151)
+    words = pool + [DEEP_CONJUGATE] + [
+        conjugate(Word._raw(random_reduced_letters(rng, rng.randint(20, 60))), rng.choice(pool))
+        for _ in range(40)]
+    for w in words:
+        origin = kernels.rewrite_points(w.letters)
+        sylls = rewrite_to_y(w).syllables
+        assert kernels.rewrite_syllables(w.letters) == tuple(
+            (kernels.spiral_index(*x), e) for x, e in origin), str(w)
+        assert kernels.support_radius(origin) == kernels.spiral_ring(max(i for i, _ in sylls)), str(w)
+        assert next(kernels.conjugate_depths(w.letters, origin)) == depth(w), str(w)
+    # the co-induced value and the depth profile each rewrite a word from
+    # the origin once, and the walk reads that rewrite as its column 0
+    origins = []
+
+    def rewrite(w, q0, _fn=kernels._rewrite_points):
+        origins.extend([w] if q0 == 0 else [])
+        return _fn(w, q0)
+
+    monkeypatch.setattr(kernels, "_rewrite_points", rewrite)
+    for w in pool[:40] + [Word.parse("aaabAAABabaaBAAA")]:
+        origins.clear()
+        env_prob(MU_G, w)
+        depth_profile(w, 8)
+        assert origins == [w.letters] * 2, str(w)
+
+
+def test_support_radius_reads_the_whole_rewrite_not_its_core():
+    # [a^3,b] conjugating [a,b]: its rewrite reaches ring 2, while the
+    # cyclic core of column 0 is the y_1 of [a,b], on ring 0
+    w = Word.parse("aaabAAABabaaBAAA")
+    origin = kernels.rewrite_points(w.letters)
+    assert kernels.support_radius(origin) == 2
+    assert kernels.support_radius(kernels._cyclic_core(origin)) == 0
+    # conjugated by [a^50,b] it has radius 49, one over the co-induced cap;
+    # a radius read from the core would accept it at ring 0
+    far = conjugate(Word.parse("a" * 50 + "b" + "A" * 50 + "B"), COMMUTATOR)
+    with pytest.raises(ValueError, match="support radius at most 48, got 49"):
+        env_prob(MU_G, far)
+    with pytest.raises(ValueError, match="needs a membership window"):
+        depth_profile(far)
 
 
 def _block0_patterns():
@@ -499,7 +555,7 @@ def test_conjugate_depths_of_commutator_words_are_at_least_one():
         assert min(depth_profile(w, 8)) >= 1, str(w)
     outside = Word.parse("ab").letters
     with pytest.raises(ValueError):
-        next(kernels.conjugate_depths(outside))
+        next(_walk(outside))
     with pytest.raises(ValueError):
         kernels.shifted_depth(outside, 0, 0)
 

@@ -70,7 +70,7 @@ def test_conjugate_depths_calls_traced_kernels_by_module_name(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(kernels, name, counted)
     w = Word.parse("aaBabAAA").letters
-    depths = list(islice(kernels.conjugate_depths(w), 81))
+    depths = list(islice(kernels.conjugate_depths(w, kernels.rewrite_points(w)), 81))
     assert all(depths)
     assert calls["spiral_point"] == 81
     assert calls["depth_syllables"] == 81

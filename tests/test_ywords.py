@@ -144,7 +144,7 @@ def test_depth_bounded_by_max_index():
         v = random_yword(rng, max_syllables=8, max_index=25)
         if v.is_identity():
             continue
-        assert 1 <= depth(expand(v)) <= 1 + v.max_index()
+        assert 1 <= depth(expand(v)) <= 1 + max(i for i, _ in v.syllables)
 
 
 def test_yword_normal_form_invariants():
