@@ -413,12 +413,18 @@ def family_coordinate(seed, index, num, exp):
     while True:
         m = min(rest, 64)
         rest -= m
-        digits = int(bin(x | 1 << 64)[:-m - 1:-1], 2)  # the block's first m
+        digits = _reversed_bits(x, m)  # the block's first m
         head = num >> rest & ((1 << m) - 1)  # a's digits at the same places
         if digits != head or not rest:
             return 1 if digits < head else 2
         block += 1
         x = prf_block(seed, index, block)
+
+
+def _reversed_bits(x, m):
+    """The low m >= 1 bits of x in reverse order: a block's first m digits,
+    read from bit 0 up, as an m-digit integer, and back."""
+    return int(bin(x | 1 << m)[:-m - 1:-1], 2)
 
 
 # Packed block-0 lanes.  Lane j of a packed int is its bytes 16j .. 16j+15
@@ -459,24 +465,33 @@ def block0_lanes(keys, index, n):
     return (z ^ (z >> 31)) & m
 
 
-def member_scan(seeds, profiles, ones, draw):
+def member_scan(seeds, profiles, family, draw):
     """Per depth profile, one answer per seed of a chunk of at most
     SEED_CHUNK 64-bit seeds: False when the level at some coordinate i
-    exceeds the depth d = profile[i-1] >= 1, else True.  ones is set for
-    the family inner (0 < a < 3/4) and not for the geometric one, and
-    draw(j, i) is the level of seeds[j] at coordinate i.
+    exceeds the depth d = profile[i-1] >= 1, else True.  family is the
+    family inner's parameter a = num / 2^exp (0 < a < 3/4) as (num, exp),
+    or None for the geometric inner, and draw(j, i) is the level of
+    seeds[j] at coordinate i.
 
     Coordinates are taken in order, each for the whole chunk at once.
-    Block 0 decides each lane with ones < d <= 64: the geometric level
-    exceeds d iff the low d bits of block 0 are zeros, the family level iff
-    they are ones (the stream is read from bit 0 up and k > d means
-    x >= 1 - 2^-d).  A level that exceeds some depth exceeds the least
-    depth there, so a coordinate where no lane's block 0 can exceed that
-    one fails no profile.  Otherwise each depth is tested with one mask for
-    every lane, and the only lanes drawn are those of seeds yet to fail
-    that profile whose bits allow it with d > 64, or with family d = 1.  A
-    zero lane y sets bit 64 of ((y + low) & high) ^ high: adding 2^64 - 1
-    carries into bit 64 exactly when y is not zero.
+    Block 0, read from bit 0 up as the leading digits of x, decides each
+    lane with d <= 64: the geometric level exceeds d iff its low d bits are
+    zeros; the family level exceeds d >= 2 iff they are ones (k > d means
+    x >= 1 - 2^-d), and exceeds 1 iff x >= a.  For that comparison A holds
+    a's first m = min(exp, 64) digits, least significant bit first; the
+    lowest set bit of D = (z ^ A) & (2^m - 1), D & -D, is the first digit
+    where x and a differ, and x < a iff it is set in A.  A lane with D = 0
+    ties with a's first m digits, so x >= a when exp <= 64.
+
+    A level that exceeds some depth exceeds the least depth there, so a
+    coordinate where no lane's block 0 can exceed that one fails no
+    profile.  Otherwise each depth is tested with one mask for every lane,
+    and the only lanes drawn are those of seeds yet to fail that profile
+    whose block 0 allows it with d > 64, or ties with a at family d = 1
+    when exp > 64; each happens with probability 2^-64.  A zero lane y sets
+    bit 64 of ((y + low) & high) ^ high: adding 2^64 - 1 carries into bit
+    64 exactly when y is not zero.  D & -D is D & ((D ^ low) + unit) in
+    every lane, since (D ^ low) + 1 is -D mod 2^64 and D has no bit 64.
     """
     n = len(seeds)
     unit, low, _ = _lane_constants(n)
@@ -484,17 +499,29 @@ def member_scan(seeds, profiles, ones, draw):
     keys = int.from_bytes(b"".join(_seed_key(s).to_bytes(16, "little") for s in seeds), "little")
     alive = [high] * len(profiles)  # bit 64 of lane j while seeds[j] has not failed the profile
     masks = {}  # bits -> their low bits set in every lane
+    if family:
+        num, exp = family
+        m = min(exp, 64)
+        head = _reversed_bits(num >> exp - m, m) * unit  # A in every lane
+        digits = ((1 << m) - 1) * unit
+
+    def zero(y):
+        """Bit 64 of each lane of y that is zero."""
+        return ((y + low) & high) ^ high
 
     def exceeding(z, d):
         """Bit 64 of each lane whose block 0 leaves its level free to exceed d."""
-        bits = min(d, 64) if d > ones else 0
+        if family and d == 1:
+            diff = (z ^ head) & digits
+            return zero(diff & ((diff ^ low) + unit) & head)
+        bits = min(d, 64)
         mask = masks.get(bits)
         if mask is None:
             mask = masks[bits] = ((1 << bits) - 1) * unit
         y = z & mask
-        if ones:
+        if family:
             y ^= mask
-        return ((y + low) & high) ^ high
+        return zero(y)
 
     for i, least in enumerate(map(min, zip_longest(*profiles, fillvalue=inf)), start=1):
         if not any(alive):
@@ -509,8 +536,14 @@ def member_scan(seeds, profiles, ones, draw):
                 if d not in tested:
                     tested[d] = exceeding(z, d)
                 failed = tested[d] & alive[k]
-                if failed and (d > 64 or d <= ones):
-                    lanes = failed.to_bytes(16 * n, "little")
+                if d > 64:
+                    undecided = failed
+                elif family and d == 1 and exp > 64:
+                    undecided = failed & zero((z ^ head) & digits)
+                else:
+                    undecided = 0
+                if undecided:
+                    lanes = undecided.to_bytes(16 * n, "little")
                     j = lanes.find(1)  # byte 16j + 8 holds bit 64 of lane j
                     while j >= 0:
                         if draw(j >> 4, i) <= d:

@@ -61,8 +61,8 @@ MAX_WORD_LEN = 14
 # prints every power up to its --n, and took 0.12 s at 1000
 MAX_POWER = 1000
 # sample streams each seed's membership row to the CSV, so its memory is flat
-# in --n, but its time is not: with 8 radius-2 words a seed takes about 24 us
-# (10^5 seeds of mu_G in 2.4-2.5 s, 10^6 in 24 s, on a 2-vCPU VM)
+# in --n, but its time is not: with 8 radius-2 words a seed takes about 23 us
+# (10^5 seeds of mu_G in 2.4-3.1 s, 10^6 in 23 s, on a noisy 2-vCPU VM)
 MAX_SAMPLE_SEEDS = 10**6
 # sample holds each word's depth profile and, for the chunk of seeds it
 # scans, one 16 KB packed int and one answer per seed, and writes one CSV

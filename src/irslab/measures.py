@@ -282,17 +282,25 @@ def _grid_tail(count_done: int, radius: int) -> Dyadic:
     ring l contributes at most 2^-ring_start(l - radius); rings at or
     below the radius carry no bound (returns 1 until they are consumed).
     """
-    l0 = kernels.spiral_ring(count_done + 1)
+    return _ring_tail(kernels.spiral_ring(count_done + 1), radius)(count_done)
+
+
+def _ring_tail(l0: int, radius: int):
+    """_grid_tail as a function of count_done, for the counts whose next
+    spiral index lies on ring l0: the ring's terms are summed once, and a
+    count only takes its own coordinates off ring l0's term."""
     if l0 <= radius:
-        return ONE
+        return lambda count_done: ONE
     # the terms are summed exactly in units of the finest one,
     # 2^-ring_start(l0 + 7 - radius); consecutive ring terms shrink by more
     # than half, so twice the ring l0+7 term closes the series
     finest = kernels.ring_start(l0 + 7 - radius)
-    total = ((2 * l0 + 1) ** 2 - count_done) << (finest - kernels.ring_start(l0 - radius))
+    shift = finest - kernels.ring_start(l0 - radius)
+    last = (2 * l0 + 1) ** 2  # the last spiral index on ring l0
+    rest = 16 * (l0 + 7)
     for l in range(l0 + 1, l0 + 7):
-        total += (8 * l) << (finest - kernels.ring_start(l - radius))
-    return Dyadic(total + 16 * (l0 + 7), finest)
+        rest += (8 * l) << (finest - kernels.ring_start(l - radius))
+    return lambda count_done: Dyadic(((last - count_done) << shift) + rest, finest)
 
 
 def _coinduced_value(inner, words, target_width, factor_cap) -> Enclosure:
@@ -306,9 +314,17 @@ def _coinduced_value(inner, words, target_width, factor_cap) -> Enclosure:
 
     if isinstance(inner, (GeomGamma, ParamFamily)):
         # beyond the support rings every conjugate depth is >= 2, where the
-        # per-coordinate defect obeys 1 - cdf(K) <= 2^-K
+        # per-coordinate defect obeys 1 - cdf(K) <= 2^-K; the tail formula
+        # of the ring the product is on is rebuilt only when the product
+        # moves to another ring (or back to ring 0, when it reruns)
+        ring, ring_tail = None, None
+
         def tail_bound(done):
-            return _grid_tail(done, radius)
+            nonlocal ring, ring_tail
+            l0 = kernels.spiral_ring(done + 1)
+            if l0 != ring:
+                ring, ring_tail = l0, _ring_tail(l0, radius)
+            return ring_tail(done)
     else:
         # point masses: factors are exactly one once the ring lower bound
         # clears the atom level (and exactly zero inside if violated); the

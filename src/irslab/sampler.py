@@ -143,7 +143,8 @@ def membership_matrix(
     sampled from (mu, seed).  Every word is profiled, or refused, when this
     is called; at most kernels.SEED_CHUNK seeds are read ahead of the rows."""
     inner = sampled_inner(mu)
-    ones = isinstance(inner, ParamFamily)
+    _check_tolerance(tolerance_exp)
+    family = (inner.a.num, inner.a.exp) if isinstance(inner, ParamFamily) else None
     cells: list = []  # per word: its fixed answer, or its profile to scan
     for w in words:
         if w.is_identity():
@@ -152,21 +153,19 @@ def membership_matrix(
             cells.append(False)
         else:
             cells.append(depth_profile(w, tolerance_exp))
-    scanned = [j for j, c in enumerate(cells) if not isinstance(c, bool)]
-    profiles = [cells[j] for j in scanned]
+    profiles = [c for c in cells if not isinstance(c, bool)]
     seeds = iter(seeds)
 
     def rows():
         # seeds are read and scanned a chunk at a time, each word's depth at
-        # a coordinate tested once for the whole chunk
-        while chunk := [SampledSubgroup(inner, seed, tolerance_exp)
-                        for seed in islice(seeds, kernels.SEED_CHUNK)]:
-            answers = kernels.member_scan(
-                [s.seed for s in chunk], profiles, ones, lambda j, i: chunk[j].coordinate(i))
-            for k in range(len(chunk)):
-                row = list(cells)
-                for j, column in zip(scanned, answers):
-                    row[j] = column[k]
+        # a coordinate tested once for the whole chunk; a seed's subgroup is
+        # built only to draw a level that block 0 leaves undecided
+        while chunk := list(islice(seeds, kernels.SEED_CHUNK)):
+            answers = iter(kernels.member_scan(
+                chunk, profiles, family,
+                lambda j, i: SampledSubgroup(inner, chunk[j], tolerance_exp).coordinate(i)))
+            columns = [[c] * len(chunk) if isinstance(c, bool) else next(answers) for c in cells]
+            for _, *row in zip(chunk, *columns):
                 yield row
 
     return rows()

@@ -409,12 +409,18 @@ def scalar_member_scan(draw, depths) -> bool:
     return all(draw(i) <= d for i, d in enumerate(depths, start=1))
 
 
+def family_param(inner):
+    """member_scan's family parameter for a sampled inner: (num, exp) of a
+    ParamFamily's a, None for the geometric inner."""
+    return (inner.a.num, inner.a.exp) if isinstance(inner, ParamFamily) else None
+
+
 def scan_profiles(subgroup: SampledSubgroup, profiles) -> list:
     """kernels.member_scan of bare depth profiles (every entry >= 1) for a
     sampled subgroup alone, a chunk of one seed with its draw as
     membership_matrix passes it: one answer per profile."""
-    ones = isinstance(subgroup.inner, ParamFamily)
-    answers = kernels.member_scan([subgroup.seed], profiles, ones, lambda j, i: subgroup.coordinate(i))
+    answers = kernels.member_scan([subgroup.seed], profiles, family_param(subgroup.inner),
+                                  lambda j, i: subgroup.coordinate(i))
     return [column[0] for column in answers]
 
 

@@ -31,10 +31,13 @@
   basis), so each column keeps only its rewrite's cyclic core.
 - Block-0 decision: for 1 <= d <= 64 the geometric level exceeds d iff the
   low d bits of the first PRF block are zeros, and for 2 <= d <= 64 the
-  family level (0 < a < 3/4) exceeds d iff they are ones.  So member_scan
-  tests each depth with one mask for a whole chunk of seeds, skips a
-  coordinate where no lane exceeds the least depth, and draws a level only
-  beyond depth 64 or at family depth 1.
+  family level (0 < a < 3/4) exceeds d iff they are ones; it exceeds 1 iff
+  x >= a, with x's digits the block's bits read from bit 0 up, which the
+  block's first min(exp, 64) digits decide unless they tie with a's and
+  exp > 64.  So member_scan tests each depth with one packed mask or
+  comparison for a whole chunk of seeds, skips a coordinate where no lane
+  exceeds the least depth, and draws a level only beyond depth 64 or at a
+  family tie.
 - Point-mass tail: a co-induced DiracGamma(k) has factors of exactly 0 or
   1, and by the ring lower bound every factor is 1 from the first ring
   l > radius with ring_start(l - radius) >= k, so the rings inside it
@@ -67,6 +70,7 @@ from _helpers import (
     reference_geometric_coordinate,
     reference_prf_block,
 )
+from irslab import measures
 from irslab._backend import kernels
 from irslab.dyadic import ONE, ZERO, Dyadic, Exact
 from irslab.measures import (
@@ -205,6 +209,45 @@ def test_grid_tail_is_the_fraction_sum_of_its_terms():
                 want += Fraction(8 * l, 1 << kernels.ring_start(l - radius))
             want += Fraction(16 * (l0 + 7), 1 << kernels.ring_start(l0 + 7 - radius))
             assert got == want, (count_done, radius)
+
+
+def _eight_term_tail(count_done, radius):
+    """_grid_tail summed term by term for one count: the rest of ring l0,
+    rings l0+1 .. l0+6, and twice the ring l0+7 term, at the finest unit."""
+    l0 = kernels.spiral_ring(count_done + 1)
+    if l0 <= radius:
+        return ONE
+    finest = kernels.ring_start(l0 + 7 - radius)
+    total = ((2 * l0 + 1) ** 2 - count_done) << (finest - kernels.ring_start(l0 - radius))
+    for l in range(l0 + 1, l0 + 7):
+        total += (8 * l) << (finest - kernels.ring_start(l - radius))
+    return Dyadic(total + 16 * (l0 + 7), finest)
+
+
+def test_tail_from_ring_constants_equals_the_term_sum(monkeypatch):
+    """_grid_tail and the tail_bound of a co-induced product, which keeps
+    one ring's constants between calls, give the term sum's Dyadic at every
+    count out to ring radius + 12, for every radius 0..48, also when the
+    product reruns from count 0 after a pass."""
+    bounds = []
+
+    def spy(factors, tail_bound, target_width, factor_cap):
+        bounds.append(tail_bound)
+        return Exact(ONE)
+
+    monkeypatch.setattr(measures, "certified_product", spy)
+    for radius in range(49):
+        # a^radius [a,b] a^-radius has support radius `radius`
+        w = Word((1,) * radius + (1, 2, -1, -2) + (-1,) * radius)
+        assert kernels.support_radius(kernels.rewrite_points(w.letters)) == radius
+        env_prob(MU_G, w)
+        tail_bound = bounds.pop()
+        counts = range((2 * (radius + 12) + 1) ** 2 + 1)
+        want = [_eight_term_tail(c, radius) for c in counts]
+        for walk in (counts, counts):  # a pass, then the exact rerun's restart
+            for c in walk:
+                got, grid = tail_bound(c), _grid_tail(c, radius)
+                assert (got.num, got.exp) == (grid.num, grid.exp) == (want[c].num, want[c].exp), (radius, c)
 
 
 def test_membership_window_is_the_least_certified_ring():
@@ -491,17 +534,35 @@ def test_support_radius_reads_the_whole_rewrite_not_its_core():
         depth_profile(far)
 
 
+# parameters with more than 64 digits, whose block-0 ties are drawn
+TIE_PARAMS = [Dyadic(1, 70), Dyadic(12345, 66)]
+
+
+def _leading_digits(x, m):
+    """The first m digits of a block read from bit 0 up, as an m-digit
+    integer."""
+    return int(format(x, "064b")[::-1][:m], 2)
+
+
+def _tie_block0(a):
+    """The low m = min(exp, 64) bits of a block 0 whose first m digits, read
+    from bit 0 up, are a's."""
+    m = min(a.exp, 64)
+    return int(format(a.num >> a.exp - m, "0%db" % m)[::-1], 2)
+
+
 def _block0_patterns():
     """(seed, block 0) pairs: the real first blocks of 32 seeds; all zeros
-    and all ones at 8 seeds, whose later blocks then decide; and for each
-    d in 1..63 exactly d low zeros, or ones, with bit d flipped and random
-    bits above it."""
+    and all ones at 8 seeds, whose later blocks then decide; for each d in
+    1..63 exactly d low zeros, or ones, with bit d flipped and random bits
+    above it; and the ties of TIE_PARAMS at 16 seeds each."""
     rng = random.Random(6464)
     patterns = [(seed, reference_prf_block(seed, 1, 0)) for seed in range(32)]
     patterns += [(seed, x) for x in (0, MASK64) for seed in range(8)]
     for d in range(1, 64):
         high = rng.getrandbits(63 - d) << d + 1
         patterns += [(d, high | 1 << d), (d, high | (1 << d) - 1)]
+    patterns += [(seed, _tie_block0(a)) for a in TIE_PARAMS for seed in range(100, 116)]
     return patterns
 
 
@@ -516,19 +577,28 @@ def test_block0_decides_levels_up_to_depth_64(monkeypatch):
     seeds = [seed for seed, _ in patterns]
     packed = packed_lanes([x for _, x in patterns])
     monkeypatch.setattr(kernels, "block0_lanes", lambda keys, index, n: packed)
-    kinds = [(False, None)] + [(True, a) for a in FAMILY_PARAMS]
     drawn_answers = {}
-    for ones, a in kinds:
+    for a in [None] + FAMILY_PARAMS + TIE_PARAMS[1:]:  # FAMILY_PARAMS holds 2^-70
+        ties = set()
         levels = []
         for index, (seed, x) in enumerate(patterns, start=1):
-            if ones:
-                k = dyadic_param_coordinate(prf, seed, index, a)
-            else:
+            if a is None:
                 k = reference_geometric_coordinate(prf, seed, index)
+                assert (k > 1) == (x & 1 == 0), (a, x)
+            else:
+                k = dyadic_param_coordinate(prf, seed, index, a)
+                # level 1 iff x < a, read from a's first m digits unless
+                # they tie with x's and a has more
+                m = min(a.exp, 64)
+                head, digits = a.num >> a.exp - m, _leading_digits(x, m)
+                if digits == head and a.exp > 64:
+                    ties.add(index - 1)
+                else:
+                    assert (k > 1) == (digits >= head), (a, x)
             levels.append(k)
-            for d in range(1 + ones, 65):
+            for d in range(2, 65):
                 low = x & (1 << d) - 1
-                assert (k > d) == (low == ((1 << d) - 1 if ones else 0)), (ones, a, d, x)
+                assert (k > d) == (low == (0 if a is None else (1 << d) - 1)), (a, d, x)
         # member_scan of the chunk answers as each lane's level does, and
         # draws a lane only where its block 0 cannot decide
         for d in range(1, 66):
@@ -538,14 +608,73 @@ def test_block0_decides_levels_up_to_depth_64(monkeypatch):
                 drawn.append(j)
                 return levels[j]
 
-            answers = kernels.member_scan(seeds, [(d,)], ones, draw)[0]
-            assert answers == [k <= d for k in levels], (ones, a, d)
+            answers = kernels.member_scan(seeds, [(d,)], a and (a.num, a.exp), draw)[0]
+            assert answers == [k <= d for k in levels], (a, d)
+            if d == 1:
+                assert set(drawn) == ties, a
+            elif drawn:
+                assert d == 65, (a, d)
             if drawn:
-                assert d == 65 or ones and d == 1, (ones, a, d)
-                drawn_answers.setdefault((ones, d), set()).update(answers[j] for j in drawn)
+                drawn_answers.setdefault((a is not None, d), set()).update(answers[j] for j in drawn)
     # the drawn lanes see both answers, so a scan that decided them from
     # block 0 would fail above
     assert drawn_answers == {(False, 65): {True, False}, (True, 65): {True, False}, (True, 1): {True, False}}
+
+
+def _comparison_params():
+    """Every a = num/2^exp with exp <= 8 and 0 < a < 3/4, FAMILY_PARAMS, and
+    one a each with exp 63, 64, 65 and 70."""
+    rng = random.Random(6565)
+    params = [Dyadic(num, exp) for exp in range(1, 9) for num in range(1, 1 << exp, 2) if 4 * num < 3 << exp]
+    params += FAMILY_PARAMS
+    params += [Dyadic(rng.randrange(1, 3 << exp - 2, 2), exp) for exp in (63, 64, 65, 70)]
+    return params
+
+
+def test_packed_comparison_matches_the_scalar_draw(monkeypatch):
+    """At family depth 1, member_scan's packed comparison of block 0 with
+    a's first min(exp, 64) digits decides level > 1 exactly as
+    family_coordinate does, and draws only a tie when exp > 64.
+
+    Block 0 of each lane is random, a tie with a's first m digits (random
+    bits above them), or a near-tie: the tie with digit m flipped, or with
+    one digit before it flipped.  A tie's block 1 is all zeros at one seed
+    (x < a when exp > 64) and all ones at another (x > a)."""
+    rng = random.Random(6666)
+    checked_ties = 0
+    for a in _comparison_params():
+        m = min(a.exp, 64)
+        tie = _tie_block0(a)
+        above = (lambda: rng.getrandbits(64 - m) << m) if m < 64 else (lambda: 0)
+        block0 = [rng.getrandbits(64) for _ in range(24)]
+        block0 += [tie | above(), tie | above()]
+        block0 += [tie ^ 1 << t | above() for t in range(m)]
+        block1 = {24: 0, 25: MASK64}  # lane -> its pinned block 1
+        seeds = list(range(len(block0)))
+
+        def prf(seed, index, block):
+            if block == 0:
+                return block0[seed]
+            if block == 1 and seed in block1:
+                return block1[seed]
+            return reference_prf_block(seed, index, block)
+
+        monkeypatch.setattr(kernels, "prf_block", prf)
+        monkeypatch.setattr(kernels, "block0_lanes", lambda keys, index, n: packed_lanes(block0))
+        levels = [kernels.family_coordinate(seed, 1, a.num, a.exp) for seed in seeds]
+        drawn = []
+
+        def draw(j, i):
+            drawn.append(j)
+            return levels[j]
+
+        answers = kernels.member_scan(seeds, [(1,)], (a.num, a.exp), draw)[0]
+        assert answers == [k == 1 for k in levels], a
+        assert drawn == ([24, 25] if a.exp > 64 else []), a
+        if a.exp > 64:
+            assert [levels[24], levels[25]] == [1, 2], a
+            checked_ties += 1
+    assert checked_ties == 3  # 2^-70 and the drawn a of exp 65 and 70
 
 
 def test_conjugate_depths_of_commutator_words_are_at_least_one():

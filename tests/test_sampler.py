@@ -12,6 +12,7 @@ from _helpers import (
     MASK64,
     coordinate_chi_square,
     dyadic_param_coordinate,
+    family_param,
     iter_reduced,
     packed_lanes,
     reference_geometric_coordinate,
@@ -119,8 +120,9 @@ HUGE_TOLERANCE = 10**8
     "call",
     [lambda: sample(MU_G, 1, HUGE_TOLERANCE).member(COMMUTATOR),
      lambda: next(membership_matrix(range(3), [COMMUTATOR], MU_G, HUGE_TOLERANCE)),
+     lambda: next(membership_matrix(range(3), [IDENTITY, A], MU_G, HUGE_TOLERANCE)),
      lambda: depth_profile(COMMUTATOR, HUGE_TOLERANCE)],
-    ids=["member", "membership_matrix", "depth_profile"],
+    ids=["member", "membership_matrix", "fixed_answer_words", "depth_profile"],
 )
 def test_library_calls_refuse_a_tolerance_over_the_cap_before_any_walk(call):
     started = time.perf_counter()
@@ -444,9 +446,9 @@ def test_family_scan_matches_coordinate_loop():
 @pytest.mark.parametrize("forced", [0, MASK64])
 def test_scans_on_forced_block0(monkeypatch, forced):
     # block 0 is pinned on chosen lanes, in the packed lanes and in
-    # prf_block alike: all zeros sends geometric lanes of depth >= 64 and
-    # family lanes of depth 1 to later blocks, all ones family lanes of
-    # depth >= 65
+    # prf_block alike: all zeros sends geometric lanes of depth >= 65 and
+    # family lanes of depth 1 at a = 2^-70 (a tie with a's first 64
+    # digits) to later blocks, all ones family lanes of depth >= 65
     chosen = {1, 2, 3, 5, 8, 13, 21, 34}
     blocks = set()
 
@@ -580,8 +582,9 @@ def test_membership_rows_match_scalar_scan_at_chunk_edges(n):
 def test_chunk_scan_with_block0_forced_on_some_seeds(monkeypatch, forced):
     # block 0 is pinned on some seeds of one chunk at some coordinates, in
     # the packed lanes and in prf_block alike; geometric lanes of all zeros
-    # and family lanes of all ones are drawn beyond depth 64, family lanes
-    # of depth 1 always, and no other lane is
+    # and family lanes of all ones are drawn beyond depth 64, and no other
+    # lane is: block 0 decides every family lane of depth 1 unless it ties
+    # with a's first 64 digits
     seeds = list(range(40))
     pinned_seeds, pinned_indices = {1, 4, 9, 16, 25, 36}, {1, 2, 3, 5, 8, 13, 21}
     real_lanes = _purekernels.block0_lanes
@@ -608,7 +611,6 @@ def test_chunk_scan_with_block0_forced_on_some_seeds(monkeypatch, forced):
         for _ in range(6)
     ]
     for inner in [GeomGamma()] + [ParamFamily(a) for a in FAMILY_PARAMS]:
-        ones = isinstance(inner, ParamFamily)
         subgroups = [SampledSubgroup(inner, seed) for seed in seeds]
         drawn = []
 
@@ -616,17 +618,13 @@ def test_chunk_scan_with_block0_forced_on_some_seeds(monkeypatch, forced):
             drawn.append((j, i))
             return subgroups[j].coordinate(i)
 
-        answers = _purekernels.member_scan(seeds, profiles, ones, draw)
+        answers = _purekernels.member_scan(seeds, profiles, family_param(inner), draw)
         for k, profile in enumerate(profiles):
             expected = [scalar_member_scan(s.coordinate, profile) for s in subgroups]
             assert answers[k] == expected, (inner, k)
         pinned = {(j, i) for j in pinned_seeds for i in pinned_indices}
-        depth_one = {i for p in profiles for i, d in enumerate(p, start=1) if d == 1}
-        if ones:
-            assert all(i in depth_one or (j, i) in pinned and forced for j, i in drawn), inner
-            assert any(i in pinned_indices for _, i in drawn) == bool(forced), inner
-        else:
-            assert set(drawn) <= pinned and bool(drawn) == (forced == 0)
+        deep_block0 = MASK64 if isinstance(inner, ParamFamily) else 0
+        assert set(drawn) <= pinned and bool(drawn) == (forced == deep_block0), inner
 
 
 def test_least_depth_skip_keeps_every_failure():
@@ -638,10 +636,9 @@ def test_least_depth_skip_keeps_every_failure():
     seeds = list(range(1000, 1256))
     profiles = [tuple(rng.randint(5, 11) for _ in range(80)) for _ in range(4)]
     for inner in (GeomGamma(), ParamFamily(Dyadic(1, 2))):
-        ones = isinstance(inner, ParamFamily)
         subgroups = [SampledSubgroup(inner, seed) for seed in seeds]
         levels = [[s.coordinate(i) for i in range(1, 81)] for s in subgroups]
-        answers = _purekernels.member_scan(seeds, profiles, ones, lambda j, i: levels[j][i - 1])
+        answers = _purekernels.member_scan(seeds, profiles, family_param(inner), lambda j, i: levels[j][i - 1])
         for k, profile in enumerate(profiles):
             expected = [all(x <= d for x, d in zip(row, profile)) for row in levels]
             assert answers[k] == expected, (inner, k)
