@@ -319,8 +319,10 @@ def shifted_depth(w, p, q):
     conjugate's depth is depth(R); neither t nor the conjugate is built.
     By the column shift of _rewrite_points, R is the rewrite from (0, -q)
     with every point moved by -p, and by the same lemma its cyclic core
-    has its depth.
+    has its depth.  A word outside [F,F] is refused before any rewrite.
     """
+    if any(abelianize(w)):
+        raise _outside_commutator(*abelianize(w))
     return _moved_depth(_cyclic_core(_rewrite_points(w, -q)), p)
 
 

@@ -430,10 +430,12 @@ def certified_product(
     """Enclose an infinite product of factors in [0, 1].
 
     tail_bound(I) must be a certified upper bound on
-    sum_{i > I} (1 - factor_i), nonincreasing in I.  After I factors the
-    product lies in [P_I * (1 - tail), P_I]; refinement continues until
-    the width drops to target_width, the tail vanishes (exact value), or
-    the factor cap binds (flagged, still sound).
+    sum_{i > I} (1 - factor_i), nonincreasing in I.  A bound of 1 or more
+    bounds nothing and is read as 1, so above 1 it need not be monotone
+    (a point mass's raw tail is not).  After I factors the product lies in
+    [P_I * (1 - tail), P_I]; refinement continues until the width drops to
+    target_width, the tail vanishes (exact value), or the factor cap binds
+    (flagged, still sound).
 
     The returned endpoints are rounded outward to multiples of 2^-bits,
     bits = target_width.exp + 64, far below the target width, so reports

@@ -282,25 +282,33 @@ def _grid_tail(count_done: int, radius: int) -> Dyadic:
     ring l contributes at most 2^-ring_start(l - radius); rings at or
     below the radius carry no bound (returns 1 until they are consumed).
     """
-    return _ring_tail(kernels.spiral_ring(count_done + 1), radius)(count_done)
+    return _ring_tail(kernels.spiral_ring(count_done + 1), radius, MU_F)(count_done)
 
 
-def _ring_tail(l0: int, radius: int):
-    """_grid_tail as a function of count_done, for the counts whose next
-    spiral index lies on ring l0: the ring's terms are summed once, and a
-    count only takes its own coordinates off ring l0's term."""
+def _ring_tail(l0: int, radius: int, inner):
+    """The tail bound of a co-induced product over the chain measure inner,
+    as a function of count_done, for the counts whose next spiral index
+    lies on ring l0: the ring's terms are summed once, and a count only
+    takes its own coordinates off ring l0's term.
+
+    A coordinate on ring l > radius has depth at least D_l = ring_start(l -
+    radius), so its defect is at most 1 - cdf(D_l): 2^-D_l for a geometric
+    or family inner (D_l >= 2), 0 or 1 for a point mass.  D_l grows by
+    8(l - radius) >= 8 per ring, so consecutive terms shrink by more than
+    half, or are 0 from a point mass's first cleared ring on, and twice the
+    ring l0+7 term closes the series.  Before that ring a point mass's bound
+    is at least 1, which certified_product reads as 1."""
     if l0 <= radius:
         return lambda count_done: ONE
-    # the terms are summed exactly in units of the finest one,
-    # 2^-ring_start(l0 + 7 - radius); consecutive ring terms shrink by more
-    # than half, so twice the ring l0+7 term closes the series
-    finest = kernels.ring_start(l0 + 7 - radius)
-    shift = finest - kernels.ring_start(l0 - radius)
+    # one coordinate's bound 1 - cdf(D_l) on rings l0 .. l0+7, in units of
+    # the finest of them
+    rings = range(l0, l0 + 8)
+    cdfs = [chain_env_weight(inner, kernels.ring_start(l - radius)) for l in rings]
+    finest = max(c.exp for c in cdfs)
+    head, *units = [(1 << finest) - (c.num << (finest - c.exp)) for c in cdfs]
+    rest = 8 * rings[-1] * units[-1] + sum(8 * l * u for l, u in zip(rings[1:], units))
     last = (2 * l0 + 1) ** 2  # the last spiral index on ring l0
-    rest = 16 * (l0 + 7)
-    for l in range(l0 + 1, l0 + 7):
-        rest += (8 * l) << (finest - kernels.ring_start(l - radius))
-    return lambda count_done: Dyadic(((last - count_done) << shift) + rest, finest)
+    return lambda count_done: Dyadic((last - count_done) * head + rest, finest)
 
 
 def _coinduced_value(inner, words, target_width, factor_cap) -> Enclosure:
@@ -312,30 +320,16 @@ def _coinduced_value(inner, words, target_width, factor_cap) -> Enclosure:
         raise ValueError("a co-induced event may have support radius at most %d, got %d"
                          % (MAX_SUPPORT_RADIUS, radius))
 
-    if isinstance(inner, (GeomGamma, ParamFamily)):
-        # beyond the support rings every conjugate depth is >= 2, where the
-        # per-coordinate defect obeys 1 - cdf(K) <= 2^-K; the tail formula
-        # of the ring the product is on is rebuilt only when the product
-        # moves to another ring (or back to ring 0, when it reruns)
-        ring, ring_tail = None, None
+    # the tail formula of the ring the product is on is rebuilt only when the
+    # product moves to another ring (or back to ring 0, when it reruns)
+    ring, ring_tail = None, None
 
-        def tail_bound(done):
-            nonlocal ring, ring_tail
-            l0 = kernels.spiral_ring(done + 1)
-            if l0 != ring:
-                ring, ring_tail = l0, _ring_tail(l0, radius)
-            return ring_tail(done)
-    else:
-        # point masses: factors are exactly one once the ring lower bound
-        # clears the atom level (and exactly zero inside if violated); the
-        # trivial subgroup's level is never cleared
-        level = inner.k if isinstance(inner, DiracGamma) else math.inf
-
-        def tail_bound(done):
-            l0 = kernels.spiral_ring(done + 1)
-            if l0 > radius and kernels.ring_start(l0 - radius) >= level:
-                return ZERO
-            return ONE
+    def tail_bound(done):
+        nonlocal ring, ring_tail
+        l0 = kernels.spiral_ring(done + 1)
+        if l0 != ring:
+            ring, ring_tail = l0, _ring_tail(l0, radius, inner)
+        return ring_tail(done)
 
     def factors():
         # the event conjugated back through each transversal element a^p b^q;

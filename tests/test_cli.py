@@ -218,6 +218,51 @@ def test_eval_width_not_reached(tmp_path):
     assert code == EXIT_OK
 
 
+Y1Y2 = "abABaabABAbaaBAA"  # [y1, y2]
+EDGE_WORDS = {"[y1,y2]": [Y1Y2], "aabAABaBAbab": ["aabAABaBAbab"],
+              "joint": [Y1Y2, "aabAABaBAbab"]}
+POINT_MASSES = {"k=2": {"type": "dirac_gamma", "k": 2}, "k=4": {"type": "dirac_gamma", "k": 4},
+                "trivial": {"type": "dirac_trivial"}}
+EDGE_FLAGS = {"default": [], "cap=1": ["--factor-cap", "1"], "cap=3": ["--factor-cap", "3"],
+              "width=2": ["--width", "2"]}
+EXACT_ZERO = (EXIT_OK, {"exact": "0/2^0", "approx": 0.0})
+
+
+def _unit_interval(code, reached):
+    return code, {"lo": "0/2^0", "lo_approx": 0.0, "hi": "1/2^0", "hi_approx": 1.0,
+                  "width_reached": reached}
+
+
+# (point mass, words, flags) -> (exit code, value); every other case is exactly 0
+EDGE_REPORTS = {
+    ("k=2", "[y1,y2]", "default"): (EXIT_OK, {"exact": "1/2^0", "approx": 1.0}),
+    ("k=2", "[y1,y2]", "cap=1"): _unit_interval(EXIT_WIDTH, False),
+    ("k=2", "[y1,y2]", "cap=3"): _unit_interval(EXIT_WIDTH, False),
+    ("k=2", "[y1,y2]", "width=2"): _unit_interval(EXIT_OK, True),
+    ("k=4", "[y1,y2]", "width=2"): _unit_interval(EXIT_OK, True),
+    ("trivial", "[y1,y2]", "width=2"): _unit_interval(EXIT_OK, True),
+}
+
+
+@pytest.mark.parametrize("mass", POINT_MASSES)
+@pytest.mark.parametrize("words, flags", [(w, f) for w in EDGE_WORDS if w != "joint" for f in EDGE_FLAGS]
+                         + [("joint", "default")])
+def test_point_mass_reports_at_the_product_edges(tmp_path, mass, words, flags):
+    # a co-induced point mass's factors are 0 or 1, so its value is decided
+    # by a zero factor, by the tail once it clears the level, or not at all
+    # when the factor cap binds first; a width of 2 is reached at count 0
+    measure = json.dumps({"type": "coinduced_product", "inner": POINT_MASSES[mass]})
+    args = ["eval", "--measure", measure] + EDGE_FLAGS[flags]
+    for w in EDGE_WORDS[words]:
+        args += ["--word", w]
+    if words == "joint":
+        args.append("--joint")
+    code, rep = run_cli(args, tmp_path / "r.json")
+    want_code, want_value = EDGE_REPORTS.get((mass, words, flags), EXACT_ZERO)
+    assert code == want_code
+    assert [r["value"] for r in rep["results"]] == [want_value]
+
+
 def test_verify_closure(tmp_path):
     code, rep = run_cli(["verify", "closure"], tmp_path / "r.json")
     assert code == EXIT_OK

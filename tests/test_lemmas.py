@@ -41,7 +41,8 @@
 - Point-mass tail: a co-induced DiracGamma(k) has factors of exactly 0 or
   1, and by the ring lower bound every factor is 1 from the first ring
   l > radius with ring_start(l - radius) >= k, so the rings inside it
-  decide the value.
+  decide the value.  The product's tail, read from the inner's chain CDF
+  as for every chain inner, is 0 from that ring on and at least 1 before.
 - Depth contract: every conjugate depth of a nontrivial [F,F] word is at
   least 1 and the depth routines refuse a word outside [F,F], so the
   kernels need no sentinel depth, and SampledSubgroup.member is one row of
@@ -52,7 +53,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, repeat
 
 import pytest
 
@@ -77,6 +78,7 @@ from irslab.measures import (
     MU_G,
     CoinducedProduct,
     DiracGamma,
+    DiracTrivial,
     _grid_tail,
     env_prob,
     family_measure,
@@ -224,11 +226,9 @@ def _eight_term_tail(count_done, radius):
     return Dyadic(total + 16 * (l0 + 7), finest)
 
 
-def test_tail_from_ring_constants_equals_the_term_sum(monkeypatch):
-    """_grid_tail and the tail_bound of a co-induced product, which keeps
-    one ring's constants between calls, give the term sum's Dyadic at every
-    count out to ring radius + 12, for every radius 0..48, also when the
-    product reruns from count 0 after a pass."""
+def _spied_tail_bounds(monkeypatch):
+    """The tail_bound of every co-induced product env_prob builds from now
+    on, in a list; the product itself is not run."""
     bounds = []
 
     def spy(factors, tail_bound, target_width, factor_cap):
@@ -236,18 +236,57 @@ def test_tail_from_ring_constants_equals_the_term_sum(monkeypatch):
         return Exact(ONE)
 
     monkeypatch.setattr(measures, "certified_product", spy)
+    return bounds
+
+
+def test_tail_from_ring_constants_equals_the_term_sum(monkeypatch):
+    """_grid_tail and the tail_bound of a co-induced product over a
+    geometric or family inner, which keeps one ring's constants between
+    calls, give the term sum's Dyadic at every count out to ring radius +
+    12, for every radius 0..48, also when the product reruns from count 0
+    after a pass: beyond the radius every depth is at least 2, where both
+    inners have 1 - cdf(D) = 2^-D."""
+    bounds = _spied_tail_bounds(monkeypatch)
+    inners = [MU_G] + [family_measure(a) for a in (Dyadic(1, 2), Dyadic(1, 1), Dyadic(5, 3), Dyadic(1, 70))]
     for radius in range(49):
         # a^radius [a,b] a^-radius has support radius `radius`
         w = Word((1,) * radius + (1, 2, -1, -2) + (-1,) * radius)
         assert kernels.support_radius(kernels.rewrite_points(w.letters)) == radius
-        env_prob(MU_G, w)
-        tail_bound = bounds.pop()
         counts = range((2 * (radius + 12) + 1) ** 2 + 1)
-        want = [_eight_term_tail(c, radius) for c in counts]
-        for walk in (counts, counts):  # a pass, then the exact rerun's restart
-            for c in walk:
-                got, grid = tail_bound(c), _grid_tail(c, radius)
-                assert (got.num, got.exp) == (grid.num, grid.exp) == (want[c].num, want[c].exp), (radius, c)
+        want = [(t.num, t.exp) for t in map(_eight_term_tail, counts, repeat(radius))]
+        assert [(t.num, t.exp) for t in map(_grid_tail, counts, repeat(radius))] == want, radius
+        for mu in inners:
+            env_prob(mu, w)
+            tail_bound = bounds.pop()
+            for walk in (counts, counts):  # a pass, then the exact rerun's restart
+                assert [(t.num, t.exp) for t in map(tail_bound, walk)] == want, (radius, mu)
+
+
+def test_point_mass_tail_is_zero_from_its_clearance_ring_on(monkeypatch):
+    """The tail_bound of a co-induced point mass is exactly 0 at a count
+    whose next coordinate lies on a ring l > radius with ring_start(l -
+    radius) >= k, from where every depth clears the level k, and at least
+    1 at every other count, which certified_product reads as 1; the trivial
+    subgroup's level is never cleared."""
+    bounds = _spied_tail_bounds(monkeypatch)
+    levels = [(DiracGamma(k), k) for k in range(1, 41)] + [(DiracTrivial(), math.inf)]
+    n_zero = 0
+    for radius in range(13):
+        w = Word((1,) * radius + (1, 2, -1, -2) + (-1,) * radius)
+        # ring radius + 4 clears every level up to ring_start(4) = 50
+        counts = range((2 * (radius + 5) + 1) ** 2 + 1)
+        rings = [kernels.spiral_ring(c + 1) for c in counts]
+        for inner, k in levels:
+            env_prob(CoinducedProduct(inner), w)
+            tail_bound = bounds.pop()
+            for c, l in zip(counts, rings):
+                tail = tail_bound(c)
+                if l > radius and kernels.ring_start(l - radius) >= k:
+                    assert tail.is_zero(), (radius, inner, c)
+                    n_zero += 1
+                else:
+                    assert tail >= ONE, (radius, inner, c)
+    assert n_zero > 10000
 
 
 def test_membership_window_is_the_least_certified_ring():

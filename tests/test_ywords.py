@@ -66,6 +66,17 @@ def test_outside_commutator_is_refused_before_the_rewrite(view):
     assert time.perf_counter() - started < 0.01
 
 
+def test_shifted_depth_refuses_outside_commutator_before_the_rewrite(monkeypatch):
+    # the coset-start rewrite of b^1000 a^1000 would emit 10^6 points first
+    def rewrite(w, q0):
+        raise AssertionError("the rewrite ran")
+
+    monkeypatch.setattr(kernels, "_rewrite_points", rewrite)
+    with pytest.raises(ValueError, match=r"^word has abelianization \(1000, 1000\); "
+                                         r"not in the commutator subgroup$"):
+        kernels.shifted_depth(Word.parse("b" * 1000 + "a" * 1000).letters, 0, 1)
+
+
 def test_phi_examples():
     v = YWord(((3, 1), (1, 1), (3, -1)))
     assert phi_k(v, 2) == y(1)
