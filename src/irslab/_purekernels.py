@@ -348,32 +348,31 @@ def conjugate_depths(w, origin):
 # counter-based pseudorandomness
 # ---------------------------------------------------------------------------
 
-def _mix64(z):
-    z = (z + 0x9E3779B97F4A7C15) & MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
+# splitmix64 (Steele, Lea and Flood, OOPSLA 2014): _mix is its round, and
+# prf_block a counter-based stream of three rounds keyed by (seed, index,
+# block), so any block is drawn without the ones before it
+
+_INCREMENT = 0x9E3779B97F4A7C15
+_SEED_SALT = 0xA0761D6478BD642F
 
 
-def _seed_key(seed):
-    """First splitmix round of prf_block, which depends on the seed alone."""
-    return _mix64((seed & MASK64) ^ 0xA0761D6478BD642F)
+def _mix(z, low=MASK64, add=_INCREMENT):
+    """One splitmix64 round in every 64-bit lane of z, where low holds
+    2^64 - 1 and add the increment in each lane; the defaults are one lane,
+    the scalar round.  Each lane is masked back to 64 bits after the add
+    and before each multiply, so no lane carries into the next."""
+    z = (z + add) & low
+    z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+    z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+    return (z ^ (z >> 31)) & low
 
 
 def prf_block(seed, index, block):
-    """64-bit keyed PRF block for coordinate `index`, block counter `block`.
-
-    Three splitmix64 rounds, keyed by seed, then index, then block; the
-    last two rounds are _mix64 written out in place.  Each round's first
-    mask also reduces index and block mod 2^64, since xor acts bitwise.
-    """
-    z = ((_seed_key(seed) ^ index) + 0x9E3779B97F4A7C15) & MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    z = ((z ^ (z >> 31) ^ block) + 0x9E3779B97F4A7C15) & MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
+    """64-bit keyed PRF block for coordinate `index`, block counter `block`:
+    three splitmix64 rounds, keyed by seed, then index, then block.  Each
+    round's first mask also reduces index and block mod 2^64, since xor
+    acts bitwise."""
+    return _mix(_mix(_mix((seed & MASK64) ^ _SEED_SALT) ^ index) ^ block)
 
 
 def geometric_coordinate(seed, index):
@@ -446,35 +445,27 @@ def _lane_constants(n):
     """(unit, low, add) for n lanes: 1, 2^64 - 1 and the splitmix increment
     in every lane."""
     unit = int.from_bytes(b"\x01".ljust(16, b"\x00") * n, "little")
-    return unit, unit * MASK64, unit * 0x9E3779B97F4A7C15
+    return unit, unit * MASK64, unit * _INCREMENT
 
 
 def block0_lanes(keys, index, n):
-    """prf_block(seed_j, index, 0) in lane j of n, where keys holds
-    _seed_key(seed_j) in lane j.
-
-    The rounds of prf_block with every constant repeated in each lane;
-    each lane is masked back to 64 bits after each add and before each
-    multiply, so no lane carries into the next.
-    """
-    unit, m, add = _lane_constants(n)
-    z = ((keys ^ (index & MASK64) * unit) + add) & m
-    z = (((z ^ (z >> 30)) & m) * 0xBF58476D1CE4E5B9) & m
-    z = (((z ^ (z >> 27)) & m) * 0x94D049BB133111EB) & m
-    z = (((z ^ (z >> 31)) & m) + add) & m
-    z = (((z ^ (z >> 30)) & m) * 0xBF58476D1CE4E5B9) & m
-    z = (((z ^ (z >> 27)) & m) * 0x94D049BB133111EB) & m
-    return (z ^ (z >> 31)) & m
+    """prf_block(seed_j, index, 0) in lane j of n, where keys holds the
+    seed round of seed_j in lane j: the index and block rounds of
+    prf_block, one _mix over every lane each.  The index is reduced mod
+    2^64, as prf_block's mask reduces it, before it is put in every lane."""
+    unit, low, add = _lane_constants(n)
+    return _mix(_mix(keys ^ (index & MASK64) * unit, low, add), low, add)
 
 
 def member_scan(seeds, profiles, family, draw):
     """Per depth profile, one answer per seed of a chunk of at most
-    SEED_CHUNK 64-bit seeds: False when the level at some coordinate i
-    exceeds the depth d = profile[i-1] >= 1, else True.  family is the
-    family inner's parameter a = num / 2^exp (0 < a < 3/4) as (num, exp),
-    or None for the geometric inner, and draw(j, i) is the level of
-    seeds[j] at coordinate i.
+    SEED_CHUNK seeds: False when the level at some coordinate i exceeds the
+    depth d = profile[i-1] >= 1, else True.  family is the family inner's
+    parameter a = num / 2^exp (0 < a < 3/4) as (num, exp), or None for the
+    geometric inner, and draw(j, i) is the level of seeds[j] at coordinate i.
 
+    Each seed is reduced mod 2^64 as it is packed into its lane, as
+    prf_block reduces it, and one _mix gives every lane its seed round.
     Coordinates are taken in order, each for the whole chunk at once.
     Block 0, read from bit 0 up as the leading digits of x, decides each
     lane with d <= 64: the geometric level exceeds d iff its low d bits are
@@ -496,9 +487,10 @@ def member_scan(seeds, profiles, family, draw):
     every lane, since (D ^ low) + 1 is -D mod 2^64 and D has no bit 64.
     """
     n = len(seeds)
-    unit, low, _ = _lane_constants(n)
+    unit, low, add = _lane_constants(n)
     high = unit << 64
-    keys = int.from_bytes(b"".join(_seed_key(s).to_bytes(16, "little") for s in seeds), "little")
+    packed = int.from_bytes(b"".join((s & MASK64).to_bytes(16, "little") for s in seeds), "little")
+    keys = _mix(packed ^ _SEED_SALT * unit, low, add)  # prf_block's seed round in every lane
     alive = [high] * len(profiles)  # bit 64 of lane j while seeds[j] has not failed the profile
     masks = {}  # bits -> their low bits set in every lane
     if family:
