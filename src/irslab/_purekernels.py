@@ -354,6 +354,12 @@ def conjugate_depths(w, origin):
 
 _INCREMENT = 0x9E3779B97F4A7C15
 _SEED_SALT = 0xA0761D6478BD642F
+# the preimages of 0 and of 2^64 - 1 under the index round followed by the
+# block round, so prf_block(seed, index, 0) is 0 exactly when index is
+# K ^ _BLOCK0_ZERO mod 2^64, K being the seed round, and all ones exactly
+# when index is K ^ _BLOCK0_ONES
+_BLOCK0_ZERO = 0xC5DEEFB0344C1DF5
+_BLOCK0_ONES = 0x1FDB84807C8BC327
 
 
 def _mix(z, low=MASK64, add=_INCREMENT):
@@ -478,13 +484,21 @@ def member_scan(seeds, profiles, family, draw):
 
     A level that exceeds some depth exceeds the least depth there, so a
     coordinate where no lane's block 0 can exceed that one fails no
-    profile.  Otherwise each depth is tested with one mask for every lane,
-    and the only lanes drawn are those of seeds yet to fail that profile
-    whose block 0 allows it with d > 64, or ties with a at family d = 1
-    when exp > 64; each happens with probability 2^-64.  A zero lane y sets
-    bit 64 of ((y + low) & high) ^ high: adding 2^64 - 1 carries into bit
-    64 exactly when y is not zero.  D & -D is D & ((D ^ low) + unit) in
-    every lane, since (D ^ low) + 1 is -D mod 2^64 and D has no bit 64.
+    profile.  Beyond 64 that needs block 0 all zeros (geometric) or all
+    ones (family), and every splitmix64 round is a bijection of 64-bit
+    words, so each seed has one such index mod 2^64: K ^ _BLOCK0_ZERO or
+    K ^ _BLOCK0_ONES, with K its seed round.  These are packed once per
+    chunk, and the lanes whose index has no bit at or above the window's
+    bit length b are read out, each with probability 2^(b-64); a
+    coordinate of least depth 64 or more that is no lane's index is
+    passed over without drawing block 0.  Otherwise each depth is tested
+    with one mask for every lane, and the only lanes drawn are those of
+    seeds yet to fail that profile whose block 0 allows it with d > 64, or
+    ties with a at family d = 1 when exp > 64; each happens with
+    probability 2^-64.  A zero lane y sets bit 64 of ((y + low) & high) ^
+    high: adding 2^64 - 1 carries into bit 64 exactly when y is not zero.
+    D & -D is D & ((D ^ low) + unit) in every lane, since (D ^ low) + 1 is
+    -D mod 2^64 and D has no bit 64.
     """
     n = len(seeds)
     unit, low, add = _lane_constants(n)
@@ -517,9 +531,22 @@ def member_scan(seeds, profiles, family, draw):
             y ^= mask
         return zero(y)
 
+    # each lane's one index where its level can exceed 64; those below
+    # 2^bits, which hold every coordinate of the window, are collected
+    deep = keys ^ (_BLOCK0_ONES if family else _BLOCK0_ZERO) * unit
+    bits = max(map(len, profiles), default=0).bit_length()
+    near = zero(deep & (MASK64 >> bits << bits) * unit).to_bytes(16 * n, "little")
+    deep_indices = set()
+    j = near.find(1)
+    while j >= 0:
+        deep_indices.add(deep >> 8 * j - 64 & MASK64)
+        j = near.find(1, j + 1)
+
     for i, least in enumerate(map(min, zip_longest(*profiles, fillvalue=inf)), start=1):
         if not any(alive):
             break
+        if least >= 64 and i not in deep_indices:
+            continue
         z = block0_lanes(keys, i, n)
         tested = {least: exceeding(z, least)}
         if not tested[least]:

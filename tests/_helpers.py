@@ -333,6 +333,7 @@ def dst_constant_interval():
 
 
 MASK64 = (1 << 64) - 1
+SALT = 0xA0761D6478BD642F
 
 
 def _splitmix64(z: int) -> int:
@@ -342,10 +343,33 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _unshift(y: int, s: int) -> int:
+    """The x with x ^ (x >> s) == y: each pass fixes s more high bits."""
+    x = y
+    for _ in range(64 // s):
+        x = y ^ (x >> s)
+    return x
+
+
+def reference_unmix(z: int) -> int:
+    """The inverse of one splitmix64 round: each step of _splitmix64
+    undone in reverse order, the multipliers by their inverses mod 2^64."""
+    z = _unshift(z, 31)
+    z = _unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64, 27)
+    z = _unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64, 30)
+    return (z - 0x9E3779B97F4A7C15) & MASK64
+
+
+def planted_seed(index: int, block0: int) -> int:
+    """The seed below 2^64 whose reference_prf_block(seed, index, 0) is
+    block0: the three rounds of the PRF run backwards."""
+    return reference_unmix(reference_unmix(reference_unmix(block0)) ^ index) ^ SALT
+
+
 def reference_prf_block(seed: int, index: int, block: int) -> int:
     """The keyed PRF as three separate splitmix64 rounds: seed, then
     index, then block, each masked to 64 bits."""
-    z = _splitmix64((seed & MASK64) ^ 0xA0761D6478BD642F)
+    z = _splitmix64((seed & MASK64) ^ SALT)
     z = _splitmix64(z ^ (index & MASK64))
     return _splitmix64(z ^ (block & MASK64))
 
@@ -436,7 +460,7 @@ def packed_lanes(values) -> int:
 
 def reference_key_lanes(seeds) -> int:
     """The seed round of reference_prf_block for seeds[j], in lane j."""
-    return packed_lanes([_splitmix64((seed & MASK64) ^ 0xA0761D6478BD642F) for seed in seeds])
+    return packed_lanes([_splitmix64((seed & MASK64) ^ SALT) for seed in seeds])
 
 
 def check_combination_identities(mu1, mu2, words) -> dict:

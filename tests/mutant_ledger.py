@@ -41,6 +41,8 @@ RETRACTION = "phi_limit kills exactly the y_i with i >= limit, so the depth sear
 CYCLIC_CORE = "x^e M x^f is a conjugate of M x^(e+f), so the cyclic core keeps the depth"
 SUPPORT_RADIUS = "the support radius is the largest ring over the whole origin rewrite"
 BLOCK0 = "block 0 decides every lane with depth <= 64; a deeper lane is drawn"
+DEEP_INDEX = ("block 0 is all zeros at one index per seed and all ones at one, so a coordinate of least "
+              "depth >= 64 that is no lane's index is passed over")
 BRACKET = "the product bracket is rounded outward: lo down, hi up"
 WINDOW = "the membership window is the least whole ring whose grid tail is within the tolerance"
 RING_TAIL = ("ring tail: a coordinate on ring l > radius has depth >= ring_start(l - radius), "
@@ -131,6 +133,26 @@ MUTANTS = [
            "if draw(j >> 4, i) < d:",
            (LEMMAS + "test_packed_comparison_matches_the_scalar_draw",
             LEMMAS + "test_block0_decides_levels_up_to_depth_64")),
+    Mutant(DEEP_INDEX, "_purekernels.py",
+           "_BLOCK0_ZERO = 0xC5DEEFB0344C1DF5",
+           "_BLOCK0_ZERO = 0xC5DEEFB0344C1DF4",
+           (LEMMAS + "test_deep_block0_lies_at_one_index_per_seed",
+            SAMPLER + "test_membership_matrix_draws_only_undecided_coordinates")),
+    Mutant(DEEP_INDEX, "_purekernels.py",
+           "_BLOCK0_ONES = 0x1FDB84807C8BC327",
+           "_BLOCK0_ONES = 0x1FDB84807C8BC326",
+           (LEMMAS + "test_deep_block0_lies_at_one_index_per_seed",
+            SAMPLER + "test_membership_matrix_draws_block0_once_per_chunk_and_coordinate")),
+    Mutant(DEEP_INDEX, "_purekernels.py",
+           "if least >= 64 and i not in deep_indices:",
+           "if least >= 63 and i not in deep_indices:",
+           (LEMMAS + "test_deep_block0_lies_at_one_index_per_seed",)),
+    Mutant(DEEP_INDEX, "_purekernels.py",
+           "bits = max(map(len, profiles), default=0).bit_length()",
+           "bits = max(map(len, profiles), default=0).bit_length() - 1",
+           (LEMMAS + "test_deep_block0_lies_at_one_index_per_seed",
+            SAMPLER + "test_membership_matrix_draws_only_undecided_coordinates",
+            SAMPLER + "test_membership_matrix_draws_block0_once_per_chunk_and_coordinate")),
     Mutant(BRACKET, "dyadic.py",
            "hi = -((-hi) >> (e - prec))",
            "hi >>= e - prec",

@@ -65,11 +65,13 @@ from _helpers import (
     dyadic_param_coordinate,
     linear_scan_depth,
     packed_lanes,
+    planted_seed,
     random_reduced_letters,
     random_yword,
     reference_conjugate_depths,
     reference_geometric_coordinate,
     reference_prf_block,
+    reference_unmix,
 )
 from irslab import measures
 from irslab._backend import kernels
@@ -591,36 +593,36 @@ def _tie_block0(a):
 
 
 def _block0_patterns():
-    """(seed, block 0) pairs: the real first blocks of 32 seeds; all zeros
-    and all ones at 8 seeds, whose later blocks then decide; for each d in
+    """Block-0 values: the real first blocks of 32 seeds; all zeros and
+    all ones 8 times each, whose later blocks then decide; for each d in
     1..63 exactly d low zeros, or ones, with bit d flipped and random bits
-    above it; and the ties of TIE_PARAMS at 16 seeds each."""
+    above it; and the ties of TIE_PARAMS 16 times each."""
     rng = random.Random(6464)
-    patterns = [(seed, reference_prf_block(seed, 1, 0)) for seed in range(32)]
-    patterns += [(seed, x) for x in (0, MASK64) for seed in range(8)]
+    patterns = [reference_prf_block(seed, 1, 0) for seed in range(32)]
+    patterns += [x for x in (0, MASK64) for _ in range(8)]
     for d in range(1, 64):
         high = rng.getrandbits(63 - d) << d + 1
-        patterns += [(d, high | 1 << d), (d, high | (1 << d) - 1)]
-    patterns += [(seed, _tie_block0(a)) for a in TIE_PARAMS for seed in range(100, 116)]
+        patterns += [high | 1 << d, high | (1 << d) - 1]
+    patterns += [_tie_block0(a) for a in TIE_PARAMS for _ in range(16)]
     return patterns
 
 
-def test_block0_decides_levels_up_to_depth_64(monkeypatch):
+def test_block0_decides_levels_up_to_depth_64():
     patterns = _block0_patterns()
+    # one chunk holding every pattern: lane j's seed is planted so that its
+    # real block 0 at coordinate 1 is pattern j.  Its later blocks, which
+    # only the draw reads, are taken at index j + 1, so that lanes of one
+    # block 0 still reach different levels
+    seeds = [planted_seed(1, x) for x in patterns]
 
     def prf(seed, index, block):
-        # pattern `index` fixes block 0; later blocks are the seed's own
-        return patterns[index - 1][1] if block == 0 else reference_prf_block(seed, index, block)
+        return reference_prf_block(seed, 1 if block == 0 else index, block)
 
-    # one chunk holding every pattern, pattern j's block 0 in lane j
-    seeds = [seed for seed, _ in patterns]
-    packed = packed_lanes([x for _, x in patterns])
-    monkeypatch.setattr(kernels, "block0_lanes", lambda keys, index, n: packed)
     drawn_answers = {}
     for a in [None] + FAMILY_PARAMS + TIE_PARAMS[1:]:  # FAMILY_PARAMS holds 2^-70
         ties = set()
         levels = []
-        for index, (seed, x) in enumerate(patterns, start=1):
+        for index, (seed, x) in enumerate(zip(seeds, patterns), start=1):
             if a is None:
                 k = reference_geometric_coordinate(prf, seed, index)
                 assert (k > 1) == (x & 1 == 0), (a, x)
@@ -658,6 +660,70 @@ def test_block0_decides_levels_up_to_depth_64(monkeypatch):
     # the drawn lanes see both answers, so a scan that decided them from
     # block 0 would fail above
     assert drawn_answers == {(False, 65): {True, False}, (True, 65): {True, False}, (True, 1): {True, False}}
+
+
+def test_deep_block0_lies_at_one_index_per_seed(monkeypatch):
+    """Preimage lemma: every splitmix64 round is a bijection, so block 0 is
+    0 at exactly one index per seed mod 2^64, K ^ _BLOCK0_ZERO with K the
+    seed round, and 2^64 - 1 at exactly one, K ^ _BLOCK0_ONES.  member_scan
+    passes over a coordinate of least depth 64 or more that is no lane's
+    such index.  Seeds planted by running the PRF backwards put block 0 at
+    0 and 2^63 (geometric levels above 64 and of 64) and at 2^64 - 1 and
+    2^63 - 1 (family levels above 64 and of 64) on chosen coordinates, the
+    window's last among them, where the depths are 62..65; each planted
+    seed is scanned alone and in a chunk of SEED_CHUNK lanes."""
+    assert kernels._mix(kernels._mix(kernels._BLOCK0_ZERO)) == 0
+    assert kernels._mix(kernels._mix(kernels._BLOCK0_ONES)) == MASK64
+    rng = random.Random(6262)
+    for z in [0, MASK64] + [rng.getrandbits(64) for _ in range(500)]:
+        assert reference_unmix(kernels._mix(z)) == z and kernels._mix(reference_unmix(z)) == z
+
+    window = 40
+    # the window's first and last coordinates, two inside, and two beyond
+    # it: 50 below 2^6, the window's bit length, and 100 above
+    planted_at = (1, 2, 17, window, 50, 100)
+    planted = {planted_seed(i, x): (i, x) for i in planted_at for x in (0, 1 << 63, MASK64, MASK64 >> 1)}
+    assert all(reference_prf_block(seed, i, 0) == x for seed, (i, x) in planted.items())
+    chunk = list(planted) + list(range(kernels.SEED_CHUNK - len(planted)))
+    profiles = [(d,) * window for d in (62, 63, 64, 65)] + [tuple(rng.randint(62, 65) for _ in range(window))]
+    passes = []
+    real_lanes = kernels.block0_lanes
+
+    def counted(keys, index, n):
+        passes.append(index)
+        return real_lanes(keys, index, n)
+
+    monkeypatch.setattr(kernels, "block0_lanes", counted)
+    for a in (None, Dyadic(1, 2)):
+        family = a and (a.num, a.exp)
+        deep = MASK64 if a else 0
+        deep_index = {seed: i for seed, (i, x) in planted.items() if x == deep}
+        levels = {}
+        for seed in chunk:
+            for i in range(1, window + 1):
+                levels[seed, i] = (dyadic_param_coordinate(reference_prf_block, seed, i, a) if a
+                                   else reference_geometric_coordinate(reference_prf_block, seed, i))
+        for profile in profiles:
+            fails = {seed: next((i for i, d in enumerate(profile, start=1) if levels[seed, i] > d), None)
+                     for seed in chunk}
+            assert {seed for seed, i in fails.items() if i} <= set(planted), (a, profile)
+            for seeds in [chunk] + [[seed] for seed in planted]:
+                passes.clear()
+                drawn = []
+
+                def draw(j, i):
+                    drawn.append((seeds[j], i))
+                    return levels[seeds[j], i]
+
+                answers = kernels.member_scan(seeds, [profile], family, draw)[0]
+                assert answers == [fails[seed] is None for seed in seeds], (a, profile, seeds[0])
+                # the scan passes the coordinates of least depth below 64 and
+                # the planted indices, and stops once every seed has failed
+                last = window if None in [fails[seed] for seed in seeds] else max(fails[s] for s in seeds)
+                indices = {deep_index[s] for s in seeds if s in deep_index}
+                assert passes == [i for i in range(1, last + 1) if profile[i - 1] < 64 or i in indices], \
+                    (a, profile, seeds[0])
+                assert all(reference_prf_block(seed, i, 0) == deep for seed, i in drawn), (a, profile)
 
 
 def _comparison_params():

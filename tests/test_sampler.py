@@ -15,6 +15,7 @@ from _helpers import (
     family_param,
     iter_reduced,
     packed_lanes,
+    planted_seed,
     reference_geometric_coordinate,
     reference_key_lanes,
     reference_prf_block,
@@ -498,17 +499,28 @@ def test_member_scan_accepts_any_sequence():
             assert scan_profile(s, list(profile)) == scan_profile(s, profile)
 
 
+def _least_depths(profiles):
+    """The least depth at each coordinate of the longest window."""
+    return [min(p[i] for p in profiles if i < len(p)) for i in range(max(map(len, profiles)))]
+
+
 def test_membership_matrix_draws_only_undecided_coordinates(monkeypatch):
     # the shape of a sample command: radius-2 words from spiral indices
     # 16..25, seeds checked one chunk at a time.  Block 0 decides a lane of
     # depth <= 64, so a coordinate is drawn only when its block-0 bits are
-    # all zeros at a depth beyond 64, up to the scan's first violation
+    # all zeros at a depth beyond 64, up to the scan's first violation.
+    # Three seeds are planted with block 0 all zeros: at coordinate 16,
+    # where depths run from 1 to 77, and at 29 and 169, the window's last,
+    # where every depth is 64 or more
     singles = [expand(y(i)) for i in (16, 18, 20, 22)]
     products = [expand(YWord([(i, 1), (j, 1)])) for i, j in ((17, 21), (19, 24), (23, 25))]
     words = [IDENTITY] + singles + products
-    seeds = list(range(200))
     profiles = [depth_profile(w) for w in words[1:]]
     assert len({len(p) for p in profiles}) == 1
+    least = _least_depths(profiles)
+    planted_at = (16, 29, 169)
+    assert least[15] < 64 <= least[28] and least[-1] >= 64
+    seeds = list(range(200)) + [planted_seed(i, 0) for i in planted_at]
     expected = 0
     for seed in seeds:
         for profile in profiles:
@@ -519,7 +531,7 @@ def test_membership_matrix_draws_only_undecided_coordinates(monkeypatch):
                     expected += 1
                     if reference_geometric_coordinate(reference_prf_block, seed, i) > d:
                         break
-    assert expected == 0  # every depth of these windows is at most 64
+    assert expected > 0  # the planted seeds are drawn
 
     calls = {"geometric_coordinate": 0, "block0_lanes": 0}
     for name in calls:
@@ -528,8 +540,10 @@ def test_membership_matrix_draws_only_undecided_coordinates(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(_purekernels, name, counted)
     rows = list(membership_matrix(seeds, words))
-    # the seeds make one chunk: one block-0 pass per window coordinate
-    assert calls["block0_lanes"] == len(profiles[0])
+    # the seeds make one chunk: one block-0 pass per window coordinate of
+    # least depth below 64, 132 of 169, and one per planted index
+    assert sum(d < 64 for d in least) == 132
+    assert calls["block0_lanes"] == sum(d < 64 or i in planted_at for i, d in enumerate(least, start=1))
     assert calls["geometric_coordinate"] == expected
     for seed, row in zip(seeds, rows):
         def draw(i, _seed=seed):
@@ -540,11 +554,20 @@ def test_membership_matrix_draws_only_undecided_coordinates(monkeypatch):
 def test_membership_matrix_draws_block0_once_per_chunk_and_coordinate(monkeypatch):
     # windows 121, 169 and 225, listed shortest first, over two chunks of
     # seeds: each chunk's block 0 is drawn once per coordinate, in order, out
-    # to the longest window, and serves the shorter ones too
+    # to the longest window, and serves the shorter ones too.  A coordinate
+    # where every depth is 64 or more is drawn only at a seed's one index
+    # of block 0 all zeros (geometric) or all ones (family): each chunk
+    # holds two planted seeds, one of each, at the window's last index 225
+    # among others
     words = [expand(y(i)) for i in (2, 10, 26)]
     profiles = [depth_profile(w) for w in words]
     assert [len(p) for p in profiles] == [121, 169, 225]
-    seeds = range(SEED_CHUNK + 100)
+    least = _least_depths(profiles)
+    planted = [[(35, 0), (225, MASK64)], [(225, 0), (54, MASK64)]]
+    assert all(least[i - 1] >= 64 for pairs in planted for i, _ in pairs)
+    chunks = [[planted_seed(i, x) for i, x in planted[0]] + list(range(SEED_CHUNK - 2)),
+              [planted_seed(i, x) for i, x in planted[1]] + list(range(SEED_CHUNK, SEED_CHUNK + 98))]
+    seeds = chunks[0] + chunks[1]
     calls = []
     real_lanes = _purekernels.block0_lanes
 
@@ -553,13 +576,15 @@ def test_membership_matrix_draws_block0_once_per_chunk_and_coordinate(monkeypatc
         return real_lanes(keys, index, n)
 
     monkeypatch.setattr(_purekernels, "block0_lanes", counted)
-    for inner, mu in ((GeomGamma(), MU_G), (ParamFamily(Dyadic(1, 2)), family_measure(Dyadic(1, 2)))):
+    for inner, mu, deep in ((GeomGamma(), MU_G, 0),
+                            (ParamFamily(Dyadic(1, 2)), family_measure(Dyadic(1, 2)), MASK64)):
         calls.clear()
         rows = list(membership_matrix(seeds, words, mu))
-        assert calls == [(n, i) for n in (SEED_CHUNK, 100) for i in range(1, 226)]
-        for seed in seeds[::37]:
-            draw = SampledSubgroup(inner, seed).coordinate
-            assert rows[seed] == [scalar_member_scan(draw, p) for p in profiles], seed
+        assert calls == [(len(chunk), i) for chunk, pairs in zip(chunks, planted)
+                         for i in range(1, 226) if least[i - 1] < 64 or (i, deep) in pairs]
+        for k in sorted({0, 1, SEED_CHUNK, SEED_CHUNK + 1, *range(0, len(seeds), 37)}):
+            draw = SampledSubgroup(inner, seeds[k]).coordinate
+            assert rows[k] == [scalar_member_scan(draw, p) for p in profiles], k
 
 
 @pytest.mark.parametrize("n", [1, SEED_CHUNK - 1, SEED_CHUNK, SEED_CHUNK + 1])

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from _helpers import planted_seed
 from irslab._backend import kernels
 from irslab.dyadic import Dyadic
 from irslab.measures import MU_G, family_measure
@@ -80,23 +81,13 @@ def test_conjugate_depths_calls_traced_kernels_by_module_name(monkeypatch):
 def test_scan_draws_happen_inside_member_scan(monkeypatch):
     """membership_matrix draws only inside kernels.member_scan, through its
     draw argument SampledSubgroup.coordinate, both of which the tracer
-    wraps by name.  Block 0 decides every lane of depth <= 64, so it is
-    forced on deeper lanes, to all zeros for the geometric inner and all
-    ones for the family, which makes those lanes drawn."""
+    wraps by name.  Block 0 decides every lane of depth <= 64, so seeds are
+    planted whose block 0 is all zeros (geometric inner) or all ones
+    (family) at the window's deeper coordinates, which makes those lanes
+    drawn."""
     w = expand(y(20))
-    deep = {i for i, d in enumerate(depth_profile(w), start=1) if d > 64 and i <= 16}
+    deep = [i for i, d in enumerate(depth_profile(w), start=1) if d > 64 and i <= 16]
     assert len(deep) == 7
-    real_lanes, real_prf = kernels.block0_lanes, kernels.prf_block
-    forced = {}
-
-    def lanes(keys, index, n):
-        if index in deep:
-            return int.from_bytes(forced["block0"].to_bytes(16, "little") * n, "little")
-        return real_lanes(keys, index, n)
-
-    def prf(seed, index, block):
-        return forced["block0"] if block == 0 and index in deep else real_prf(seed, index, block)
-
     open_calls = []
     draws = {}
 
@@ -112,14 +103,12 @@ def test_scan_draws_happen_inside_member_scan(monkeypatch):
         draws[parent] = draws.get(parent, 0) + 1
         return _fn(self, i)
 
-    monkeypatch.setattr(kernels, "block0_lanes", lanes)
-    monkeypatch.setattr(kernels, "prf_block", prf)
     monkeypatch.setattr(kernels, "member_scan", scan)
     monkeypatch.setattr(SampledSubgroup, "coordinate", coordinate)
     for mu, block0 in ((MU_G, 0), (family_measure(Dyadic(1, 2)), kernels.MASK64)):
-        forced["block0"] = block0
         draws.clear()
-        for _ in membership_matrix(range(20), [w], mu):
+        seeds = list(range(20)) + [planted_seed(i, block0) for i in deep]
+        for _ in membership_matrix(seeds, [w], mu):
             pass
         assert draws.get("member_scan", 0) > 0, mu
         assert set(draws) == {"member_scan"}, mu
